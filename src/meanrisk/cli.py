@@ -24,8 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="meanrisk",
                                  description="mean-risk portfolio analytics "
                                              "on finite probability spaces")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized subroutines (determinism)")
     ap.add_argument("--out", help="write main output to this file")
     sub = ap.add_subparsers(dest="verb", required=True)
 

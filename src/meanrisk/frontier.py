@@ -12,6 +12,11 @@ every solve exact where possible:
                         -> epigraph LP over the finite level candidates
                            (subset sums of the atom probabilities) on small
                            spaces, cutting planes otherwise
+* positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
+  kinked at 0 only, adjusted ES with a profile vanishing on [beta, 1])
+                        -> rho_nu = nu rho_1, so a boundary sweep solves the
+                           slices at nu = 0 and 1 only, and the mean-risk
+                           problems one slice each
 
 Recession frontiers are linear programs obtained by dualising the inner
 support-function maximisation over the closed dual polytope, so the primal
@@ -571,9 +576,15 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
                      steps: int, jobs: int = 1) -> FrontierResult:
     """Sweep rho_nu over a uniform grid and classify the regime.
 
+    A positively homogeneous family has rho_nu = nu rho_1 with minimiser
+    nu pi_1 for nu > 0, so its sweep solves the slices at nu = 0 and 1 only
+    (a -inf or failed unit slice carries to every nu > 0).  Other families
+    solve one slice per grid node, on ``jobs`` threads when jobs > 1.
+
     In convex families the boundary minimiser is refined by golden section
     between the neighbouring grid nodes of the argmin; otherwise the grid
     argmin stands (irregular boundaries are legal for star-shaped measures).
+    When every slice fails, nu_min and rho_min are NaN and ``errors`` says why.
     """
     if nu_max <= 0 or steps < 2:
         raise ValueError("need nu_max > 0 and steps >= 2")
@@ -587,7 +598,14 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
             errors.append(f"nu={nu:g}: {exc}")
             return math.nan, None
 
-    if jobs > 1:
+    if spec.positively_homogeneous:
+        at_zero = solve_point(0.0)
+        rho_1, pi_1 = solve_point(1.0)
+        scalable = math.isfinite(rho_1)
+        results = [at_zero] + [
+            (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
+            for nu in grid[1:]]
+    elif jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(solve_point, grid))
     else:
@@ -605,6 +623,9 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     else:
         regime = REGIME_ZERO
 
+    if np.all(np.isnan(values)):
+        return FrontierResult(grid, values, portfolios, math.nan, math.nan,
+                              rho_inf_1, regime, errors)
     k = int(np.nanargmin(values))
     nu_min, rho_min = float(grid[k]), float(values[k])
     if spec.convex and regime == REGIME_POSITIVE and 0 < k < steps - 1:
@@ -749,21 +770,30 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     MAX_RETURN(rho*): largest expected excess return with risk <= rho*.
 
     Both are declared unbounded when the market admits rho-arbitrage for the
-    family (negative or zero recession boundary slope).
+    family (negative or zero recession boundary slope).  With a positive
+    slope, a positively homogeneous family's boundary is the increasing ray
+    nu rho_1, so MIN_RISK is the slice at nu* and MAX_RETURN is
+    nu = rho* / rho_1 with portfolio nu pi_1: one slice LP each.  Other
+    families search the convex boundary by golden section (MIN_RISK) and
+    bisection (MAX_RETURN), solving each slice once.
     """
     if level < 0:
         raise ValueError("the target level must be nonnegative")
     rho_inf_1 = rho_inf_nu(spec, m, 1.0)
+    ray = spec.positively_homogeneous and rho_inf_1 > SIGN_TOL
     if mode == "MIN_RISK":
         if rho_inf_1 < -SIGN_TOL:
             return MeanRiskSolution("unbounded",
                                     cause="negative recession slope")
+        if ray:
+            value, pi = rho_nu(spec, m, level)
+            return MeanRiskSolution("optimal", value, pi, level)
         # golden over nu >= nu* of the convex map nu -> rho_nu
         lo = level
         hi = max(level + 1.0, 2.0 * level)
-        f_lo = rho_nu(spec, m, lo)[0]
+        at_lo = rho_nu(spec, m, lo)
         for _ in range(80):
-            if rho_nu(spec, m, hi)[0] > f_lo or hi > 1e12:
+            if rho_nu(spec, m, hi)[0] > at_lo[0] or hi > 1e12:
                 break
             hi *= 2.0
         if hi > 1e12:
@@ -786,34 +816,41 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
                 a, c, fc = c, d, fd
                 d = a + invphi * (b - a)
                 fd = rho_nu(spec, m, d)[0]
-        candidates = [lo, 0.5 * (a + b)]
-        best_nu = min(candidates, key=lambda x: rho_nu(spec, m, x)[0])
-        value, pi = rho_nu(spec, m, best_nu)
+        mid = 0.5 * (a + b)
+        at_mid = rho_nu(spec, m, mid)
+        best_nu, (value, pi) = min([(lo, at_lo), (mid, at_mid)],
+                                   key=lambda cand: cand[1][0])
         return MeanRiskSolution("optimal", value, pi, best_nu)
     if mode == "MAX_RETURN":
         if rho_inf_1 <= SIGN_TOL:
             return MeanRiskSolution(
                 "unbounded", cause="rho-arbitrage: nonpositive recession slope")
-        fr_probe = rho_nu(spec, m, 0.0)[0]
-        rho_min_proxy = min(0.0, fr_probe)
+        if ray:
+            rho_1, pi_1 = rho_nu(spec, m, 1.0)
+            nu = level / rho_1
+            return MeanRiskSolution("optimal", nu, nu * pi_1, nu)
+        at_lo = rho_nu(spec, m, 0.0)
+        rho_min_proxy = min(0.0, at_lo[0])
         if level < rho_min_proxy - 1e-12:
             return MeanRiskSolution("infeasible",
                                     cause="risk budget below minimal risk")
-        # rho_nu -> inf as nu -> inf, so bisect the increasing branch
-        hi = 1.0
+        # rho_nu -> inf as nu -> inf, so bisect the increasing branch; the
+        # last doubling step within budget starts the bracket
+        lo, hi = 0.0, 1.0
         for _ in range(200):
-            if rho_nu(spec, m, hi)[0] > level:
+            at_hi = rho_nu(spec, m, hi)
+            if at_hi[0] > level:
                 break
+            lo, at_lo = hi, at_hi
             hi *= 2.0
-        lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if rho_nu(spec, m, mid)[0] <= level:
-                lo = mid
+            at_mid = rho_nu(spec, m, mid)
+            if at_mid[0] <= level:
+                lo, at_lo = mid, at_mid
             else:
                 hi = mid
             if hi - lo < 1e-10 * max(1.0, hi):
                 break
-        value, pi = rho_nu(spec, m, lo)
-        return MeanRiskSolution("optimal", lo, pi, lo)
+        return MeanRiskSolution("optimal", lo, at_lo[1], lo)
     raise ValueError(f"unknown mode {mode!r}")

@@ -124,6 +124,11 @@ class LossFunction:
         x_left = (self.breakpoints[0] if self.breakpoints else 0.0) - 1.0
         return abs(self._pwl_value(min(x_left, -1.0))) <= _LOSS_TOL
 
+    @property
+    def positively_homogeneous(self) -> bool:
+        """True when l(lam x) = lam l(x) for lam > 0: pwl with kinks at 0 only."""
+        return self.kind == "pwl" and all(bk == 0.0 for bk in self.breakpoints)
+
     # -- evaluation ----------------------------------------------------------
 
     def _pwl_kinks(self):
@@ -296,6 +301,13 @@ class TargetProfile:
     @property
     def bounded_on_domain(self) -> bool:
         return not self.unbounded_near_beta
+
+    @property
+    def vanishes_on_domain(self) -> bool:
+        """True when g == 0 on [beta, 1] (the step and zero profiles)."""
+        return self.bounded_on_domain and all(
+            pc.kind != "general" and pc.a == 0.0 and pc.b == 0.0
+            for pc in self.pieces)
 
     def value(self, x):
         # a 1e-12 band at beta absorbs round trips like 1/(1/beta)

@@ -349,6 +349,19 @@ class RiskSpec:
     def convex(self) -> bool:
         return self.family != "var"
 
+    @property
+    def positively_homogeneous(self) -> bool:
+        """rho(lam X) = lam rho(X) for lam > 0, read off the parameters."""
+        fam = self.family
+        if fam in ("var", "es", "wc", "eloss"):
+            return True
+        if fam == "adjes":
+            return self.profile.vanishes_on_domain
+        if fam in ("ew", "sr", "oce"):
+            return (self.loss.positively_homogeneous
+                    or (fam == "sr" and self.loss.zero_on_negatives))
+        return False
+
     def label(self) -> str:
         if self.family in ("var", "es"):
             return f"{self.family}:{self.alpha:g}"

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from meanrisk import Market
+from meanrisk import LPError, Market
 from meanrisk.cli import main
 from meanrisk.fixtures import IRREGULAR_SPOT_VALUES
 from meanrisk.io import (emit_market, parse_loss, parse_market, parse_measure,
@@ -105,6 +105,26 @@ class TestCommands:
         header = out_file.read_text().splitlines()[0]
         assert header == "nu,rho_nu,rho_inf_nu,pi_1,pi_2"
         assert "# efficient_frontier" in plot_file.read_text()
+
+    def test_frontier_with_every_slice_failing_exits_3(self, market_file,
+                                                       monkeypatch, capsys):
+        import meanrisk.frontier as frontier
+
+        def failing(spec, m, nu):
+            raise LPError("slice LP ended with status stalled")
+
+        monkeypatch.setattr(frontier, "rho_nu", failing)
+        for measure, errors in (("es:0.4", 2), ("lses:0.3", 6)):
+            code = main(["frontier", "--market", market_file, "--measure",
+                         measure, "--nu-max", "0.5", "--steps", "6"])
+            assert code == 3
+            captured = capsys.readouterr()
+            rows = captured.out.splitlines()[1:]
+            assert len(rows) == 6
+            assert all(row.split(",")[1] == "nan" for row in rows)
+            lines = captured.err.splitlines()
+            assert len(lines) == errors
+            assert all("status stalled" in line for line in lines)
 
     def test_arbitrage_report(self, market_file, capsys):
         code = main(["arbitrage", "--market", market_file,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_market
-from meanrisk import (LossFunction, Market, RandVar, RiskSpec,
+import meanrisk.frontier as frontier
+from meanrisk import (LossFunction, LPError, Market, RandVar, RiskSpec,
                       bounded_tail_profile, check_classical_arbitrage,
                       classify_sensitivity, detect_arbitrage,
-                      efficient_frontier, evaluate, general_profile,
-                      mean_rho_solve, optimal_boundary,
+                      efficient_frontier, evaluate, excess_return,
+                      general_profile, mean_rho_solve, optimal_boundary,
                       portfolio_slice, recession_ball_min,
                       recession_efficient_frontier, rho_inf_nu, rho_nu,
                       step_profile)
@@ -187,9 +188,128 @@ class TestOptimalBoundary:
         assert fr.nu_min == math.inf and fr.rho_min == -math.inf
 
     def test_jobs_deterministic(self):
-        a = optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 7, jobs=1)
-        b = optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 7, jobs=3)
-        assert np.array_equal(a.rho_values, b.rho_values)
+        # es sweeps solve two slices; oce:l=exp sweeps go through the pool
+        for spec in (RiskSpec.es_at(0.4), RiskSpec.oce_with(EXP)):
+            a = optimal_boundary(spec, TRINOMIAL, 1.0, 7, jobs=1)
+            b = optimal_boundary(spec, TRINOMIAL, 1.0, 7, jobs=3)
+            assert np.array_equal(a.rho_values, b.rho_values)
+
+
+def homogeneous_specs():
+    return [RiskSpec.es_at(0.3), RiskSpec.wc(),
+            RiskSpec.adjusted(step_profile(0.4)),
+            RiskSpec.sr_with(PWL), RiskSpec.oce_with(PWL)]
+
+
+def sweep_markets():
+    markets = [TRINOMIAL, BINOMIAL]
+    for seed in range(20):
+        local = np.random.default_rng(700 + seed)
+        markets.append(random_market(local))
+    return markets
+
+
+def per_point(monkeypatch, fn, *args):
+    """fn(*args) with every family treated as non-homogeneous."""
+    with monkeypatch.context() as mp:
+        mp.setattr(RiskSpec, "positively_homogeneous",
+                   property(lambda self: False))
+        return fn(*args)
+
+
+def counting(monkeypatch, name):
+    """Wrap frontier.<name>; the returned list gets one entry per call
+    (the nu of each rho_nu call)."""
+    seen = []
+    inner = getattr(frontier, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[2] if name == "rho_nu" else None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, name, wrapper)
+    return seen
+
+
+class TestHomogeneousBoundary:
+    def test_sweep_matches_per_point_scan(self, monkeypatch):
+        regimes, kinds = set(), set()
+        for m in sweep_markets():
+            arbitrage = check_classical_arbitrage(m) is not None
+            kinds.add(arbitrage)
+            for spec in homogeneous_specs():
+                fr = optimal_boundary(spec, m, 1.5, 7)
+                ref = per_point(monkeypatch, optimal_boundary, spec, m, 1.5, 7)
+                tag = (spec.label(), m.space.n, arbitrage)
+                regimes.add(fr.regime)
+                assert fr.regime == ref.regime, tag
+                assert fr.rho_inf_1 == ref.rho_inf_1, tag
+                inf = np.isinf(ref.rho_values)
+                assert np.array_equal(np.isinf(fr.rho_values), inf), tag
+                assert np.array_equal(fr.rho_values[inf],
+                                      ref.rho_values[inf]), tag
+                assert np.allclose(fr.rho_values[~inf], ref.rho_values[~inf],
+                                   rtol=1e-9, atol=1e-12), tag
+                assert fr.nu_min == ref.nu_min, tag
+                assert fr.rho_min == pytest.approx(ref.rho_min, rel=1e-9,
+                                                   abs=1e-12), tag
+                for nu, value, pi, ref_pi in zip(fr.nu_grid, fr.rho_values,
+                                                 fr.optimal_portfolios,
+                                                 ref.optimal_portfolios):
+                    if math.isinf(value):
+                        assert np.array_equal(pi, ref_pi), tag
+                        continue
+                    X = excess_return(m, pi)
+                    assert X.mean() == pytest.approx(nu, abs=1e-9), tag
+                    assert evaluate(spec, X) == pytest.approx(
+                        value, rel=1e-9, abs=1e-9), tag
+        assert {"POSITIVE", "NEGATIVE"} <= regimes and kinds == {True, False}
+
+    def test_weighted_loss_slices_scale(self):
+        # ew has no recession boundary to sweep against, but its slices scale
+        spec = RiskSpec.ew_with(PWL)
+        for m in sweep_markets():
+            rho_1 = rho_nu(spec, m, 1.0)[0]
+            for nu in (0.25, 1.5):
+                assert rho_nu(spec, m, nu)[0] == pytest.approx(
+                    nu * rho_1, rel=1e-9, abs=1e-12)
+
+    def test_es_sweep_is_three_lps_and_no_threads(self, monkeypatch):
+        m = random_market(np.random.default_rng(5), n=20, d=3,
+                          arbitrage_free=True)
+        lps = counting(monkeypatch, "solve_lp")
+        monkeypatch.setattr(frontier, "ThreadPoolExecutor", None)
+        fr = optimal_boundary(RiskSpec.es_at(0.1), m, 0.2, 21, jobs=4)
+        assert fr.regime == "POSITIVE" and fr.errors == []
+        assert len(lps) <= 3
+
+    def test_failed_unit_slice_recorded_once(self, monkeypatch):
+        inner = frontier.rho_nu
+
+        def failing(spec, m, nu):
+            if nu == 1.0:
+                raise LPError("slice LP ended with status stalled")
+            return inner(spec, m, nu)
+
+        monkeypatch.setattr(frontier, "rho_nu", failing)
+        fr = optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 5)
+        assert len(fr.errors) == 1 and fr.errors[0].startswith("nu=1:")
+        assert math.isfinite(fr.rho_values[0])
+        assert np.all(np.isnan(fr.rho_values[1:]))
+        assert all(pi is None for pi in fr.optimal_portfolios[1:])
+
+    def test_all_slices_failing_gives_nan_minimum(self, monkeypatch):
+        def failing(spec, m, nu):
+            raise LPError("slice LP ended with status stalled")
+
+        monkeypatch.setattr(frontier, "rho_nu", failing)
+        for spec, errors in ((RiskSpec.es_at(0.4), 2),
+                             (RiskSpec.lses_at(0.3), 5)):
+            fr = optimal_boundary(spec, TRINOMIAL, 1.0, 5)
+            assert np.all(np.isnan(fr.rho_values))
+            assert math.isnan(fr.nu_min) and math.isnan(fr.rho_min)
+            assert len(fr.errors) == errors
+            assert fr.regime == "POSITIVE"
 
 
 class TestEfficientFrontier:
@@ -317,6 +437,72 @@ class TestMeanRisk:
         assert sol.nu == pytest.approx(1.0, abs=1e-6)
         assert sol.value == pytest.approx(rho_nu(spec, TRINOMIAL, 1.0)[0],
                                           abs=1e-8)
+
+    def test_homogeneous_min_risk_is_the_slice(self, monkeypatch):
+        markets = [TRINOMIAL] + [
+            random_market(np.random.default_rng(seed), n=4, d=2,
+                          arbitrage_free=True) for seed in range(4)]
+        for m in markets:
+            for spec in homogeneous_specs():
+                if rho_inf_nu(spec, m, 1.0) <= frontier.SIGN_TOL:
+                    continue
+                for level in (0.0, 0.4, 1.3):
+                    seen = counting(monkeypatch, "rho_nu")
+                    sol = mean_rho_solve(spec, m, "MIN_RISK", level)
+                    monkeypatch.undo()
+                    value, pi = rho_nu(spec, m, level)
+                    assert seen == [level]
+                    assert sol.status == "optimal" and sol.nu == level
+                    assert sol.value == value
+                    assert np.array_equal(sol.portfolio, pi)
+        ref = per_point(monkeypatch, mean_rho_solve, RiskSpec.es_at(0.4),
+                        TRINOMIAL, "MIN_RISK", 0.7)
+        sol = mean_rho_solve(RiskSpec.es_at(0.4), TRINOMIAL, "MIN_RISK", 0.7)
+        assert sol.value == pytest.approx(ref.value, rel=1e-9)
+        assert sol.nu == pytest.approx(ref.nu, abs=1e-8)
+
+    def test_homogeneous_max_return_spends_the_budget(self, monkeypatch):
+        markets = [TRINOMIAL, BINOMIAL] + [
+            random_market(np.random.default_rng(seed), n=4, d=2)
+            for seed in range(6)]
+        solved = 0
+        for m in markets:
+            for spec in homogeneous_specs():
+                slope = rho_inf_nu(spec, m, 1.0)
+                for level in (0.0, 0.3, 2.0):
+                    seen = counting(monkeypatch, "rho_nu")
+                    sol = mean_rho_solve(spec, m, "MAX_RETURN", level)
+                    monkeypatch.undo()
+                    if slope <= frontier.SIGN_TOL:
+                        assert sol.status == "unbounded"
+                        continue
+                    solved += 1
+                    assert seen == [1.0]
+                    assert sol.status == "optimal"
+                    X = excess_return(m, sol.portfolio)
+                    assert X.mean() == pytest.approx(sol.nu, rel=1e-9,
+                                                     abs=1e-12)
+                    assert evaluate(spec, X) == pytest.approx(level, rel=1e-9,
+                                                              abs=1e-12)
+        assert solved > 0
+        ref = per_point(monkeypatch, mean_rho_solve, RiskSpec.es_at(0.4),
+                        TRINOMIAL, "MAX_RETURN", 0.3)
+        sol = mean_rho_solve(RiskSpec.es_at(0.4), TRINOMIAL, "MAX_RETURN", 0.3)
+        assert sol.nu == pytest.approx(ref.nu, rel=1e-8)
+
+    def test_general_search_solves_each_slice_once(self, monkeypatch):
+        m = random_market(np.random.default_rng(3), n=4, d=2,
+                          arbitrage_free=True)
+        for market, spec, level in ((TRINOMIAL, RiskSpec.lses_at(0.3), 1.0),
+                                    (TRINOMIAL, RiskSpec.lses_at(0.3), 0.0),
+                                    (m, RiskSpec.oce_with(EXP), 0.2)):
+            for mode in ("MIN_RISK", "MAX_RETURN"):
+                seen = counting(monkeypatch, "rho_nu")
+                sol = mean_rho_solve(spec, market, mode, level)
+                monkeypatch.undo()
+                assert sol.status == "optimal"
+                assert len(seen) > 10
+                assert len(set(seen)) == len(seen), (spec.label(), mode)
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):

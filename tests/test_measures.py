@@ -269,6 +269,61 @@ class TestAxiomProbe:
         assert rep.passed("convexity")
 
 
+PWL_OFF_ZERO = LossFunction.pwl((0.5, 1.0, 2.0), (0.0, 0.5))
+
+
+class TestPositiveHomogeneityFlag:
+    SPACE = FiniteSpace(np.full(5, 0.2))
+
+    def flagged(self):
+        return [RiskSpec.var_at(0.3), RiskSpec.es_at(0.25), RiskSpec.wc(),
+                RiskSpec.expected_loss(),
+                RiskSpec.adjusted(step_profile(0.4)),
+                RiskSpec.adjusted(zero_profile()),
+                RiskSpec.ew_with(PWL_HALF_TWO), RiskSpec.sr_with(PWL_HALF_TWO),
+                RiskSpec.oce_with(PWL_HALF_TWO),
+                RiskSpec.oce_with(LossFunction.cvar_generator(0.2)),
+                RiskSpec.ew_with(LossFunction.identity()),
+                RiskSpec.sr_with(LossFunction.pwl((0.0, 1.0, 3.0),
+                                                  (0.0, 1.0))),
+                RiskSpec.sr_with(LossFunction.power(2.0, 3.0))]
+
+    def unflagged(self):
+        return [RiskSpec.lses_at(0.5), RiskSpec.oce_with(EXP),
+                RiskSpec.ew_with(PWL_OFF_ZERO), RiskSpec.sr_with(PWL_OFF_ZERO),
+                RiskSpec.oce_with(PWL_OFF_ZERO)]
+
+    def test_loss_flag(self):
+        assert PWL_HALF_TWO.positively_homogeneous
+        assert LossFunction.identity().positively_homogeneous
+        assert not PWL_OFF_ZERO.positively_homogeneous
+        assert not EXP.positively_homogeneous
+        assert not LossFunction.power(1.0, 1.0).positively_homogeneous
+
+    def test_profile_flag(self):
+        assert step_profile(0.4).vanishes_on_domain
+        assert zero_profile().vanishes_on_domain
+        assert not lses_profile(0.3).vanishes_on_domain
+        assert not bounded_tail_profile(2.0, 0.3).vanishes_on_domain
+
+    def test_flagged_specs_pass_the_probe(self):
+        for spec in self.flagged():
+            assert spec.positively_homogeneous, spec.label()
+            rep = axiom_probe(spec, self.SPACE, trials=150, seed=11)
+            assert rep.passed("positive_homogeneity"), spec.label()
+
+    def test_unflagged_specs_have_a_witness(self):
+        for spec in self.unflagged():
+            assert not spec.positively_homogeneous, spec.label()
+            rep = axiom_probe(spec, self.SPACE, trials=300, seed=11)
+            assert not rep.passed("positive_homogeneity"), spec.label()
+            w = rep.witness("positive_homogeneity")
+            X = RandVar(self.SPACE, w["x"])
+            lam = w["lambda"]
+            assert abs(evaluate(spec, X.scaled(lam))
+                       - lam * evaluate(spec, X)) > 1e-9, spec.label()
+
+
 class TestSensitivityProbe:
     def test_worst_case_fires_immediately(self):
         probe = numeric_sensitivity_probe(RiskSpec.wc(), X_PM1)
