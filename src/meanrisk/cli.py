@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--nu-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=21)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--plot-out", help="write risk/return plot data here")
 
     p = sub.add_parser("arbitrage", help="run the arbitrage detectors")
@@ -97,8 +96,7 @@ def _run(args) -> int:
     if args.verb == "frontier":
         m = io.load_market(args.market)
         spec = io.parse_measure(args.measure)
-        fr = optimal_boundary(spec, m, args.nu_max, args.steps,
-                              jobs=args.jobs)
+        fr = optimal_boundary(spec, m, args.nu_max, args.steps)
         _emit(io.frontier_csv(fr, m.d), args.out)
         if args.plot_out:
             eff = efficient_frontier(spec, m, fr)

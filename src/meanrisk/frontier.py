@@ -4,14 +4,16 @@
 a prescribed expected excess return; family-specific reformulations keep
 every solve exact where possible:
 
-* expected shortfall    -> auxiliary-variable LP
+* expected shortfall, loss sensitive ES and adjusted ES with constant /
+  affine-in-1/x profile pieces
+                        -> one shortfall LP with a block (m, u >= (-X-m)^+)
+                           per profile piece; ES is the one-block LP and
+                           LSES adds the row E[u] <= b
+* adjusted ES with a general profile piece
+                        -> cutting planes on the value/subgradient oracle
 * worst case            -> minimax LP
 * pwl loss families     -> epigraph LPs over the loss pieces
 * exp loss families     -> damped Newton on the smooth convex objective
-* loss sensitive ES and adjusted ES with analytic profiles
-                        -> epigraph LP over the finite level candidates
-                           (subset sums of the atom probabilities) on small
-                           spaces, cutting planes otherwise
 * positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
   kinked at 0 only, adjusted ES with a profile vanishing on [beta, 1])
                         -> rho_nu = nu rho_1, so a boundary sweep solves the
@@ -26,24 +28,22 @@ are checked against.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import lses as lses_mod
 from .dual import (Density, closure_dual_set, dual_set,
                    interior_martingale_feasibility, martingale_feasibility)
+from .losses import lses_profile
 from .market import (ArbitrageWitness, Market, RandVar,
                      check_classical_arbitrage, excess_return,
                      portfolio_slice)
 from .measures import RiskSpec, adjusted_es_argmax, evaluate
-from .simplex import OPTIMAL, UNBOUNDED, LPError, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, solve_lp
 
 SIGN_TOL = 1e-7          # sign classification of rho_inf_1 and ball minima
 OBJ_TOL = 1e-8           # cutting-plane convergence on objective values
-MAX_CANDIDATE_LEVELS = 80
 
 
 # ---------------------------------------------------------------------------
@@ -87,25 +87,83 @@ def _ball_param(m: Market) -> _Param:
 # Family optimisers over a parametrised portfolio set
 # ---------------------------------------------------------------------------
 
-def _es_min(par: _Param, p: np.ndarray, alpha: float):
-    """min ES_alpha(X(theta)): variables (theta, m, u >= 0)."""
-    n, q = par.C.shape[0], par.C.shape[1]
-    nv = q + 1 + n
+def _es_min(par: _Param, p: np.ndarray, pieces):
+    """min over theta of max_k sup_{lo_k <= x <= hi_k} ES_x(X) - a_k - b_k/x.
+
+    One shortfall LP.  ES_x(X) = min_m m + E[(-X-m)^+]/x and the penalty is
+    affine in 1/x, so the sup over a piece is the larger of its two endpoint
+    objectives m_k + E[u_k]/x - g(x) over one block (m_k, u_k >= 0,
+    u_k >= -X - m_k).  A constant piece (b = 0) keeps its lo endpoint only;
+    a piece reaching x = 0 keeps its hi endpoint and bounds E[u_k] <= b_k.
+    A single endpoint objective is the LP objective, so ES at alpha, the
+    piece (alpha, alpha, 0, 0), is the plain (theta, m, u) LP; several take
+    an epigraph variable tau after theta.
+    """
+    n, q = par.C.shape
+    ends = [[hi] if lo == 0.0 else [lo] if b == 0.0 else [lo, hi]
+            for lo, hi, _, b in pieces]
+    epigraph = len(ends) > 1 or len(ends[0]) > 1
+    start = q + int(epigraph)
+    nv = start + len(pieces) * (1 + n)
     c = np.zeros(nv)
-    c[q] = 1.0
-    c[q + 1:] = p / alpha
-    rows = np.zeros((n, nv))
-    rows[:, :q] = -par.C
-    rows[:, q] = -1.0
-    rows[:, q + 1:] = -np.eye(n)
-    rhs = par.x0.copy()
-    A_ub = np.vstack([rows, np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
-                                                           nv - q))])])
-    b_ub = np.concatenate([rhs, par.b_ub])
-    lower = np.concatenate([par.lower, [-np.inf], np.zeros(n)])
-    upper = np.concatenate([par.upper, [np.inf], np.full(n, np.inf)])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
-    return res, (res.x[:q] if res.status == OPTIMAL else None)
+    shift = 0.0
+    rows, rhs = [], []
+    for k, ((lo, _, a, b), xs) in enumerate(zip(pieces, ends)):
+        mk = start + k * (1 + n)
+        uk = slice(mk + 1, mk + 1 + n)
+        for x in xs:
+            row = np.zeros((1, nv))
+            row[0, mk] = 1.0
+            row[0, uk] = p / x
+            if epigraph:
+                row[0, q] = -1.0
+                rows.append(row)
+                rhs.append([a + b / x])    # m_k + E[u_k]/x - g(x) <= tau
+            else:
+                c, shift = row[0], -(a + b / x)
+        block = np.zeros((n, nv))
+        block[:, :q] = -par.C
+        block[:, mk] = -1.0
+        block[:, uk] = -np.eye(n)
+        rows.append(block)
+        rhs.append(par.x0)                 # u_k >= -X - m_k
+        if lo == 0.0:
+            row = np.zeros((1, nv))
+            row[0, uk] = p
+            rows.append(row)
+            rhs.append([b])                # E[u_k] <= b_k
+    if epigraph:
+        c[q] = 1.0
+    rows.append(np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], nv - q))]))
+    rhs.append(par.b_ub)
+    lower = np.full(nv, -np.inf)
+    lower[:q] = par.lower
+    lower[start:] = 0.0
+    lower[start::1 + n] = -np.inf          # the m_k columns
+    upper = np.full(nv, np.inf)
+    upper[:q] = par.upper
+    res = solve_lp(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                   lower=lower, upper=upper)
+    if res.status != OPTIMAL:
+        return res, None
+    res.value += shift
+    return res, res.x[:q]
+
+
+def _shortfall_pieces(spec: RiskSpec):
+    """(lo, hi, a, b) per piece g = a + b/x of the family's profile, clipped
+    to [beta, 1]; None when a piece is general."""
+    if spec.family == "es":
+        return [(spec.alpha, spec.alpha, 0.0, 0.0)]
+    profile = lses_profile(spec.b) if spec.family == "lses" else spec.profile
+    if any(pc.kind == "general" for pc in profile.pieces):
+        return None
+    pieces = []
+    for pc in profile.pieces:
+        lo, hi = max(pc.lo, profile.beta), min(pc.hi, 1.0)
+        if hi > lo:
+            pieces.append((lo, hi, pc.a, pc.b if pc.kind == "invlin" else 0.0))
+    return pieces
 
 
 def _wc_min(par: _Param, p: np.ndarray):
@@ -226,62 +284,6 @@ def _ew_exp_min(par: _Param, p: np.ndarray):
     return value(t), t
 
 
-def _candidate_levels(p: np.ndarray, profile=None) -> list[float]:
-    """Levels that can maximise ES_a - g(a) for any portfolio: subset sums
-    of the atom probabilities plus the profile piece edges."""
-    n = p.size
-    sums = {1.0}
-    for k in range(1, n):
-        for idx in combinations(range(n), k):
-            sums.add(float(np.sum(p[list(idx)])))
-    if profile is not None:
-        for pc in profile.pieces:
-            for edge in (pc.lo, pc.hi):
-                if 0.0 < edge <= 1.0:
-                    sums.add(float(edge))
-        sums = {a for a in sums if a >= profile.beta - 1e-15}
-    return sorted(a for a in sums if a > 1e-12)
-
-
-def _sup_es_min_lp(par: _Param, p: np.ndarray, levels, penalties):
-    """min over theta of max_k (ES_{a_k}(X) - pen_k): joint epigraph LP."""
-    n, q = par.C.shape
-    k = len(levels)
-    # variables: theta (q), tau, then per level (m_j, u_j (n))
-    nv = q + 1 + k * (1 + n)
-    c = np.zeros(nv)
-    c[q] = 1.0
-    rows, rhs = [], []
-    for j, (a, pen) in enumerate(zip(levels, penalties)):
-        base = q + 1 + j * (1 + n)
-        row = np.zeros(nv)
-        row[base] = 1.0
-        row[base + 1:base + 1 + n] = p / a
-        row[q] = -1.0
-        rows.append(row)
-        rhs.append(pen)                    # m_j + E[u_j]/a - pen <= tau
-        for i in range(n):
-            row = np.zeros(nv)
-            row[:q] = -par.C[i]
-            row[base] = -1.0
-            row[base + 1 + i] = -1.0
-            rows.append(row)
-            rhs.append(par.x0[i])          # u_ji >= -X_i - m_j
-    A_ub = np.vstack([np.array(rows),
-                      np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
-                                                     nv - q))])])
-    b_ub = np.concatenate([np.array(rhs), par.b_ub])
-    lower = np.full(nv, -np.inf)
-    lower[:q] = par.lower
-    upper = np.full(nv, np.inf)
-    upper[:q] = par.upper
-    for j in range(k):
-        base = q + 1 + j * (1 + n)
-        lower[base + 1:base + 1 + n] = 0.0
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
-    return res, (res.x[:q] if res.status == OPTIMAL else None)
-
-
 def _tail_density(X: RandVar, alpha: float) -> np.ndarray:
     """A maximiser of E[-ZX] over {0 <= Z <= 1/alpha, E[Z] = 1}."""
     order = np.argsort(X.values, kind="stable")
@@ -358,6 +360,10 @@ def _sup_es_oracle(par: _Param, space, spec: RiskSpec):
 def rho_nu(spec: RiskSpec, m: Market, nu: float):
     """(rho_nu, minimiser): minimal risk over portfolios with E[X_pi] = nu.
 
+    ES, LSES and adjusted ES solve one shortfall LP whatever n is, with one
+    block per constant / affine-in-1/x profile piece; only a profile with a
+    general piece runs Kelley cutting planes.
+
     Returns (-inf, direction) when the slice problem is certified unbounded,
     which cannot happen for the built-in expectation-bounded families.
     """
@@ -373,8 +379,13 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
         raise ValueError("value-at-risk slice minimisation is not supported")
     if fam == "eloss":
         return -nu, par.to_portfolio(np.zeros(par.C.shape[1]))
-    if fam == "es":
-        res, t = _es_min(par, p, spec.alpha)
+    if fam in ("es", "lses", "adjes"):
+        pieces = _shortfall_pieces(spec)
+        if pieces is None:
+            v, t = _kelley_min(_sup_es_oracle(par, m.space, spec),
+                               par.C.shape[1])
+            return v, par.to_portfolio(t)
+        res, t = _es_min(par, p, pieces)
     elif fam == "wc":
         res, t = _wc_min(par, p)
     elif fam in ("ew", "sr", "oce"):
@@ -392,28 +403,6 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
         else:
             raise ValueError(f"{fam} slice minimisation unsupported for "
                              f"{loss.kind} losses")
-    elif fam in ("lses", "adjes"):
-        profile = spec.profile
-        analytic = (fam == "lses") or all(pc.kind != "general"
-                                          for pc in profile.pieces)
-        # the joint epigraph LP grows as 2^n levels; cutting planes take
-        # over once the dense tableau would dominate the solve
-        use_lp = analytic and m.space.n <= 4
-        if use_lp:
-            levels = _candidate_levels(p, profile if fam == "adjes" else None)
-            use_lp = len(levels) <= MAX_CANDIDATE_LEVELS
-        if use_lp:
-            if fam == "lses":
-                pens = [spec.b * (1.0 / a - 1.0) for a in levels]
-            else:
-                pens = [float(profile.value(a)) for a in levels]
-            keep = [(a, w) for a, w in zip(levels, pens) if math.isfinite(w)]
-            res, t = _sup_es_min_lp(par, p, [a for a, _ in keep],
-                                    [w for _, w in keep])
-        else:
-            v, t = _kelley_min(_sup_es_oracle(par, m.space, spec),
-                               par.C.shape[1])
-            return v, par.to_portfolio(t)
     else:  # pragma: no cover
         raise ValueError(f"unsupported family {fam!r}")
 
@@ -456,54 +445,64 @@ def _recession_descriptor(spec: RiskSpec):
         if loss.zero_on_negatives or loss.a_l == 0.0 or loss.b_l == math.inf:
             return ("wc",)
         return ("scaled", loss.a_l, loss.b_l)
+    if fam == "ew":
+        return ("ew", spec.loss.a_l, spec.loss.b_l)
     raise ValueError(f"no recession frontier for family {fam!r}")
 
 
-def _dualbox_min(par: _Param, p: np.ndarray, a: float, b: float,
-                 scaled: bool):
-    """min over theta of max{E[-ZX] : Z in the box/scaled-box density set}.
+def _dualbox_min(par: _Param, p: np.ndarray, kind: str, a: float,
+                 b: float):
+    """min over theta of max{E[-ZX] : Z in the density set of ``kind``}.
 
+    "dualbox" and "scaled" are the box and scaled-box density sets (with
+    E[Z] = 1); "ew" is the box a <= Z <= b without E[Z] = 1, whose support
+    function E[b (-X)^+ - a X^+] is the expected weighted loss's recession.
     The inner maximisation is dualised, so the joint problem is one LP in
-    (theta, mu, y1, y2).
+    (theta, mu, y1, y2), with no mu for "ew".
     """
     n, q = par.C.shape
+    has_mu = kind != "ew"
     has_up = b != math.inf
     has_lo = a > 0.0
     n_y1 = n if has_up else 0
     n_y2 = n if has_lo else 0
-    nv = q + 1 + n_y1 + n_y2
+    y0 = q + int(has_mu)
+    nv = y0 + n_y1 + n_y2
     c = np.zeros(nv)
-    c[q] = 1.0
-    if not scaled:
+    if has_mu:
+        c[q] = 1.0
+    if kind != "scaled":
         if has_up:
-            c[q + 1:q + 1 + n_y1] = b
+            c[y0:y0 + n_y1] = b
         if has_lo:
-            c[q + 1 + n_y1:] = -a
+            c[y0 + n_y1:] = -a
     rows, rhs = [], []
     for i in range(n):
         row = np.zeros(nv)
         row[:q] = -p[i] * par.C[i]
-        row[q] = -p[i]
+        if has_mu:
+            row[q] = -p[i]
         if has_up:
-            row[q + 1 + i] = -1.0
+            row[y0 + i] = -1.0
         if has_lo:
-            row[q + 1 + n_y1 + i] = 1.0
+            row[y0 + n_y1 + i] = 1.0
         rows.append(row)
         rhs.append(p[i] * par.x0[i])       # mu p_i + y1_i - y2_i >= c_i(theta)
-    if scaled:
+    if kind == "scaled":
         row = np.zeros(nv)
         if has_up:
-            row[q + 1:q + 1 + n_y1] = b
+            row[y0:y0 + n_y1] = b
         if has_lo:
-            row[q + 1 + n_y1:] = -a
+            row[y0 + n_y1:] = -a
         rows.append(row)
         rhs.append(0.0)                    # -b sum y1 + a sum y2 >= 0
     A_ub = np.vstack([np.array(rows),
                       np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
                                                      nv - q))])])
     b_ub = np.concatenate([np.array(rhs), par.b_ub])
-    lower = np.concatenate([par.lower, [-np.inf], np.zeros(n_y1 + n_y2)])
-    upper = np.concatenate([par.upper, np.full(1 + n_y1 + n_y2, np.inf)])
+    lower = np.concatenate([par.lower, np.full(y0 - q, -np.inf),
+                            np.zeros(n_y1 + n_y2)])
+    upper = np.concatenate([par.upper, np.full(nv - q, np.inf)])
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
     return res, (res.x[:q] if res.status == OPTIMAL else None)
 
@@ -512,7 +511,7 @@ def _recession_min(spec: RiskSpec, m: Market, par: _Param):
     p = m.space.probs
     desc = _recession_descriptor(spec)
     if desc[0] == "es":
-        res, t = _es_min(par, p, desc[1])
+        res, t = _es_min(par, p, [(desc[1], desc[1], 0.0, 0.0)])
     elif desc[0] == "wc":
         res, t = _wc_min(par, p)
     elif desc[0] == "eloss":
@@ -524,12 +523,12 @@ def _recession_min(spec: RiskSpec, m: Market, par: _Param):
         if res.status == OPTIMAL:
             return float(res.value) + c0, par.to_portfolio(res.x)
         return -math.inf, None
-    elif desc[0] == "dualbox":
-        res, t = _dualbox_min(par, p, desc[1], desc[2], scaled=False)
     else:
-        res, t = _dualbox_min(par, p, desc[1], desc[2], scaled=True)
+        res, t = _dualbox_min(par, p, *desc)
     if res.status == UNBOUNDED:
         return -math.inf, None
+    if res.status == INFEASIBLE and desc[0] == "ew":
+        return math.inf, None              # b_l = inf, and every X loses somewhere
     if res.status != OPTIMAL:
         raise LPError(f"recession LP ended with status {res.status}")
     return float(res.value), par.to_portfolio(t)
@@ -572,14 +571,36 @@ class FrontierResult:
         return self.nu_grid * self.rho_inf_1
 
 
+def _golden_argmin(f, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the golden-section bracket of a unimodal f on [lo, hi],
+    shrunk below width tol."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a < tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
-                     steps: int, jobs: int = 1) -> FrontierResult:
+                     steps: int) -> FrontierResult:
     """Sweep rho_nu over a uniform grid and classify the regime.
 
     A positively homogeneous family has rho_nu = nu rho_1 with minimiser
     nu pi_1 for nu > 0, so its sweep solves the slices at nu = 0 and 1 only
     (a -inf or failed unit slice carries to every nu > 0).  Other families
-    solve one slice per grid node, on ``jobs`` threads when jobs > 1.
+    solve one slice per grid node.
 
     In convex families the boundary minimiser is refined by golden section
     between the neighbouring grid nodes of the argmin; otherwise the grid
@@ -605,9 +626,6 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
         results = [at_zero] + [
             (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
             for nu in grid[1:]]
-    elif jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_point, grid))
     else:
         results = [solve_point(nu) for nu in grid]
     values = np.array([v for v, _ in results])
@@ -629,25 +647,9 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     k = int(np.nanargmin(values))
     nu_min, rho_min = float(grid[k]), float(values[k])
     if spec.convex and regime == REGIME_POSITIVE and 0 < k < steps - 1:
-        lo, hi = float(grid[k - 1]), float(grid[k + 1])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = rho_nu(spec, m, c)[0]
-        fd = rho_nu(spec, m, d)[0]
-        for _ in range(60):
-            if b - a < 1e-9 * max(1.0, nu_max):
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = rho_nu(spec, m, c)[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = rho_nu(spec, m, d)[0]
-        nu_ref = 0.5 * (a + b)
+        nu_ref = _golden_argmin(lambda nu: rho_nu(spec, m, nu)[0],
+                                float(grid[k - 1]), float(grid[k + 1]),
+                                1e-9 * max(1.0, nu_max))
         rho_ref = rho_nu(spec, m, nu_ref)[0]
         if rho_ref <= rho_min:
             nu_min, rho_min = nu_ref, rho_ref
@@ -799,24 +801,8 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
         if hi > 1e12:
             return MeanRiskSolution("unbounded",
                                     cause="risk keeps decreasing with return")
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = rho_nu(spec, m, c)[0]
-        fd = rho_nu(spec, m, d)[0]
-        for _ in range(200):
-            if b - a < 1e-9 * max(1.0, hi):
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = rho_nu(spec, m, c)[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = rho_nu(spec, m, d)[0]
-        mid = 0.5 * (a + b)
+        mid = _golden_argmin(lambda nu: rho_nu(spec, m, nu)[0], lo, hi,
+                             1e-9 * max(1.0, hi))
         at_mid = rho_nu(spec, m, mid)
         best_nu, (value, pi) = min([(lo, at_lo), (mid, at_mid)],
                                    key=lambda cand: cand[1][0])

@@ -106,6 +106,20 @@ class TestCommands:
         assert header == "nu,rho_nu,rho_inf_nu,pi_1,pi_2"
         assert "# efficient_frontier" in plot_file.read_text()
 
+    def test_frontier_weighted_loss(self, market_file, capsys):
+        # ew has a recession frontier: the box [a_l, b_l] without E[Z] = 1
+        for measure, rho_inf_1 in (("ew:l=pwl(0.5,0,2)", None),
+                                   ("ew:l=exp", "inf")):
+            code = main(["frontier", "--market", market_file, "--measure",
+                         measure, "--nu-max", "0.5", "--steps", "6"])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == "", measure
+            rows = [row.split(",") for row in captured.out.splitlines()[1:]]
+            assert len(rows) == 6
+            assert all(np.isfinite(float(row[1])) for row in rows)
+            if rho_inf_1 is not None:
+                assert rows[-1][2] == rho_inf_1
+
     def test_frontier_with_every_slice_failing_exits_3(self, market_file,
                                                        monkeypatch, capsys):
         import meanrisk.frontier as frontier

@@ -10,10 +10,10 @@ from meanrisk import (LossFunction, LPError, Market, RandVar, RiskSpec,
                       bounded_tail_profile, check_classical_arbitrage,
                       classify_sensitivity, detect_arbitrage,
                       efficient_frontier, evaluate, excess_return,
-                      general_profile, mean_rho_solve, optimal_boundary,
-                      portfolio_slice, recession_ball_min,
+                      general_profile, lses_profile, mean_rho_solve,
+                      optimal_boundary, portfolio_slice, recession_ball_min,
                       recession_efficient_frontier, rho_inf_nu, rho_nu,
-                      step_profile)
+                      step_profile, table_profile)
 from meanrisk.fixtures import (IRREGULAR_SPOT_VALUES, boundary_norm_market,
                                boundary_norm_profile, irregular_boundary)
 
@@ -23,6 +23,16 @@ PWL = LossFunction.pwl((0.5, 2.0), (0.0,))
 
 TRINOMIAL = Market.from_excess([0.25, 0.25, 0.5], 0.0,
                                [[0.3, -0.1], [-0.2, 0.25], [0.1, -0.2]])
+
+
+def shortfall_specs():
+    """LSES and adjusted ES whose profiles are constant / affine in 1/x."""
+    return [RiskSpec.lses_at(0.3),
+            RiskSpec.adjusted(lses_profile(0.5)),
+            RiskSpec.adjusted(table_profile([(0.3, 2.0), (1.0, 0.0)])),
+            RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
+                                             (1.0, 0.0)])),
+            RiskSpec.adjusted(bounded_tail_profile(0.8, 0.3))]
 
 
 def suite_specs():
@@ -79,16 +89,82 @@ class TestRhoNu:
                                               TRINOMIAL.excess @ pi))
             assert achieved == pytest.approx(value, abs=1e-6), spec.label()
 
-    def test_candidate_lp_matches_cutting_planes(self, rng):
-        import meanrisk.frontier as fr
-        for spec in (RiskSpec.lses_at(0.25),
-                     RiskSpec.adjusted(bounded_tail_profile(2.0, 0.4))):
-            lp_val, _ = rho_nu(spec, TRINOMIAL, 0.4)
-            par = fr._slice_param(TRINOMIAL, 0.4)
-            kel_val, _ = fr._kelley_min(
-                fr._sup_es_oracle(par, TRINOMIAL.space, spec),
-                par.C.shape[1])
-            assert lp_val == pytest.approx(kel_val, abs=1e-6)
+    def test_shortfall_lp_matches_cutting_planes(self):
+        for n in (3, 4, 6, 12, 20):
+            for seed in range(2):
+                local = np.random.default_rng(50 * n + seed)
+                m = random_market(local, n=n, d=min(3, n - 1),
+                                  arbitrage_free=True)
+                for spec in shortfall_specs():
+                    for nu in (0.0, 0.1, 0.3):
+                        lp_val, pi = rho_nu(spec, m, nu)
+                        par = frontier._slice_param(m, nu)
+                        kel_val, _ = frontier._kelley_min(
+                            frontier._sup_es_oracle(par, m.space, spec),
+                            par.C.shape[1])
+                        tag = (spec.label(), n, seed, nu)
+                        assert lp_val == pytest.approx(
+                            kel_val, rel=1e-7, abs=1e-12), tag
+                        assert evaluate(spec, excess_return(m, pi)) == \
+                            pytest.approx(lp_val, rel=1e-9, abs=1e-12), tag
+
+    def test_large_nu_stays_under_the_recession_slope(self):
+        # rho_t / t increases to rho_inf_1 and never passes it
+        rng = np.random.default_rng(1)
+        w = rng.uniform(0.2, 1.0, 5)
+        p = w / w.sum()
+        x = rng.normal(0.0, 1.0, (5, 2))
+        x = x - p @ x
+        x = 0.03 + 0.4 * x / np.sqrt(p @ x ** 2)
+        m = Market.from_excess(p, 0.0, x)
+        for spec in shortfall_specs():
+            r1 = rho_inf_nu(spec, m, 1.0)
+            seq = [rho_nu(spec, m, 4.0 ** k)[0] / 4.0 ** k
+                   for k in range(11)]
+            assert max(seq) <= r1 + 1e-7, spec.label()
+            assert abs(seq[-1] - r1) <= 1e-5, spec.label()
+
+    def test_shortfall_sweep_is_one_lp_per_slice(self, monkeypatch):
+        m = random_market(np.random.default_rng(8), n=20, d=3,
+                          arbitrage_free=True)
+        lps = counting(monkeypatch, "solve_lp")
+        per_slice = []
+        inner = frontier.rho_nu
+
+        def rho_nu_counted(spec, market, nu):
+            before = len(lps)
+            out = inner(spec, market, nu)
+            per_slice.append(len(lps) - before)
+            return out
+
+        monkeypatch.setattr(frontier, "rho_nu", rho_nu_counted)
+        fr = optimal_boundary(RiskSpec.lses_at(0.5), m, 0.2, 11)
+        assert fr.errors == [] and len(per_slice) >= 11
+        assert per_slice == [1] * len(per_slice)
+
+    def test_es_slice_is_the_plain_shortfall_lp(self, monkeypatch):
+        # variables (theta, m, u >= 0): min m + E[u]/alpha, u >= -X - m
+        m = random_market(np.random.default_rng(9), n=6, d=3)
+        seen = []
+        inner = frontier.solve_lp
+
+        def spy(c, **kwargs):
+            seen.append((c, kwargs))
+            return inner(c, **kwargs)
+
+        monkeypatch.setattr(frontier, "solve_lp", spy)
+        rho_nu(RiskSpec.es_at(0.3), m, 0.2)
+        (c, kw), = seen
+        par = frontier._slice_param(m, 0.2)
+        n, q = par.C.shape
+        assert np.array_equal(c, np.concatenate([np.zeros(q), [1.0],
+                                                 m.space.probs / 0.3]))
+        assert np.array_equal(kw["A_ub"], np.hstack(
+            [-par.C, -np.ones((n, 1)), -np.eye(n)]))
+        assert np.array_equal(kw["b_ub"], par.x0)
+        assert np.array_equal(kw["lower"], np.concatenate(
+            [np.full(q, -np.inf), [-np.inf], np.zeros(n)]))
+        assert np.array_equal(kw["upper"], np.full(q + 1 + n, np.inf))
 
     def test_es_boundary_homogeneous(self):
         rho1 = rho_nu(RiskSpec.es_at(0.4), TRINOMIAL, 1.0)[0]
@@ -130,7 +206,8 @@ class TestRecessionBoundary:
             for spec in (RiskSpec.es_at(0.35), RiskSpec.lses_at(0.4),
                          RiskSpec.adjusted(step_profile(0.3)),
                          RiskSpec.oce_with(PWL), RiskSpec.sr_with(PWL),
-                         RiskSpec.oce_with(EXP)):
+                         RiskSpec.oce_with(EXP), RiskSpec.ew_with(PWL),
+                         RiskSpec.ew_with(EXP)):
                 assert rho_inf_nu(spec, m, 0.8) == pytest.approx(
                     recession_value(spec, X), abs=1e-8), spec.label()
 
@@ -186,13 +263,6 @@ class TestOptimalBoundary:
         assert fr.regime == "NEGATIVE"
         assert np.all(np.diff(fr.rho_values) < 0)
         assert fr.nu_min == math.inf and fr.rho_min == -math.inf
-
-    def test_jobs_deterministic(self):
-        # es sweeps solve two slices; oce:l=exp sweeps go through the pool
-        for spec in (RiskSpec.es_at(0.4), RiskSpec.oce_with(EXP)):
-            a = optimal_boundary(spec, TRINOMIAL, 1.0, 7, jobs=1)
-            b = optimal_boundary(spec, TRINOMIAL, 1.0, 7, jobs=3)
-            assert np.array_equal(a.rho_values, b.rho_values)
 
 
 def homogeneous_specs():
@@ -278,8 +348,7 @@ class TestHomogeneousBoundary:
         m = random_market(np.random.default_rng(5), n=20, d=3,
                           arbitrage_free=True)
         lps = counting(monkeypatch, "solve_lp")
-        monkeypatch.setattr(frontier, "ThreadPoolExecutor", None)
-        fr = optimal_boundary(RiskSpec.es_at(0.1), m, 0.2, 21, jobs=4)
+        fr = optimal_boundary(RiskSpec.es_at(0.1), m, 0.2, 21)
         assert fr.regime == "POSITIVE" and fr.errors == []
         assert len(lps) <= 3
 
