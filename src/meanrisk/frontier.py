@@ -568,7 +568,11 @@ class FrontierResult:
     errors: list = field(default_factory=list)
 
     def rho_inf_values(self) -> np.ndarray:
-        return self.nu_grid * self.rho_inf_1
+        # rho_inf(0) = 0 even when rho_inf_1 is infinite (0 * inf is NaN)
+        vals = np.zeros(self.nu_grid.shape)
+        moved = self.nu_grid != 0
+        vals[moved] = self.nu_grid[moved] * self.rho_inf_1
+        return vals
 
 
 def _golden_argmin(f, lo: float, hi: float, tol: float) -> float:

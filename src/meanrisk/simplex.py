@@ -1,11 +1,17 @@
 """Dense two-phase primal simplex kernel.
 
 Every linear program in this package is solved here rather than by an
-external solver.  The tableau method with Bland's pivoting rule is slow in
-the worst case but terminates without cycling and produces bit-reproducible
-pivot sequences, which the dual-theorem cross checks in the test suite rely
-on.  Problem sizes are small (tens of variables, occasionally a few
-hundred), so a dense float64 tableau is adequate.
+external solver.  The tableau carries its reduced costs as extra rows (the
+phase-2 costs, and during phase 1 the phase-1 costs), so each pivot updates
+them along with the constraint rows.  Pricing is Dantzig's rule: the most
+negative reduced cost enters, the lowest column index winning ties.  After
+a run of ``_DEGENERATE_RUN`` degenerate pivots the kernel falls back to
+Bland's rule (lowest-index column with a negative reduced cost) until the
+next nondegenerate pivot, which rules out cycling.  The ratio test breaks
+ties by the lowest basis index, so pivot sequences are bit-reproducible,
+which the dual-theorem cross checks in the test suite rely on.  Problem
+sizes are small (tens of variables, occasionally a few hundred), so a
+dense float64 tableau is adequate.
 
 ``solve_lp`` accepts the general form
 
@@ -13,7 +19,9 @@ hundred), so a dense float64 tableau is adequate.
     subject to  A_ub x <= b_ub,  A_eq x = b_eq,  lower <= x <= upper
 
 and reduces it to standard form internally (nonnegative variables, equality
-rows).
+rows).  An inequality row with a nonnegative right-hand side starts with
+its slack in the basis; only equality rows and rows with a negative
+right-hand side get a phase-1 artificial.
 """
 from __future__ import annotations
 
@@ -28,6 +36,9 @@ UNBOUNDED = "unbounded"
 _RCOST_TOL = 1e-9   # reduced cost considered negative below -_RCOST_TOL
 _PIVOT_TOL = 1e-10  # smallest admissible pivot magnitude
 _PHASE1_TOL = 1e-8  # residual infeasibility treated as zero
+_RATIO_TIE = 1e-12  # ratios within this of the minimum tie; smaller steps
+                    # count as degenerate
+_DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland takes over
 
 
 class LPError(RuntimeError):
@@ -39,86 +50,119 @@ class LPResult:
     status: str
     x: np.ndarray | None = None
     value: float | None = None
+    pivots: int = 0     # phase-1 plus phase-2 pivots
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] = T[row] / T[row, col]
+    T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-             ncols: int, max_iter: int) -> str:
-    """Run simplex iterations on tableau T (columns 0..ncols-1 + rhs).
+def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
+             ncols: int, max_iter: int, phase1: bool) -> tuple[str, int]:
+    """Pivot on tableau T until row ``cost`` prices no column of 0..ncols-1.
 
-    Bland's rule: entering variable is the lowest-index column with a
-    negative reduced cost; the leaving row breaks ratio ties by the lowest
-    basis index.
+    Rows 0..m-1 are the constraints, column -1 the right-hand side.  Returns
+    the status and the number of pivots made.  In phase 1 a column with a
+    negative reduced cost but no admissible pivot row is rounding noise (the
+    phase-1 objective is bounded below), so it is skipped until the next
+    pivot rather than reported unbounded, and the phase ends as soon as
+    no basis index is ncols or above (no artificial left).
     """
+    reduced = T[cost, :ncols]
+    rhs = T[:m, -1]
+    skipped = []
+    degenerate = pivots = 0
     for _ in range(max_iter):
-        reduced = cost[:ncols] - cost[basis] @ T[:, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -_RCOST_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return OPTIMAL
-        col = T[:, entering]
-        rows = np.where(col > _PIVOT_TOL)[0]
+        if phase1 and basis.max() < ncols:
+            return OPTIMAL, pivots  # every artificial has left the basis
+        priced = reduced
+        if skipped:
+            priced = reduced.copy()
+            priced[skipped] = 0.0
+        if degenerate < _DEGENERATE_RUN:
+            entering = int(np.argmin(priced))
+            if priced[entering] >= -_RCOST_TOL:
+                return OPTIMAL, pivots
+        else:
+            candidates = np.flatnonzero(priced < -_RCOST_TOL)
+            if candidates.size == 0:
+                return OPTIMAL, pivots
+            entering = int(candidates[0])
+        col = T[:m, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
         if rows.size == 0:
-            return UNBOUNDED
-        ratios = T[rows, -1] / col[rows]
+            if not phase1:
+                return UNBOUNDED, pivots
+            skipped.append(entering)
+            continue
+        ratios = rhs[rows] / col[rows]
         best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
+        ties = rows[ratios <= best + _RATIO_TIE]
         leaving = ties[np.argmin(basis[ties])]
+        degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
+        skipped = []
         basis[leaving] = entering
         _pivot(T, leaving, entering)
+        pivots += 1
     raise LPError("simplex iteration budget exhausted")
 
 
 def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                    max_iter: int) -> LPResult:
-    """min c.x  s.t.  A x = b, x >= 0."""
+                    slack: np.ndarray, max_iter: int) -> LPResult:
+    """min c.x  s.t.  A x = b, x >= 0.
+
+    ``slack[i]`` is the column of row i's slack (+1 in that row only), or -1
+    for an equality row.  Artificial variables are not stored as columns:
+    once one leaves the basis it never re-enters, so basis index n + i just
+    marks row i as still held by its artificial.
+    """
     m, n = A.shape
-    A = A.astype(float).copy()
-    b = b.astype(float).copy()
+    # Rows 0..m-1: constraints; row m: phase-2 costs; row m + 1: phase-1
+    # costs.  The rhs entry of a cost row is minus the objective value.
+    T = np.zeros((m + 2, n + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    T[m, :n] = c
     neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
+    T[:m][neg] *= -1.0
+    basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
+    artificial = basis >= n
+    pivots = 0
 
-    # Phase 1: artificial basis.
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(n, n + m)
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status = _iterate(T, basis, cost1, n + m, max_iter)
-    if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
-        raise LPError("phase 1 did not terminate at an optimum")
-    if cost1[basis] @ T[:, -1] > _PHASE1_TOL:
-        return LPResult(INFEASIBLE)
+    if artificial.any():
+        T[m + 1] = -T[:m][artificial].sum(axis=0)
+        _, pivots = _iterate(T, basis, m, m + 1, n, max_iter, True)
+        held = basis >= n
+        if T[:m, -1][held].sum() > _PHASE1_TOL:
+            return LPResult(INFEASIBLE, pivots=pivots)
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n:
-            row = T[i, :n]
-            nz = np.where(np.abs(row) > _PIVOT_TOL)[0]
+        # Drive leftover artificials out of the basis; drop redundant rows.
+        keep = np.ones(m + 1, dtype=bool)
+        for i in np.flatnonzero(held):
+            nz = np.flatnonzero(np.abs(T[i, :n]) > _PIVOT_TOL)
             if nz.size == 0:
                 keep[i] = False
             else:
                 basis[i] = nz[0]
                 _pivot(T, i, nz[0])
-    T = np.hstack([T[keep][:, :n], T[keep][:, -1:]])
-    basis = basis[keep]
+                pivots += 1
+        if keep.all():
+            T = T[:m + 1]
+        else:
+            T = T[np.flatnonzero(keep)]
+            basis = basis[keep[:m]]
+            m = basis.size
 
-    cost2 = np.asarray(c, dtype=float)
-    status = _iterate(T, basis, cost2, n, max_iter)
+    status, phase2 = _iterate(T, basis, m, m, n, max_iter, False)
+    pivots += phase2
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+        return LPResult(UNBOUNDED, pivots=pivots)
     x = np.zeros(n)
-    x[basis] = T[:, -1]
-    return LPResult(OPTIMAL, x, float(cost2 @ x))
+    x[basis] = T[:m, -1]
+    return LPResult(OPTIMAL, x, float(c @ x), pivots)
 
 
 def solve_lp(c,
@@ -136,9 +180,9 @@ def solve_lp(c,
     c = np.asarray(c, dtype=float)
     nvar = c.size
     lo = np.full(nvar, 0.0) if lower is None else np.broadcast_to(
-        np.asarray(lower, dtype=float), (nvar,)).copy()
+        np.asarray(lower, dtype=float), (nvar,))
     hi = np.full(nvar, np.inf) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), (nvar,)).copy()
+        np.asarray(upper, dtype=float), (nvar,))
     if np.any(lo > hi):
         return LPResult(INFEASIBLE)
 
@@ -151,64 +195,40 @@ def solve_lp(c,
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(
         np.asarray(b_eq, dtype=float))
 
-    # x = offset + S y with y >= 0; columns of S are +-e_j (free vars split).
-    cols = []          # (orig_index, sign)
-    offset = np.zeros(nvar)
-    extra_rows = []    # two-sided bounds become y_j <= hi - lo rows
-    for j in range(nvar):
-        if np.isfinite(lo[j]):
-            offset[j] = lo[j]
-            cols.append((j, 1.0))
-            if np.isfinite(hi[j]):
-                extra_rows.append((len(cols) - 1, hi[j] - lo[j]))
-        elif np.isfinite(hi[j]):
-            offset[j] = hi[j]
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
+    # x = offset + S y with y >= 0: column k of S is sign[k] * e_src[k].  A
+    # free variable gets two columns (+ then -), a variable bounded above
+    # only is mirrored, and a two-sided bound adds the row y_k <= hi - lo.
+    lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
+    free = ~lo_f & ~hi_f
+    src = np.repeat(np.arange(nvar), np.where(free, 2, 1))
+    first = np.cumsum(np.where(free, 2, 1)) - np.where(free, 2, 1)
+    sign = np.ones(src.size)
+    sign[first[~lo_f & hi_f]] = -1.0
+    sign[first[free] + 1] = -1.0
+    offset = np.where(lo_f, lo, np.where(hi_f, hi, 0.0))
+    boxed = np.flatnonzero(lo_f & hi_f)
 
-    ny = len(cols)
-
-    def transform(M: np.ndarray) -> np.ndarray:
-        out = np.zeros((M.shape[0], ny))
-        for k, (j, s) in enumerate(cols):
-            out[:, k] = s * M[:, j]
-        return out
-
-    cy = np.zeros(ny)
-    for k, (j, s) in enumerate(cols):
-        cy[k] = s * c[j]
-    if maximize:
-        cy = -cy
-
-    Au = transform(A_ub)
-    bu = b_ub - A_ub @ offset
-    Ae = transform(A_eq)
-    be = b_eq - A_eq @ offset
-    for k, rhs in extra_rows:
-        row = np.zeros(ny)
-        row[k] = 1.0
-        Au = np.vstack([Au, row])
-        bu = np.append(bu, rhs)
-
+    ny = src.size
+    n_ub, n_eq, n_box = A_ub.shape[0], A_eq.shape[0], boxed.size
+    mu = n_ub + n_box
     # Slacks turn inequality rows into equalities.
-    mu = Au.shape[0]
-    A_std = np.vstack([
-        np.hstack([Au, np.eye(mu)]),
-        np.hstack([Ae, np.zeros((Ae.shape[0], mu))]),
-    ])
-    b_std = np.concatenate([bu, be])
-    c_std = np.concatenate([cy, np.zeros(mu)])
+    A_std = np.zeros((mu + n_eq, ny + mu))
+    A_std[:n_ub, :ny] = A_ub[:, src] * sign
+    A_std[n_ub + np.arange(n_box), first[boxed]] = 1.0
+    A_std[np.arange(mu), ny + np.arange(mu)] = 1.0
+    A_std[mu:, :ny] = A_eq[:, src] * sign
+    b_std = np.concatenate([b_ub - A_ub @ offset, hi[boxed] - lo[boxed],
+                            b_eq - A_eq @ offset])
+    c_std = np.zeros(ny + mu)
+    c_std[:ny] = -c[src] * sign if maximize else c[src] * sign
+    slack = np.concatenate([ny + np.arange(mu), np.full(n_eq, -1)])
 
     if max_iter is None:
         max_iter = 2000 + 200 * (A_std.shape[0] + A_std.shape[1])
-    res = _solve_standard(c_std, A_std, b_std, max_iter)
+    res = _solve_standard(c_std, A_std, b_std, slack, max_iter)
     if res.status != OPTIMAL:
-        return LPResult(res.status)
+        return LPResult(res.status, pivots=res.pivots)
 
-    x = offset.copy()
-    for k, (j, s) in enumerate(cols):
-        x[j] += s * res.x[k]
+    x = offset + np.bincount(src, weights=sign * res.x[:ny], minlength=nvar)
     value = float(c @ x)
-    return LPResult(OPTIMAL, x, value)
+    return LPResult(OPTIMAL, x, value, res.pivots)

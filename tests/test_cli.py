@@ -120,6 +120,17 @@ class TestCommands:
             if rho_inf_1 is not None:
                 assert rows[-1][2] == rho_inf_1
 
+    def test_frontier_infinite_recession_starts_at_zero(self, market_file,
+                                                        capsys):
+        # rho_inf(0) = 0 even when rho_inf_1 = inf: no 0 * inf = nan
+        code = main(["frontier", "--market", market_file, "--measure",
+                     "ew:l=exp", "--nu-max", "0.5", "--steps", "6"])
+        assert code == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
+        assert rows[0][:3] == ["nu", "rho_nu", "rho_inf_nu"]
+        assert rows[1][0] == "0" and rows[1][2] == "0"
+        assert [row[2] for row in rows[2:]] == ["inf"] * 5
+
     def test_frontier_with_every_slice_failing_exits_3(self, market_file,
                                                        monkeypatch, capsys):
         import meanrisk.frontier as frontier

@@ -166,6 +166,23 @@ class TestRhoNu:
             [np.full(q, -np.inf), [-np.inf], np.zeros(n)]))
         assert np.array_equal(kw["upper"], np.full(q + 1 + n, np.inf))
 
+    def test_es_slice_pivot_count(self, monkeypatch):
+        # Dantzig pricing from the slack basis takes 88 pivots on this
+        # 150-atom slice LP; Bland's rule from an all-artificial basis
+        # takes 421, which the bound rejects
+        m = random_market(np.random.default_rng(0), n=150, d=2)
+        seen = []
+        inner = frontier.solve_lp
+
+        def spy(c, **kwargs):
+            seen.append(inner(c, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(frontier, "solve_lp", spy)
+        rho_nu(RiskSpec.es_at(0.1), m, 0.1)
+        (res,) = seen
+        assert 0 < res.pivots <= 120
+
     def test_es_boundary_homogeneous(self):
         rho1 = rho_nu(RiskSpec.es_at(0.4), TRINOMIAL, 1.0)[0]
         for nu in (0.3, 0.7, 2.0):
