@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import GPiece, LossFunction, TargetProfile
+from .losses import GPiece, LossFunction, TargetProfile, lses_profile
 from .market import FiniteSpace, Market, RandVar
-from .measures import (RiskSpec, es, evaluate, quantile_pieces,
+from .measures import (RiskSpec, es, evaluate, golden_min, quantile_pieces,
                         worst_case)
 from .simplex import OPTIMAL, LPError, solve_lp
 
@@ -164,23 +164,7 @@ def _scaled_box_penalty(z, probs, loss: LossFunction) -> float:
     def val(k: float) -> float:
         return float(probs @ loss.conjugate_value(k * z)) / k
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = lo, hi
-    c = x2 - invphi * (x2 - x1)
-    d = x1 + invphi * (x2 - x1)
-    fc, fd = val(c), val(d)
-    for _ in range(200):
-        if x2 - x1 < 1e-12 * max(1.0, abs(x2)):
-            break
-        if fc < fd:
-            x2, d, fd = d, c, fc
-            c = x2 - invphi * (x2 - x1)
-            fc = val(c)
-        else:
-            x1, c, fc = c, d, fd
-            d = x1 + invphi * (x2 - x1)
-            fd = val(d)
-    return val(0.5 * (x1 + x2))
+    return val(golden_min(val, lo, hi, 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -264,39 +248,54 @@ class SetPolytope:
     strict_rows: list
 
 
+def _atom_rows(n: int, nvars: int, diag: dict, shared: dict | None = None
+               ) -> np.ndarray:
+    """One row per atom i: coefficient c at column k + i for each k: c in
+    ``diag``, and at column k for each k: c in ``shared``."""
+    rows = np.zeros((n, nvars))
+    atoms = np.arange(n)
+    for k, c in diag.items():
+        rows[atoms, k + atoms] = c
+    for k, c in (shared or {}).items():
+        rows[:, k] = c
+    return rows
+
+
+def _interleave(*blocks) -> np.ndarray:
+    """Row i of each block in turn, atom by atom (rows or right-hand sides)."""
+    return np.stack(blocks, axis=1).reshape((-1,) + blocks[0].shape[1:])
+
+
+def _polytope_kind(ds: DualSetSpec) -> DualSetSpec:
+    """Penalised sets as the boxes their penalties are finite on."""
+    if ds.kind == "penalized":
+        return DualSetSpec("box", ds.loss.a_l, ds.loss.b_l, loss=ds.loss)
+    if ds.kind == "penalized_sup":
+        return DualSetSpec("box", 0.0, math.inf)
+    return ds
+
+
 def set_polytope(ds: DualSetSpec | None, space: FiniteSpace) -> SetPolytope:
     """Closed polyhedral description of a dual set over the given space."""
     n = space.n
     p = space.probs
     rows_ub, rhs_ub, strict = [], [], []
     nvars = n
-    if ds is None:
-        ds = DualSetSpec("box", 0.0, math.inf)
+    ds = _polytope_kind(DualSetSpec("box", 0.0, math.inf) if ds is None
+                        else ds)
     kind = ds.kind
-    if kind == "penalized":
-        ds = DualSetSpec("box", ds.loss.a_l, ds.loss.b_l, loss=ds.loss)
-        kind = "box"
-    if kind == "penalized_sup":
-        ds = DualSetSpec("box", 0.0, math.inf)
-        kind = "box"
 
     if kind in ("box", "supnorm"):
         hi = ds.hi
         lo = ds.lo if kind == "box" else 0.0
         if hi != math.inf:
-            for i in range(n):
-                row = np.zeros(n)
-                row[i] = 1.0
-                rows_ub.append(row)
-                rhs_ub.append(hi)
-                if ds.strict:
-                    strict.append(len(rows_ub) - 1)
+            rows_ub.append(_atom_rows(n, n, {0: 1.0}))
+            rhs_ub.append(np.full(n, hi))
+            if ds.strict:
+                strict = list(range(n))
         if lo > 0.0:
-            for i in range(n):
-                row = np.zeros(n)
-                row[i] = -1.0
-                rows_ub.append(row)
-                rhs_ub.append(-lo)
+            rows_ub.append(_atom_rows(n, n, {0: -1.0}))
+            rhs_ub.append(np.full(n, -lo))
         A_eq = p[None, :]
         b_eq = np.array([1.0])
     elif kind == "scaled_box":
@@ -305,27 +304,21 @@ def set_polytope(ds: DualSetSpec | None, space: FiniteSpace) -> SetPolytope:
         if a <= 0.0 and b == math.inf:
             return set_polytope(DualSetSpec("box", 0.0, math.inf), space)
         nvars = n + 1  # auxiliary scale s with z in [a s, b s]
-        for i in range(n):
-            if b != math.inf:
-                row = np.zeros(nvars)
-                row[i] = 1.0
-                row[n] = -b
-                rows_ub.append(row)
-                rhs_ub.append(0.0)
-            if a > 0.0:
-                row = np.zeros(nvars)
-                row[i] = -1.0
-                row[n] = a
-                rows_ub.append(row)
-                rhs_ub.append(0.0)
+        blocks = []
+        if b != math.inf:
+            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: -b}))
+        if a > 0.0:
+            blocks.append(_atom_rows(n, nvars, {0: -1.0}, {n: a}))
+        rows_ub.append(_interleave(*blocks))
+        rhs_ub.append(np.zeros(n * len(blocks)))
         A_eq = np.zeros((1, nvars))
         A_eq[0, :n] = p
         b_eq = np.array([1.0])
     else:  # pragma: no cover
         raise ValueError(f"unsupported kind {kind!r}")
 
-    A_ub = np.array(rows_ub) if rows_ub else np.zeros((0, nvars))
-    b_ub = np.array(rhs_ub) if rhs_ub else np.zeros(0)
+    A_ub = np.vstack(rows_ub) if rows_ub else np.zeros((0, nvars))
+    b_ub = np.concatenate(rhs_ub) if rhs_ub else np.zeros(0)
     return SetPolytope(n, nvars, A_ub, b_ub, A_eq, b_eq, strict)
 
 
@@ -390,65 +383,37 @@ def interior_polytope(ds: DualSetSpec, space: FiniteSpace) -> SetPolytope:
     """Strict-interior form: z >= delta plus inward-shifted set bounds."""
     n = space.n
     p = space.probs
+    ds = _polytope_kind(ds)
     kind = ds.kind
-    if kind == "penalized":
-        ds = DualSetSpec("box", ds.loss.a_l, ds.loss.b_l, loss=ds.loss)
-        kind = "box"
-    if kind == "penalized_sup":
-        ds = DualSetSpec("box", 0.0, math.inf)
-        kind = "box"
 
-    rows, rhs = [], []
     if kind in ("box", "supnorm"):
         nvars = n + 1
         lo = ds.lo if kind == "box" else 0.0
-        hi = ds.hi
-        for i in range(n):
-            row = np.zeros(nvars)
-            row[i] = -1.0
-            row[n] = 1.0
-            rows.append(row)
-            rhs.append(-max(lo, 0.0))      # z_i - delta >= max(lo, 0)
-            if hi != math.inf:
-                row = np.zeros(nvars)
-                row[i] = 1.0
-                row[n] = 1.0
-                rows.append(row)
-                rhs.append(hi)             # z_i + delta <= hi
-        A_eq = np.zeros((1, nvars))
-        A_eq[0, :n] = p
+        blocks = [_atom_rows(n, nvars, {0: -1.0}, {n: 1.0})]
+        rhs = [np.full(n, -max(lo, 0.0))]  # z_i - delta >= max(lo, 0)
+        if ds.hi != math.inf:
+            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: 1.0}))
+            rhs.append(np.full(n, ds.hi))  # z_i + delta <= hi
     elif kind == "scaled_box":
         a = ds.a_l or 0.0
         b = ds.b_l if ds.b_l is not None else math.inf
         if a <= 0.0 and b == math.inf:
             return interior_polytope(DualSetSpec("box", 0.0, math.inf), space)
         nvars = n + 2                      # z, s, delta
-        for i in range(n):
-            row = np.zeros(nvars)
-            row[i] = -1.0
-            row[n + 1] = 1.0
-            rows.append(row)
-            rhs.append(0.0)                # z_i >= delta
-            if a > 0.0:
-                row = np.zeros(nvars)
-                row[i] = -1.0
-                row[n] = a
-                row[n + 1] = 1.0
-                rows.append(row)
-                rhs.append(0.0)            # z_i >= a s + delta
-            if b != math.inf:
-                row = np.zeros(nvars)
-                row[i] = 1.0
-                row[n] = -b
-                row[n + 1] = 1.0
-                rows.append(row)
-                rhs.append(0.0)            # z_i <= b s - delta
-        A_eq = np.zeros((1, nvars))
-        A_eq[0, :n] = p
+        # z_i >= delta
+        blocks = [_atom_rows(n, nvars, {0: -1.0}, {n + 1: 1.0})]
+        if a > 0.0:                        # z_i >= a s + delta
+            blocks.append(_atom_rows(n, nvars, {0: -1.0}, {n: a, n + 1: 1.0}))
+        if b != math.inf:                  # z_i <= b s - delta
+            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: -b, n + 1: 1.0}))
+        rhs = [np.zeros(n)] * len(blocks)
     else:  # pragma: no cover
         raise ValueError(f"unsupported kind {kind!r}")
+    A_eq = np.zeros((1, nvars))
+    A_eq[0, :n] = p
     b_eq = np.array([1.0])
-    return SetPolytope(n, nvars, np.array(rows), np.array(rhs), A_eq, b_eq, [])
+    return SetPolytope(n, nvars, _interleave(*blocks), _interleave(*rhs),
+                       A_eq, b_eq, [])
 
 
 def interior_martingale_feasibility(m: Market, ds: DualSetSpec
@@ -525,16 +490,18 @@ def numeric_recession_probe(spec: RiskSpec, X: RandVar,
 def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
     """sup_Z {E[-ZX] - alpha(Z)} computed on the dual side.
 
-    Linear programs cover the box/sup-norm families (loss sensitive ES gets a
-    single LP in (z, M)); piecewise-linear conjugates become exact cutting
-    planes; smooth conjugates go through the one-dimensional Lagrangian dual
-    with a primal witness recovered for the reported value.
+    Linear programs cover the box/sup-norm families: adjusted ES solves one
+    LP in (z, M) per constant / affine-in-1/x profile piece, and loss
+    sensitive ES is the one-piece profile b (1/x - 1).  Piecewise-linear
+    conjugates become exact cutting planes; smooth conjugates go through the
+    one-dimensional Lagrangian dual with a primal witness recovered for the
+    reported value.
     """
     fam = spec.family
     if fam in ("es", "wc", "eloss"):
         return support_value(dual_set(spec), X)
     if fam == "lses":
-        return _lses_dual_lp(X, spec.b)
+        return _adjes_dual(X, lses_profile(spec.b))
     if fam == "adjes":
         return _adjes_dual(X, spec.profile)
     if fam == "oce":
@@ -551,41 +518,53 @@ def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
     raise ValueError(f"family {fam!r} is not dual-capable")
 
 
-def _lses_dual_lp(X: RandVar, b: float) -> float:
-    n = X.space.n
-    p = X.space.probs
-    # variables (z_1..z_n, M): maximize E[-zX] - b(M - 1)
-    c = np.concatenate([-p * X.values, [-b]])
-    A_ub = np.hstack([np.eye(n), -np.ones((n, 1))])   # z_i <= M
-    b_ub = np.zeros(n)
-    A_eq = np.concatenate([p, [0.0]])[None, :]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                   maximize=True)
-    if res.status != OPTIMAL:
-        raise LPError(f"loss-sensitive dual LP status {res.status}")
-    return float(res.value) + b
-
-
-def _box_lp_value(X: RandVar, hi: float) -> float:
-    return support_value(DualSetSpec("box", 0.0, hi), X)
-
-
 def _adjes_dual(X: RandVar, profile: TargetProfile) -> float:
-    """Outer scan over the sup-norm bound with a box LP at each candidate.
+    """sup over densities of E[-ZX] - g(1/||Z||_inf).
 
-    For constant / affine-in-1/x profile pieces the objective is piecewise
-    linear in the bound, so candidate bounds (quantile breakpoints and piece
-    edges) are exhaustive; general pieces get a golden-section refinement.
+    With the sup-norm bound M = 1/x, a piece g = a + b/x (b = 0 for a
+    constant piece) is the penalty a + b M, affine in M, so each piece is
+    one LP in (z, M): max E[-zX] - a - b M over 0 <= z_i <= M, E[z] = 1 and
+    M in [1/hi, 1/lo] for the piece clipped to [beta, 1], capped at
+    1/P[worst atom], past which the box value no longer grows.  The value
+    is the largest piece value.  A profile with a general piece scans the
+    candidate bounds (quantile breakpoints and piece edges) with a box LP at
+    each, refined by golden section.
     """
     _, _, cum, _ = quantile_pieces(X)
-    has_general = any(pc.kind == "general" for pc in profile.pieces)
-    if has_general and X.space.n > 400:
+    m_cap = 1.0 / float(cum[0])
+    if profile.beta > 0.0:
+        m_cap = min(m_cap, 1.0 / profile.beta)
+    pieces = profile.affine_pieces()
+    if pieces is None:
+        return _adjes_general_scan(X, profile, cum, m_cap)
+    n = X.space.n
+    p = X.space.probs
+    A_ub = np.hstack([np.eye(n), -np.ones((n, 1))])   # z_i <= M
+    A_eq = np.concatenate([p, [0.0]])[None, :]
+    best = -math.inf
+    for lo, hi, a, b in pieces:
+        m_lo = 1.0 / hi
+        m_hi = m_cap if lo == 0.0 else min(m_cap, 1.0 / lo)
+        if m_lo > m_hi:
+            continue                       # the piece lies beyond the cap
+        res = solve_lp(np.concatenate([-p * X.values, [-b]]),
+                       A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
+                       lower=np.concatenate([np.zeros(n), [m_lo]]),
+                       upper=np.concatenate([np.full(n, np.inf), [m_hi]]),
+                       maximize=True)
+        if res.status != OPTIMAL:
+            raise LPError(f"adjusted-ES dual LP status {res.status}")
+        best = max(best, float(res.value) - a)
+    return best
+
+
+def _adjes_general_scan(X: RandVar, profile: TargetProfile, cum: np.ndarray,
+                        m_cap: float) -> float:
+    """Box LP at each candidate sup-norm bound, golden section around the
+    best three; the objective is not piecewise linear in the bound here."""
+    if X.space.n > 400:
         raise ValueError("dual evaluation of general profiles is limited to "
                          "small spaces")
-    beta = profile.beta
-    m_cap = 1.0 / float(cum[0])
-    if beta > 0.0:
-        m_cap = min(m_cap, 1.0 / beta)
     cand = {1.0, m_cap}
     for f in cum[:-1]:
         mm = 1.0 / float(f)
@@ -600,33 +579,17 @@ def _adjes_dual(X: RandVar, profile: TargetProfile) -> float:
         g = float(profile.value(1.0 / m_bound))
         if not math.isfinite(g):
             return -math.inf
-        return _box_lp_value(X, m_bound) - g
+        return support_value(DualSetSpec("box", 0.0, m_bound), X) - g
 
     cand = sorted(cand)
     vals = [value_at(m) for m in cand]
     best = max(vals)
-    if has_general:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        order = np.argsort(vals)[-3:]
-        for i in order:
-            lo = cand[max(int(i) - 1, 0)]
-            hi = cand[min(int(i) + 1, len(cand) - 1)]
-            a_, b_ = lo, hi
-            c_ = b_ - invphi * (b_ - a_)
-            d_ = a_ + invphi * (b_ - a_)
-            fc, fd = value_at(c_), value_at(d_)
-            for _ in range(80):
-                if b_ - a_ < 1e-10 * max(1.0, b_):
-                    break
-                if fc > fd:
-                    b_, d_, fd = d_, c_, fc
-                    c_ = b_ - invphi * (b_ - a_)
-                    fc = value_at(c_)
-                else:
-                    a_, c_, fc = c_, d_, fd
-                    d_ = a_ + invphi * (b_ - a_)
-                    fd = value_at(d_)
-            best = max(best, fc, fd)
+    for i in np.argsort(vals)[-3:]:
+        lo = cand[max(int(i) - 1, 0)]
+        hi = cand[min(int(i) + 1, len(cand) - 1)]
+        if hi > lo:
+            mid = golden_min(lambda m: -value_at(m), lo, hi, 1e-10)
+            best = max(best, value_at(mid))
     return best
 
 
@@ -637,18 +600,12 @@ def _penalized_cut_lp(X: RandVar, loss: LossFunction) -> float:
     cuts = loss.conjugate_cuts()
     # variables (z, t): maximize E[-Xz] - E[t], t_i >= A z_i + B per cut
     c = np.concatenate([-p * X.values, -p])
-    rows, rhs = [], []
-    for (A, B) in cuts:
-        for i in range(n):
-            row = np.zeros(2 * n)
-            row[i] = A
-            row[n + i] = -1.0
-            rows.append(row)
-            rhs.append(-B)
+    A_ub = np.vstack([_atom_rows(n, 2 * n, {0: A, n: -1.0}) for A, _ in cuts])
+    b_ub = np.concatenate([np.full(n, -B) for _, B in cuts])
     A_eq = np.concatenate([p, np.zeros(n)])[None, :]
     lower = np.concatenate([np.full(n, max(loss.a_l, 0.0)), np.zeros(n)])
     upper = np.concatenate([np.full(n, loss.b_l), np.full(n, np.inf)])
-    res = solve_lp(c, A_ub=np.array(rows), b_ub=np.array(rhs),
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
                    A_eq=A_eq, b_eq=[1.0], lower=lower, upper=upper,
                    maximize=True)
     if res.status != OPTIMAL:
@@ -669,31 +626,20 @@ def _perspective_cut_lp(X: RandVar, loss: LossFunction) -> float:
     cuts = loss.conjugate_cuts()
     # variables (z, t, s)
     c = np.concatenate([-p * X.values, -p, [0.0]])
-    rows, rhs = [], []
-    for (A, B) in cuts:
-        for i in range(n):
-            row = np.zeros(2 * n + 1)
-            row[i] = A
-            row[n + i] = -1.0
-            row[2 * n] = B
-            rows.append(row)
-            rhs.append(0.0)               # t_i >= A z_i + B s
+    nv = 2 * n + 1
+    rows = [_atom_rows(n, nv, {0: A, n: -1.0}, {2 * n: B})
+            for A, B in cuts]             # t_i >= A z_i + B s
     a, b = loss.a_l, loss.b_l
-    for i in range(n):
-        if b != math.inf:
-            row = np.zeros(2 * n + 1)
-            row[i] = 1.0
-            row[2 * n] = -b
-            rows.append(row)
-            rhs.append(0.0)
-        if a > 0.0:
-            row = np.zeros(2 * n + 1)
-            row[i] = -1.0
-            row[2 * n] = a
-            rows.append(row)
-            rhs.append(0.0)
+    bounds = []                           # a s <= z_i <= b s
+    if b != math.inf:
+        bounds.append(_atom_rows(n, nv, {0: 1.0}, {2 * n: -b}))
+    if a > 0.0:
+        bounds.append(_atom_rows(n, nv, {0: -1.0}, {2 * n: a}))
+    if bounds:
+        rows.append(_interleave(*bounds))
+    A_ub = np.vstack(rows)
     A_eq = np.concatenate([p, np.zeros(n + 1)])[None, :]
-    res = solve_lp(c, A_ub=np.array(rows), b_ub=np.array(rhs),
+    res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
                    A_eq=A_eq, b_eq=[1.0], maximize=True)
     if res.status != OPTIMAL:
         raise LPError(f"perspective dual LP status {res.status}")
@@ -708,7 +654,7 @@ def _oce_smooth_dual(X: RandVar, loss: LossFunction) -> float:
     def phi(lam: float) -> float:
         return lam + float(p @ loss.value(-x - lam))
 
-    lam = _golden_min(phi, -worst_case(X) - 50.0, worst_case(X) + 50.0)
+    lam = golden_min(phi, -worst_case(X) - 50.0, worst_case(X) + 50.0, 1e-12)
     z = loss.derivative(-x - lam)
     total = float(p @ z)
     if total <= 0:
@@ -725,7 +671,8 @@ def _sr_smooth_dual(X: RandVar, loss: LossFunction) -> float:
     def inner(lam: float) -> float:
         def phi(mu: float) -> float:
             return mu + float(p @ loss.value(-x - mu)) / lam
-        mu = _golden_min(phi, -worst_case(X) - 60.0, worst_case(X) + 60.0)
+        mu = golden_min(phi, -worst_case(X) - 60.0, worst_case(X) + 60.0,
+                        1e-12)
         z = loss.derivative(-x - mu) / lam
         total = float(p @ z)
         if total <= 0:
@@ -738,28 +685,8 @@ def _sr_smooth_dual(X: RandVar, loss: LossFunction) -> float:
     def outer(u: float) -> float:
         return -inner(math.exp(u))
 
-    u = _golden_min(outer, -16.0, 16.0)
+    u = golden_min(outer, -16.0, 16.0, 1e-12)
     return inner(math.exp(u))
-
-
-def _golden_min(f, lo: float, hi: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(300):
-        if b - a < 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -156,14 +156,7 @@ def _shortfall_pieces(spec: RiskSpec):
     if spec.family == "es":
         return [(spec.alpha, spec.alpha, 0.0, 0.0)]
     profile = lses_profile(spec.b) if spec.family == "lses" else spec.profile
-    if any(pc.kind == "general" for pc in profile.pieces):
-        return None
-    pieces = []
-    for pc in profile.pieces:
-        lo, hi = max(pc.lo, profile.beta), min(pc.hi, 1.0)
-        if hi > lo:
-            pieces.append((lo, hi, pc.a, pc.b if pc.kind == "invlin" else 0.0))
-    return pieces
+    return profile.affine_pieces()
 
 
 def _wc_min(par: _Param, p: np.ndarray):
@@ -192,33 +185,33 @@ def _pwl_family_min(par: _Param, p: np.ndarray, spec: RiskSpec):
     nv = q + extra + n
     rows, rhs = [], []
     for (A, B) in lines:
-        for i in range(n):
-            row = np.zeros(nv)
-            # argument y_i = -X_i - m (sr), eta - X_i (oce), -X_i (ew)
-            row[:q] = -A * par.C[i]
-            if fam == "sr":
-                row[q] = -A
-            elif fam == "oce":
-                row[q] = A
-            row[q + extra + i] = -1.0
-            rows.append(row)
-            rhs.append(A * par.x0[i] - B)
+        # one row per atom: A y_i + B <= t_i with the argument y_i =
+        # -X_i - m (sr), eta - X_i (oce), -X_i (ew)
+        block = np.zeros((n, nv))
+        block[:, :q] = -A * par.C
+        if fam == "sr":
+            block[:, q] = -A
+        elif fam == "oce":
+            block[:, q] = A
+        block[np.arange(n), q + extra + np.arange(n)] = -1.0
+        rows.append(block)
+        rhs.append(A * par.x0 - B)
     c = np.zeros(nv)
     if fam == "sr":
         c[q] = 1.0
-        row = np.zeros(nv)
-        row[q + extra:] = p
+        row = np.zeros((1, nv))
+        row[0, q + extra:] = p
         rows.append(row)
-        rhs.append(0.0)                   # E[l(-X-m)] <= 0
+        rhs.append([0.0])                 # E[l(-X-m)] <= 0
     elif fam == "oce":
         c[q] = -1.0
         c[q + extra:] = p
     else:
         c[q + extra:] = p
-    A_ub = np.vstack([np.array(rows),
-                      np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
-                                                     nv - q))])])
-    b_ub = np.concatenate([np.array(rhs), par.b_ub])
+    rows.append(np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], nv - q))]))
+    rhs.append(par.b_ub)
+    A_ub = np.vstack(rows)
+    b_ub = np.concatenate(rhs)
     lower = np.concatenate([par.lower, np.full(extra, -np.inf),
                             np.full(n, -np.inf)])
     upper = np.concatenate([par.upper, np.full(extra + n, np.inf)])
@@ -300,8 +293,13 @@ def _tail_density(X: RandVar, alpha: float) -> np.ndarray:
     return z
 
 
-def _kelley_min(oracle, q: int, radius: float = 16.0):
-    """Minimise a convex function from value/subgradient cuts on a box."""
+def _kelley_min(oracle, q: int, radius: float = 16.0,
+                cap: float = 2.0 ** 24):
+    """Minimise a convex function from value/subgradient cuts on a box.
+
+    The box starts at +-radius and grows fourfold while the master minimiser
+    sits on its edge, up to +-cap.
+    """
     if q == 0:
         v, _ = oracle(np.zeros(0))
         return v, np.zeros(0)
@@ -329,7 +327,7 @@ def _kelley_min(oracle, q: int, radius: float = 16.0):
         if res.status != OPTIMAL:  # pragma: no cover
             raise LPError("cutting-plane master LP failed")
         t_new, bound = res.x[:q], res.x[q]
-        if np.max(np.abs(t_new)) > R - 1e-6 and R < 2 ** 24:
+        if np.max(np.abs(t_new)) > R - 1e-6 and R < cap:
             R *= 4.0
             t = t_new
             continue
@@ -382,8 +380,10 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
     if fam in ("es", "lses", "adjes"):
         pieces = _shortfall_pieces(spec)
         if pieces is None:
+            # the minimiser grows with the slice offset, and so does its box
+            cap = 2.0 ** 24 * max(1.0, float(np.max(np.abs(par.x0))))
             v, t = _kelley_min(_sup_es_oracle(par, m.space, spec),
-                               par.C.shape[1])
+                               par.C.shape[1], cap=cap)
             return v, par.to_portfolio(t)
         res, t = _es_min(par, p, pieces)
     elif fam == "wc":
@@ -476,30 +476,28 @@ def _dualbox_min(par: _Param, p: np.ndarray, kind: str, a: float,
             c[y0:y0 + n_y1] = b
         if has_lo:
             c[y0 + n_y1:] = -a
-    rows, rhs = [], []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[:q] = -p[i] * par.C[i]
-        if has_mu:
-            row[q] = -p[i]
-        if has_up:
-            row[y0 + i] = -1.0
-        if has_lo:
-            row[y0 + n_y1 + i] = 1.0
-        rows.append(row)
-        rhs.append(p[i] * par.x0[i])       # mu p_i + y1_i - y2_i >= c_i(theta)
+    rows = np.zeros((n, nv))
+    rows[:, :q] = -p[:, None] * par.C
+    if has_mu:
+        rows[:, q] = -p
+    atoms = np.arange(n)
+    if has_up:
+        rows[atoms, y0 + atoms] = -1.0
+    if has_lo:
+        rows[atoms, y0 + n_y1 + atoms] = 1.0
+    rows, rhs = [rows], [p * par.x0]       # mu p_i + y1_i - y2_i >= c_i(theta)
     if kind == "scaled":
-        row = np.zeros(nv)
+        row = np.zeros((1, nv))
         if has_up:
-            row[y0:y0 + n_y1] = b
+            row[0, y0:y0 + n_y1] = b
         if has_lo:
-            row[y0 + n_y1:] = -a
+            row[0, y0 + n_y1:] = -a
         rows.append(row)
-        rhs.append(0.0)                    # -b sum y1 + a sum y2 >= 0
-    A_ub = np.vstack([np.array(rows),
-                      np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
-                                                     nv - q))])])
-    b_ub = np.concatenate([np.array(rhs), par.b_ub])
+        rhs.append([0.0])                  # -b sum y1 + a sum y2 >= 0
+    rows.append(np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], nv - q))]))
+    rhs.append(par.b_ub)
+    A_ub = np.vstack(rows)
+    b_ub = np.concatenate(rhs)
     lower = np.concatenate([par.lower, np.full(y0 - q, -np.inf),
                             np.zeros(n_y1 + n_y2)])
     upper = np.concatenate([par.upper, np.full(nv - q, np.inf)])

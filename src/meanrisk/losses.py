@@ -309,6 +309,20 @@ class TargetProfile:
             pc.kind != "general" and pc.a == 0.0 and pc.b == 0.0
             for pc in self.pieces)
 
+    def affine_pieces(self):
+        """(lo, hi, a, b) per piece g = a + b/x (b = 0 for a constant piece),
+        clipped to [beta, 1] with empty pieces dropped; None when a piece is
+        general."""
+        if any(pc.kind == "general" for pc in self.pieces):
+            return None
+        pieces = []
+        for pc in self.pieces:
+            lo, hi = max(pc.lo, self.beta), min(pc.hi, 1.0)
+            if hi > lo:
+                pieces.append((lo, hi, pc.a,
+                               pc.b if pc.kind == "invlin" else 0.0))
+        return pieces
+
     def value(self, x):
         # a 1e-12 band at beta absorbs round trips like 1/(1/beta)
         x = np.asarray(x, dtype=float)

@@ -109,7 +109,13 @@ def expected_weighted_loss(X: RandVar, loss: LossFunction) -> float:
 
 
 def shortfall_risk(X: RandVar, loss: LossFunction) -> float:
-    """Smallest m with E[l(-X-m)] <= 0; the worst case when l|_(-inf,0] == 0."""
+    """Smallest m with E[l(-X-m)] <= 0; the worst case when l|_(-inf,0] == 0.
+
+    For a pwl loss phi(m) = E[l(-X-m)] is nonincreasing and affine between
+    the sorted kinks -x_i - b_k, so a binary search finds the first kink with
+    phi <= 0 in O(log(nk)) evaluations of phi, and the root is the linear
+    interpolation from the kink before it.
+    """
     if loss.zero_on_negatives:
         return worst_case(X)
     p = X.space.probs
@@ -118,25 +124,30 @@ def shortfall_risk(X: RandVar, loss: LossFunction) -> float:
         return float(p @ loss.value(-X.values - m))
 
     if loss.kind == "pwl":
-        kinks = sorted({float(-x - bk) for x in X.values
-                        for bk in loss.breakpoints})
-        if not kinks:
-            kinks = [0.0]
-        vals = [phi(k) for k in kinks]
-        if vals[0] <= 0.0:
+        kinks = np.unique(-X.values[:, None] - np.asarray(loss.breakpoints))
+        if not kinks.size:
+            kinks = np.zeros(1)
+        lo, hi = 0, kinks.size - 1
+        f0, f1 = phi(kinks[lo]), phi(kinks[hi])
+        if f0 <= 0.0:
             # root lies left of every kink, where phi has slope -b_l
-            return kinks[0] + vals[0] / loss.b_l
-        for i in range(1, len(kinks)):
-            if vals[i] <= 0.0:
-                lo, hi = kinks[i - 1], kinks[i]
-                f0, f1 = vals[i - 1], vals[i]
-                return lo + f0 * (hi - lo) / (f0 - f1)
-        # beyond the last kink phi equals the (negative) left plateau of l
-        tail = phi(kinks[-1] + 1.0)
-        if tail < 0.0:
-            slope = (tail - vals[-1]) / 1.0
-            return kinks[-1] + vals[-1] / (-slope)
-        raise ValueError("shortfall risk is not finite for this loss")  # pragma: no cover
+            return kinks[0] + f0 / loss.b_l
+        if f1 > 0.0:
+            # beyond the last kink phi equals the (negative) left plateau of l
+            tail = phi(kinks[-1] + 1.0)
+            if tail < 0.0:
+                slope = (tail - f1) / 1.0
+                return kinks[-1] + f1 / (-slope)
+            raise ValueError(  # pragma: no cover
+                "shortfall risk is not finite for this loss")
+        while hi - lo > 1:           # phi(kinks[lo]) > 0 >= phi(kinks[hi])
+            mid = (lo + hi) // 2
+            fm = phi(kinks[mid])
+            if fm <= 0.0:
+                hi, f1 = mid, fm
+            else:
+                lo, f0 = mid, fm
+        return kinks[lo] + f0 * (kinks[hi] - kinks[lo]) / (f0 - f1)
 
     lo = -X.mean() - 1.0
     hi = lo + 1.0
@@ -158,7 +169,13 @@ def shortfall_risk(X: RandVar, loss: LossFunction) -> float:
 
 
 def oce(X: RandVar, loss: LossFunction) -> float:
-    """inf_eta E[l(eta - X)] - eta (optimised certainty equivalent)."""
+    """inf_eta E[l(eta - X)] - eta (optimised certainty equivalent).
+
+    A pwl loss puts the infimum at a kink x_i + b_k, found by a binary
+    search for the sign change of the slope over the sorted kinks: O(log(nk))
+    slope evaluations and two objective evaluations.  Other losses bisect
+    the derivative.
+    """
     if not loss.satisfies_l_geq_x:
         raise ValueError("the certainty-equivalent family needs l(x) >= x")
     a, b = loss.a_l, loss.b_l
@@ -171,9 +188,20 @@ def oce(X: RandVar, loss: LossFunction) -> float:
         return float(p @ loss.value(eta - X.values)) - eta
 
     if loss.kind == "pwl":
-        etas = sorted({float(x + bk) for x in X.values
-                       for bk in loss.breakpoints})
-        return min(objective(e) for e in etas)
+        # the objective is convex and affine between the sorted kinks.  Its
+        # left slope E[l'(eta - X)] - 1 is nondecreasing in eta in floating
+        # point too, which objective values are not: two kinks an ulp apart
+        # compare by rounding noise.  The argmin lies between the last kink
+        # with left slope <= 0 and the first one with left slope > 0.
+        etas = np.unique(X.values[:, None] + np.asarray(loss.breakpoints))
+        lo, hi = 0, etas.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if float(p @ loss.derivative(etas[mid] - X.values)) > 1.0:
+                hi = mid
+            else:
+                lo = mid + 1
+        return min(objective(e) for e in etas[max(lo - 1, 0):lo + 1])
 
     def slope(eta: float) -> float:
         return float(p @ loss.derivative(eta - X.values)) - 1.0
@@ -203,16 +231,18 @@ def oce(X: RandVar, loss: LossFunction) -> float:
 # Adjusted expected shortfall
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+def golden_min(f, lo: float, hi: float, rel_tol: float) -> float:
+    """Midpoint of the golden-section bracket of a unimodal f on [lo, hi],
+    shrunk until b - a < rel_tol * max(1, |a|, |b|); maximisers pass -f."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(MAX_ITER):
-        if b - a < ARG_TOL:
+    for _ in range(300):
+        if b - a < rel_tol * max(1.0, abs(a), abs(b)):
             break
-        if fc > fd:
+        if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
@@ -220,8 +250,7 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)
 
 
 def adjusted_es(X: RandVar, profile: TargetProfile) -> float:
@@ -259,13 +288,15 @@ def adjusted_es_argmax(X: RandVar, profile: TargetProfile) -> tuple[float, float
         if vals[k] > best:
             best, best_alpha = float(vals[k]), float(cand[k])
         if pc.kind == "general" and cand.size > 1:
+            def neg_h(t, pc=pc):
+                return -float(h_at(np.asarray([t]), pc)[0])
             top = np.argsort(vals)[-3:]
             for i in top:
                 a = cand[max(int(i) - 1, 0)]
                 b = cand[min(int(i) + 1, cand.size - 1)]
                 if b > a:
-                    xg, fg = _golden_max(
-                        lambda t: float(h_at(np.asarray([t]), pc)[0]), a, b)
+                    xg = golden_min(neg_h, a, b, ARG_TOL)
+                    fg = -neg_h(xg)
                     if fg > best:
                         best, best_alpha = fg, xg
     return best, best_alpha

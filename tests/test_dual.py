@@ -13,7 +13,10 @@ from meanrisk import (DualSetSpec, FiniteSpace, LossFunction, Market,
                       lses_profile, martingale_feasibility,
                       numeric_recession_probe, recession_value, step_profile,
                       worst_case)
+import meanrisk.dual as dual
 from meanrisk.dual import interior_slack, set_polytope, support_value
+from meanrisk.losses import GPiece, TargetProfile, table_profile, zero_profile
+from meanrisk.measures import adjusted_es, quantile_pieces
 from meanrisk.fixtures import hull_gap_profile, hull_gap_profile_hat
 from meanrisk.frontier import recession_ball_min
 
@@ -126,6 +129,74 @@ class TestDualEvaluate:
                 X = random_randvar(rng, 9)
                 assert dual_evaluate(spec, X) == pytest.approx(
                     evaluate(spec, X), abs=1e-8)
+
+
+def candidate_scan_adjes(X, profile):
+    """Reference: a box LP at every candidate sup-norm bound (quantile
+    breakpoints and piece edges), exhaustive for const / invlin pieces."""
+    _, _, cum, _ = quantile_pieces(X)
+    m_cap = 1.0 / float(cum[0])
+    if profile.beta > 0.0:
+        m_cap = min(m_cap, 1.0 / profile.beta)
+    cand = {1.0, m_cap}
+    cand.update(1.0 / float(f) for f in cum[:-1]
+                if 1.0 <= 1.0 / float(f) <= m_cap)
+    cand.update(1.0 / e for pc in profile.pieces for e in (pc.lo, pc.hi)
+                if e > 0 and 1.0 <= 1.0 / e <= m_cap)
+    best = -math.inf
+    for m_bound in cand:
+        g = float(profile.value(1.0 / m_bound))
+        if math.isfinite(g):
+            best = max(best, support_value(DualSetSpec("box", 0.0, m_bound),
+                                           X) - g)
+    return best
+
+
+def affine_profiles():
+    """Profiles with constant / affine-in-1/x pieces only."""
+    return {"step": step_profile(0.4), "zero": zero_profile(),
+            "invlin": TargetProfile((GPiece(0.25, 1.0, "invlin", a=-0.4,
+                                            b=0.4),), 0.25, False),
+            "table": table_profile([(0.2, 3.0), (0.5, 1.0), (1.0, 0.0)]),
+            "bounded_tail": bounded_tail_profile(2.0, 0.4),
+            "lses": lses_profile(0.5)}
+
+
+class TestAdjustedEsDual:
+    def test_piece_lps_match_candidate_scan_and_primal(self, rng):
+        for n in (3, 20, 60):
+            for _ in range(4):
+                X = random_randvar(rng, n)
+                for name, g in affine_profiles().items():
+                    value = dual_evaluate(RiskSpec.adjusted(g), X)
+                    assert value == pytest.approx(
+                        candidate_scan_adjes(X, g), rel=1e-12, abs=1e-12), \
+                        (name, n)
+                    assert value == pytest.approx(
+                        adjusted_es(X, g), rel=1e-9, abs=1e-9), (name, n)
+                assert dual_evaluate(RiskSpec.lses_at(0.5), X) == \
+                    pytest.approx(candidate_scan_adjes(X, lses_profile(0.5)),
+                                  rel=1e-12, abs=1e-12)
+
+    def test_one_lp_per_profile_piece(self, rng, monkeypatch):
+        seen = []
+        inner = dual.solve_lp
+
+        def counted(*args, **kwargs):
+            seen.append(None)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dual, "solve_lp", counted)
+        # uniform atoms: every piece edge lies above P[worst atom] = 1/40
+        X = RandVar(FiniteSpace(np.full(40, 1.0 / 40)),
+                    rng.normal(0.0, 1.0, 40))
+        for name, g in affine_profiles().items():
+            seen.clear()
+            dual_evaluate(RiskSpec.adjusted(g), X)
+            assert len(seen) == len(g.pieces), name
+        seen.clear()
+        dual_evaluate(RiskSpec.lses_at(0.5), X)
+        assert len(seen) == 1
 
 
 class TestRecession:

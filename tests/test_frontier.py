@@ -117,7 +117,11 @@ class TestRhoNu:
         x = x - p @ x
         x = 0.03 + 0.4 * x / np.sqrt(p @ x ** 2)
         m = Market.from_excess(p, 0.0, x)
-        for spec in shortfall_specs():
+        # the general profile runs Kelley, whose minimiser at t = 4^10
+        # needs |theta| ~ 2.9e7, past a box capped at 2^24 in absolute terms
+        general = RiskSpec.adjusted(general_profile(
+            lambda x: 0.3 * (1.0 / np.asarray(x) - 1.0), 0.0, True, 0.3))
+        for spec in shortfall_specs() + [general]:
             r1 = rho_inf_nu(spec, m, 1.0)
             seq = [rho_nu(spec, m, 4.0 ** k)[0] / 4.0 ** k
                    for k in range(11)]

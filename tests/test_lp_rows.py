@@ -1,0 +1,375 @@
+"""LP row builders against the per-row loops they replaced.
+
+Each reference below is the loop form of one builder.  The array-built rows
+must be the same rows in the same order, bit for bit (signs of zero
+included), so pivots and answers do not change.
+"""
+import math
+
+import numpy as np
+
+import meanrisk.dual as dual
+import meanrisk.frontier as frontier
+from conftest import random_market, random_randvar, random_space
+from meanrisk import DualSetSpec, LossFunction, RiskSpec
+from meanrisk.dual import interior_polytope, set_polytope
+
+
+def same(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Loop references
+# ---------------------------------------------------------------------------
+
+def _as_box(ds):
+    if ds.kind == "penalized":
+        return DualSetSpec("box", ds.loss.a_l, ds.loss.b_l, loss=ds.loss)
+    if ds.kind == "penalized_sup":
+        return DualSetSpec("box", 0.0, math.inf)
+    return ds
+
+
+def set_polytope_loop(ds, space):
+    n, p = space.n, space.probs
+    rows_ub, rhs_ub, strict = [], [], []
+    nvars = n
+    ds = _as_box(DualSetSpec("box", 0.0, math.inf) if ds is None else ds)
+    if ds.kind in ("box", "supnorm"):
+        hi = ds.hi
+        lo = ds.lo if ds.kind == "box" else 0.0
+        if hi != math.inf:
+            for i in range(n):
+                row = np.zeros(n)
+                row[i] = 1.0
+                rows_ub.append(row)
+                rhs_ub.append(hi)
+                if ds.strict:
+                    strict.append(len(rows_ub) - 1)
+        if lo > 0.0:
+            for i in range(n):
+                row = np.zeros(n)
+                row[i] = -1.0
+                rows_ub.append(row)
+                rhs_ub.append(-lo)
+        A_eq = p[None, :]
+    else:
+        a = ds.a_l or 0.0
+        b = ds.b_l if ds.b_l is not None else math.inf
+        if a <= 0.0 and b == math.inf:
+            return set_polytope_loop(DualSetSpec("box", 0.0, math.inf), space)
+        nvars = n + 1
+        for i in range(n):
+            if b != math.inf:
+                row = np.zeros(nvars)
+                row[i] = 1.0
+                row[n] = -b
+                rows_ub.append(row)
+                rhs_ub.append(0.0)
+            if a > 0.0:
+                row = np.zeros(nvars)
+                row[i] = -1.0
+                row[n] = a
+                rows_ub.append(row)
+                rhs_ub.append(0.0)
+        A_eq = np.zeros((1, nvars))
+        A_eq[0, :n] = p
+    A_ub = np.array(rows_ub) if rows_ub else np.zeros((0, nvars))
+    b_ub = np.array(rhs_ub) if rhs_ub else np.zeros(0)
+    return nvars, A_ub, b_ub, A_eq, strict
+
+
+def interior_polytope_loop(ds, space):
+    n, p = space.n, space.probs
+    ds = _as_box(ds)
+    rows, rhs = [], []
+    if ds.kind in ("box", "supnorm"):
+        nvars = n + 1
+        lo = ds.lo if ds.kind == "box" else 0.0
+        for i in range(n):
+            row = np.zeros(nvars)
+            row[i] = -1.0
+            row[n] = 1.0
+            rows.append(row)
+            rhs.append(-max(lo, 0.0))
+            if ds.hi != math.inf:
+                row = np.zeros(nvars)
+                row[i] = 1.0
+                row[n] = 1.0
+                rows.append(row)
+                rhs.append(ds.hi)
+    else:
+        a = ds.a_l or 0.0
+        b = ds.b_l if ds.b_l is not None else math.inf
+        if a <= 0.0 and b == math.inf:
+            return interior_polytope_loop(DualSetSpec("box", 0.0, math.inf),
+                                          space)
+        nvars = n + 2
+        for i in range(n):
+            row = np.zeros(nvars)
+            row[i] = -1.0
+            row[n + 1] = 1.0
+            rows.append(row)
+            rhs.append(0.0)
+            if a > 0.0:
+                row = np.zeros(nvars)
+                row[i] = -1.0
+                row[n] = a
+                row[n + 1] = 1.0
+                rows.append(row)
+                rhs.append(0.0)
+            if b != math.inf:
+                row = np.zeros(nvars)
+                row[i] = 1.0
+                row[n] = -b
+                row[n + 1] = 1.0
+                rows.append(row)
+                rhs.append(0.0)
+    A_eq = np.zeros((1, nvars))
+    A_eq[0, :n] = p
+    return nvars, np.array(rows), np.array(rhs), A_eq
+
+
+def pwl_family_loop(par, p, spec):
+    lines = spec.loss.pieces_as_lines()
+    n, q = par.C.shape
+    fam = spec.family
+    extra = 0 if fam == "ew" else 1
+    nv = q + extra + n
+    rows, rhs = [], []
+    for (A, B) in lines:
+        for i in range(n):
+            row = np.zeros(nv)
+            row[:q] = -A * par.C[i]
+            if fam == "sr":
+                row[q] = -A
+            elif fam == "oce":
+                row[q] = A
+            row[q + extra + i] = -1.0
+            rows.append(row)
+            rhs.append(A * par.x0[i] - B)
+    c = np.zeros(nv)
+    if fam == "sr":
+        c[q] = 1.0
+        row = np.zeros(nv)
+        row[q + extra:] = p
+        rows.append(row)
+        rhs.append(0.0)
+    elif fam == "oce":
+        c[q] = -1.0
+        c[q + extra:] = p
+    else:
+        c[q + extra:] = p
+    A_ub = np.vstack([np.array(rows),
+                      np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
+                                                     nv - q))])])
+    b_ub = np.concatenate([np.array(rhs), par.b_ub])
+    lower = np.concatenate([par.lower, np.full(extra, -np.inf),
+                            np.full(n, -np.inf)])
+    upper = np.concatenate([par.upper, np.full(extra + n, np.inf)])
+    return dict(c=c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
+
+
+def dualbox_loop(par, p, kind, a, b):
+    n, q = par.C.shape
+    has_mu = kind != "ew"
+    has_up = b != math.inf
+    has_lo = a > 0.0
+    n_y1 = n if has_up else 0
+    n_y2 = n if has_lo else 0
+    y0 = q + int(has_mu)
+    nv = y0 + n_y1 + n_y2
+    c = np.zeros(nv)
+    if has_mu:
+        c[q] = 1.0
+    if kind != "scaled":
+        if has_up:
+            c[y0:y0 + n_y1] = b
+        if has_lo:
+            c[y0 + n_y1:] = -a
+    rows, rhs = [], []
+    for i in range(n):
+        row = np.zeros(nv)
+        row[:q] = -p[i] * par.C[i]
+        if has_mu:
+            row[q] = -p[i]
+        if has_up:
+            row[y0 + i] = -1.0
+        if has_lo:
+            row[y0 + n_y1 + i] = 1.0
+        rows.append(row)
+        rhs.append(p[i] * par.x0[i])
+    if kind == "scaled":
+        row = np.zeros(nv)
+        if has_up:
+            row[y0:y0 + n_y1] = b
+        if has_lo:
+            row[y0 + n_y1:] = -a
+        rows.append(row)
+        rhs.append(0.0)
+    A_ub = np.vstack([np.array(rows),
+                      np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
+                                                     nv - q))])])
+    b_ub = np.concatenate([np.array(rhs), par.b_ub])
+    lower = np.concatenate([par.lower, np.full(y0 - q, -np.inf),
+                            np.zeros(n_y1 + n_y2)])
+    upper = np.concatenate([par.upper, np.full(nv - q, np.inf)])
+    return dict(c=c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
+
+
+def penalized_cut_loop(X, loss):
+    n, p = X.space.n, X.space.probs
+    c = np.concatenate([-p * X.values, -p])
+    rows, rhs = [], []
+    for (A, B) in loss.conjugate_cuts():
+        for i in range(n):
+            row = np.zeros(2 * n)
+            row[i] = A
+            row[n + i] = -1.0
+            rows.append(row)
+            rhs.append(-B)
+    return dict(c=c, A_ub=np.array(rows), b_ub=np.array(rhs),
+                A_eq=np.concatenate([p, np.zeros(n)])[None, :],
+                lower=np.concatenate([np.full(n, max(loss.a_l, 0.0)),
+                                      np.zeros(n)]),
+                upper=np.concatenate([np.full(n, loss.b_l),
+                                      np.full(n, np.inf)]))
+
+
+def perspective_cut_loop(X, loss):
+    n, p = X.space.n, X.space.probs
+    c = np.concatenate([-p * X.values, -p, [0.0]])
+    rows, rhs = [], []
+    for (A, B) in loss.conjugate_cuts():
+        for i in range(n):
+            row = np.zeros(2 * n + 1)
+            row[i] = A
+            row[n + i] = -1.0
+            row[2 * n] = B
+            rows.append(row)
+            rhs.append(0.0)
+    a, b = loss.a_l, loss.b_l
+    for i in range(n):
+        if b != math.inf:
+            row = np.zeros(2 * n + 1)
+            row[i] = 1.0
+            row[2 * n] = -b
+            rows.append(row)
+            rhs.append(0.0)
+        if a > 0.0:
+            row = np.zeros(2 * n + 1)
+            row[i] = -1.0
+            row[2 * n] = a
+            rows.append(row)
+            rhs.append(0.0)
+    return dict(c=c, A_ub=np.array(rows), b_ub=np.array(rhs),
+                A_eq=np.concatenate([p, np.zeros(n + 1)])[None, :])
+
+
+# ---------------------------------------------------------------------------
+# Random inputs
+# ---------------------------------------------------------------------------
+
+def random_pwl(rng):
+    """A pwl loss with l(x) >= x: kinks at 0 and maybe at one or two more
+    points, a flat or sloped left end and a finite last slope."""
+    left = float(rng.choice([0.0, rng.uniform(0.1, 0.9)]))
+    right = float(rng.uniform(1.2, 4.0))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return LossFunction.pwl((left, right), (0.0,))
+    if kind == 1:
+        return LossFunction.pwl((left, 1.0, right), (-0.5, 0.3))
+    return LossFunction.pwl((0.0, left, 1.0, right), (-1.0, -0.2, 0.0))
+
+
+def random_dual_sets(rng):
+    loss = random_pwl(rng)
+    lo = float(rng.uniform(0.1, 0.9))
+    hi = float(rng.uniform(1.1, 5.0))
+    yield None
+    yield DualSetSpec("box", 0.0, math.inf)
+    yield DualSetSpec("box", lo, hi)
+    yield DualSetSpec("box", lo, math.inf)
+    yield DualSetSpec("box", 0.0, hi)
+    yield DualSetSpec("supnorm", hi=hi, strict=bool(rng.integers(2)))
+    yield DualSetSpec("penalized", loss=loss)
+    yield DualSetSpec("penalized_sup", b=0.5)
+    for a_l, b_l in ((lo, hi), (0.0, hi), (lo, math.inf), (0.0, math.inf)):
+        yield DualSetSpec("scaled_box", a_l=a_l, b_l=b_l)
+
+
+class TestRowBuilders:
+    def test_polytopes_match_loops(self, rng):
+        for _ in range(60):
+            space = random_space(rng, int(rng.integers(1, 9)))
+            for ds in random_dual_sets(rng):
+                pt = set_polytope(ds, space)
+                nvars, A_ub, b_ub, A_eq, strict = set_polytope_loop(ds, space)
+                assert pt.nvars == nvars and pt.strict_rows == strict
+                for got, want in ((pt.A_ub, A_ub), (pt.b_ub, b_ub),
+                                  (pt.A_eq, A_eq)):
+                    assert same(got, want), ds
+                if ds is None:
+                    continue
+                pt = interior_polytope(ds, space)
+                nvars, A_ub, b_ub, A_eq = interior_polytope_loop(ds, space)
+                assert pt.nvars == nvars and pt.strict_rows == []
+                for got, want in ((pt.A_ub, A_ub), (pt.b_ub, b_ub),
+                                  (pt.A_eq, A_eq)):
+                    assert same(got, want), ds
+
+    def _spy(self, monkeypatch, module):
+        seen = []
+        inner = module.solve_lp
+
+        def spy(c, **kwargs):
+            seen.append(dict(kwargs, c=c))
+            return inner(c, **kwargs)
+
+        monkeypatch.setattr(module, "solve_lp", spy)
+        return seen
+
+    def test_frontier_lps_match_loops(self, rng, monkeypatch):
+        seen = self._spy(monkeypatch, frontier)
+        for _ in range(30):
+            n = int(rng.integers(3, 9))
+            m = random_market(rng, n=n, d=int(rng.integers(1, min(4, n))))
+            p = m.space.probs
+            for par in (frontier._slice_param(m, float(rng.uniform(0, 1))),
+                        frontier._ball_param(m)):
+                for fam in ("ew", "sr", "oce"):
+                    spec = RiskSpec(fam, loss=random_pwl(rng))
+                    seen.clear()
+                    frontier._pwl_family_min(par, p, spec)
+                    want = pwl_family_loop(par, p, spec)
+                    (got,) = seen
+                    for key, value in want.items():
+                        assert same(got[key], value), (fam, key)
+                lo = float(rng.uniform(0.1, 0.9))
+                hi = float(rng.uniform(1.1, 5.0))
+                for kind in ("dualbox", "scaled", "ew"):
+                    for a, b in ((lo, hi), (0.0, hi), (lo, math.inf)):
+                        seen.clear()
+                        frontier._dualbox_min(par, p, kind, a, b)
+                        want = dualbox_loop(par, p, kind, a, b)
+                        (got,) = seen
+                        for key, value in want.items():
+                            assert same(got[key], value), (kind, key)
+
+    def test_cut_lps_match_loops(self, rng, monkeypatch):
+        seen = self._spy(monkeypatch, dual)
+        for _ in range(60):
+            X = random_randvar(rng, int(rng.integers(1, 12)))
+            loss = random_pwl(rng)
+            for build, loop in ((dual._penalized_cut_lp, penalized_cut_loop),
+                                (dual._perspective_cut_lp,
+                                 perspective_cut_loop)):
+                seen.clear()
+                build(X, loss)
+                want = loop(X, loss)
+                (got,) = seen
+                for key, value in want.items():
+                    assert same(got[key], value), (build.__name__, key)

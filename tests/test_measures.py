@@ -153,6 +153,117 @@ class TestOce:
             oce(X_PM1, LossFunction.power(2.0, 1.5))
 
 
+def kink_scan_oce(X: RandVar, loss: LossFunction) -> float:
+    """Reference: the OCE objective at every kink x_i + b_k."""
+    p = X.space.probs
+    etas = sorted({float(x + bk) for x in X.values
+                   for bk in loss.breakpoints})
+    return min(float(p @ loss.value(e - X.values)) - e for e in etas)
+
+
+def kink_scan_sr(X: RandVar, loss: LossFunction) -> float:
+    """Reference: phi(m) = E[l(-X-m)] at every kink -x_i - b_k, then the
+    linear root between the last kink with phi > 0 and the first with
+    phi <= 0."""
+    p = X.space.probs
+
+    def phi(m):
+        return float(p @ loss.value(-X.values - m))
+
+    kinks = sorted({float(-x - bk) for x in X.values
+                    for bk in loss.breakpoints})
+    vals = [phi(k) for k in kinks]
+    if vals[0] <= 0.0:
+        return kinks[0] + vals[0] / loss.b_l
+    for i in range(1, len(kinks)):
+        if vals[i] <= 0.0:
+            lo, hi = kinks[i - 1], kinks[i]
+            f0, f1 = vals[i - 1], vals[i]
+            return lo + f0 * (hi - lo) / (f0 - f1)
+    tail = phi(kinks[-1] + 1.0)
+    return kinks[-1] + vals[-1] / (vals[-1] - tail)
+
+
+@st.composite
+def pwl_cases(draw):
+    """A random variable (atom values on a 0.1 grid, so ties and kinks an
+    ulp apart occur, or free floats) and a convex pwl loss with l(x) >= x:
+    1-3 breakpoints, off 0 too, with slope 1 on a piece that contains 0."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        x = 0.1 * np.array(draw(st.lists(st.integers(-15, 15), min_size=n,
+                                         max_size=n)), dtype=float)
+    else:
+        x = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n,
+                                   max_size=n)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n,
+                               max_size=n)))
+    bps = sorted(set(draw(st.lists(st.integers(-8, 8), min_size=1,
+                                   max_size=3))))
+    bps = [0.1 * b for b in bps]
+    below = sum(b < 0.0 for b in bps)
+    left = 1 + below if 0.0 in bps else below    # pieces that may be < 1
+    right = len(bps) + 1 - left - (0.0 not in bps)
+    slopes = sorted(draw(st.lists(st.floats(0.0, 0.95), min_size=left,
+                                  max_size=left)))
+    if 0.0 not in bps:
+        slopes.append(1.0)
+    slopes += sorted(draw(st.lists(st.floats(1.05, 5.0), min_size=right,
+                                   max_size=right)))
+    return (RandVar(FiniteSpace(w / w.sum()), x),
+            LossFunction.pwl(slopes, bps))
+
+
+class TestPwlKinkSearch:
+    @given(pwl_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_kink_scan(self, case):
+        X, loss = case
+        for fast, slow in ((oce, kink_scan_oce), (shortfall_risk,
+                                                  kink_scan_sr)):
+            if fast is oce and 1.0 in (loss.a_l, loss.b_l):
+                continue                  # the expected loss, no search
+            if fast is shortfall_risk and loss.zero_on_negatives:
+                continue                  # the worst case, no search
+            ref = slow(X, loss)
+            assert fast(X, loss) == pytest.approx(
+                ref, rel=1e-12, abs=1e-12), fast.__name__
+
+    def test_tied_atoms_with_breakpoints_off_zero(self):
+        # atoms on a 0.1 grid with breakpoints -0.3 and 0.4 put pairs of
+        # kinks an ulp apart, where adjacent objective values compare by
+        # rounding noise; the slope search still finds the minimum
+        rng = np.random.default_rng(3)
+        loss = LossFunction.pwl((0.0, 1.0, 3.0), (-0.3, 0.4))
+        for n in (200, 1000):
+            X = RandVar(FiniteSpace(np.full(n, 1.0 / n)),
+                        np.round(rng.normal(0.0, 1.0, n), 1))
+            assert oce(X, loss) == pytest.approx(kink_scan_oce(X, loss),
+                                                 rel=1e-12)
+            assert shortfall_risk(X, loss) == pytest.approx(
+                kink_scan_sr(X, loss), rel=1e-12)
+
+    def test_loss_calls_grow_with_log_of_kinks(self, rng, monkeypatch):
+        calls = {"value": 0, "derivative": 0}
+        for name in calls:
+            inner = getattr(LossFunction, name)
+
+            def counted(self, x, name=name, inner=inner):
+                calls[name] += 1
+                return inner(self, x)
+
+            monkeypatch.setattr(LossFunction, name, counted)
+        loss = LossFunction.pwl((0.2, 1.0, 3.0), (-0.5, 0.5))
+        X = random_randvar(rng, 2000)
+        log_nk = math.ceil(math.log2(2000 * 2))
+        oce(X, loss)
+        assert calls["value"] <= 2
+        assert calls["derivative"] <= log_nk + 1
+        calls.update(value=0, derivative=0)
+        shortfall_risk(X, loss)
+        assert calls["value"] <= log_nk + 3
+
+
 class TestAdjustedEs:
     def test_zero_profile_is_worst_case(self):
         assert adjusted_es(X_PM1, zero_profile()) == pytest.approx(1.0)
