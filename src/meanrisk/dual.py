@@ -24,8 +24,8 @@ import numpy as np
 
 from .losses import GPiece, LossFunction, TargetProfile, lses_profile
 from .market import FiniteSpace, Market, RandVar
-from .measures import (RiskSpec, es, evaluate, golden_min, quantile_pieces,
-                        worst_case)
+from .measures import (RiskSpec, es, evaluate, expected_loss, golden_min,
+                       quantile_pieces, worst_case)
 from .simplex import OPTIMAL, LPError, solve_lp
 
 SLACK_TOL = 1e-9
@@ -495,10 +495,13 @@ def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
     sensitive ES is the one-piece profile b (1/x - 1).  Piecewise-linear
     conjugates become exact cutting planes; smooth conjugates go through the
     one-dimensional Lagrangian dual with a primal witness recovered for the
-    reported value.
+    reported value.  The expected loss has the single density Z = 1, so its
+    value is E[-X] with no LP.
     """
     fam = spec.family
-    if fam in ("es", "wc", "eloss"):
+    if fam == "eloss":
+        return expected_loss(X)
+    if fam in ("es", "wc"):
         return support_value(dual_set(spec), X)
     if fam == "lses":
         return _adjes_dual(X, lses_profile(spec.b))

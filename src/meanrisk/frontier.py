@@ -20,6 +20,14 @@ every solve exact where possible:
                            slices at nu = 0 and 1 only, and the mean-risk
                            problems one slice each
 
+The same LPs also run over all portfolios pi, with X = excess pi and the
+expected return g.pi as a row, so every question about nu for an LP family
+is one LP: the boundary minimiser adds the row 0 <= g.pi <= nu_max, the
+minimal risk at return >= nu* adds g.pi >= nu*, and the maximal return at
+risk <= rho* maximises g.pi with the risk objective moved into a row.  Only
+the families without an LP (exp losses, general adjusted-ES profiles)
+search over slices.
+
 Recession frontiers are linear programs obtained by dualising the inner
 support-function maximisation over the closed dual polytope, so the primal
 arbitrage detectors never consult the martingale feasibility programs they
@@ -39,7 +47,7 @@ from .losses import lses_profile
 from .market import (ArbitrageWitness, Market, RandVar,
                      check_classical_arbitrage, excess_return,
                      portfolio_slice)
-from .measures import RiskSpec, adjusted_es_argmax, evaluate
+from .measures import RiskSpec, adjusted_es_argmax, evaluate, golden_min
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, solve_lp
 
 SIGN_TOL = 1e-7          # sign classification of rho_inf_1 and ball minima
@@ -61,6 +69,7 @@ class _Param:
     A_ub: np.ndarray
     b_ub: np.ndarray
     to_portfolio: object           # theta -> pi
+    budget: float | None = None    # set: max E[X] s.t. risk <= budget
 
 
 def _slice_param(m: Market, nu: float) -> _Param:
@@ -71,6 +80,18 @@ def _slice_param(m: Market, nu: float) -> _Param:
                   np.full(q, -np.inf), np.full(q, np.inf),
                   np.zeros((0, q)), np.zeros(0),
                   lambda t: sl.particular + (B @ t if q else 0.0))
+
+
+def _pi_param(m: Market, lo: float, hi: float = math.inf,
+              budget: float | None = None) -> _Param:
+    """X = excess pi over the portfolios with lo <= E[X_pi] <= hi."""
+    g = m.mean_excess
+    rows, rhs = [-g], [-lo]
+    if hi < math.inf:
+        rows, rhs = rows + [g], rhs + [hi]
+    return _Param(np.zeros(m.space.n), m.excess, np.full(m.d, -np.inf),
+                  np.full(m.d, np.inf), np.array(rows), np.array(rhs),
+                  lambda t: t, budget)
 
 
 def _ball_param(m: Market) -> _Param:
@@ -86,6 +107,36 @@ def _ball_param(m: Market) -> _Param:
 # ---------------------------------------------------------------------------
 # Family optimisers over a parametrised portfolio set
 # ---------------------------------------------------------------------------
+
+def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
+                  rows: list, rhs: list, lower: np.ndarray,
+                  upper: np.ndarray):
+    """min c.v + shift over v = (theta, auxiliaries) subject to the family's
+    rows, par's rows and the bounds (par's on theta, ``lower`` / ``upper``
+    on the auxiliaries).  Under par's risk budget the objective becomes the
+    row c.v + shift <= budget, and the LP maximises E[X] instead.
+
+    Returns (LPResult, theta), with theta None unless the LP is optimal.
+    """
+    q = par.C.shape[1]
+    extra = c.size - q
+    rows = rows + [np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], extra))])]
+    rhs = rhs + [par.b_ub]
+    if par.budget is not None:
+        rows.append(c[None, :])
+        rhs.append([par.budget - shift])
+        c = np.concatenate([p @ par.C, np.zeros(extra)])
+        shift = float(p @ par.x0)
+    res = solve_lp(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                   lower=np.concatenate([par.lower, lower]),
+                   upper=np.concatenate([par.upper, upper]),
+                   maximize=par.budget is not None)
+    if res.status != OPTIMAL:
+        return res, None
+    if shift:
+        res.value += shift
+    return res, res.x[:q]
+
 
 def _es_min(par: _Param, p: np.ndarray, pieces):
     """min over theta of max_k sup_{lo_k <= x <= hi_k} ES_x(X) - a_k - b_k/x.
@@ -134,20 +185,11 @@ def _es_min(par: _Param, p: np.ndarray, pieces):
             rhs.append([b])                # E[u_k] <= b_k
     if epigraph:
         c[q] = 1.0
-    rows.append(np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], nv - q))]))
-    rhs.append(par.b_ub)
-    lower = np.full(nv, -np.inf)
-    lower[:q] = par.lower
-    lower[start:] = 0.0
-    lower[start::1 + n] = -np.inf          # the m_k columns
-    upper = np.full(nv, np.inf)
-    upper[:q] = par.upper
-    res = solve_lp(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                   lower=lower, upper=upper)
-    if res.status != OPTIMAL:
-        return res, None
-    res.value += shift
-    return res, res.x[:q]
+    lower = np.zeros(nv - q)
+    lower[:start - q] = -np.inf            # tau
+    lower[start - q::1 + n] = -np.inf      # the m_k columns
+    return _solve_family(par, p, c, shift, rows, rhs, lower,
+                         np.full(nv - q, np.inf))
 
 
 def _shortfall_pieces(spec: RiskSpec):
@@ -161,18 +203,13 @@ def _shortfall_pieces(spec: RiskSpec):
 
 def _wc_min(par: _Param, p: np.ndarray):
     n, q = par.C.shape
-    nv = q + 1
-    c = np.zeros(nv)
+    c = np.zeros(q + 1)
     c[q] = 1.0
-    rows = np.zeros((n, nv))
+    rows = np.zeros((n, q + 1))
     rows[:, :q] = -par.C
-    rows[:, q] = -1.0
-    A_ub = np.vstack([rows, np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], 1))])])
-    b_ub = np.concatenate([par.x0, par.b_ub])
-    lower = np.concatenate([par.lower, [-np.inf]])
-    upper = np.concatenate([par.upper, [np.inf]])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
-    return res, (res.x[:q] if res.status == OPTIMAL else None)
+    rows[:, q] = -1.0                      # -X_i <= tau
+    return _solve_family(par, p, c, 0.0, [rows], [par.x0],
+                         np.array([-np.inf]), np.array([np.inf]))
 
 
 def _pwl_family_min(par: _Param, p: np.ndarray, spec: RiskSpec):
@@ -208,65 +245,38 @@ def _pwl_family_min(par: _Param, p: np.ndarray, spec: RiskSpec):
         c[q + extra:] = p
     else:
         c[q + extra:] = p
-    rows.append(np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], nv - q))]))
-    rhs.append(par.b_ub)
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    lower = np.concatenate([par.lower, np.full(extra, -np.inf),
-                            np.full(n, -np.inf)])
-    upper = np.concatenate([par.upper, np.full(extra + n, np.inf)])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
-    return res, (res.x[:q] if res.status == OPTIMAL else None)
+    return _solve_family(par, p, c, 0.0, rows, rhs,
+                         np.full(extra + n, -np.inf),
+                         np.full(extra + n, np.inf))
 
 
-def _entropic_min(par: _Param, p: np.ndarray):
-    """min log E[exp(-X(theta))] by damped Newton (slice parametrisation)."""
+def _newton_min(par: _Param, p: np.ndarray, log: bool):
+    """min log E[exp(-X(theta))] (log) or E[exp(-X(theta)) - 1] by damped
+    Newton (slice parametrisation)."""
     q = par.C.shape[1]
     t = np.zeros(q)
 
     def value(tv):
         expo = -(par.x0 + par.C @ tv)
+        if not log:
+            return float(p @ np.expm1(expo))
         mx = float(np.max(expo))
         return mx + math.log(float(p @ np.exp(expo - mx)))
 
     for _ in range(200):
         expo = -(par.x0 + par.C @ t)
-        w = p * np.exp(expo - np.max(expo))
-        w = w / w.sum()
+        if log:                            # normalised weights of exp(-X)
+            w = p * np.exp(expo - np.max(expo))
+            w = w / w.sum()
+        else:
+            w = p * np.exp(expo)
         grad = -par.C.T @ w
-        H = par.C.T @ (par.C * w[:, None]) - np.outer(par.C.T @ w, par.C.T @ w)
-        H = H + 1e-12 * np.eye(q)
-        try:
-            step = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:  # pragma: no cover
-            step = -grad
         if float(np.linalg.norm(grad)) < 1e-12:
             break
-        f0 = value(t)
-        lamb = 1.0
-        while lamb > 1e-12 and value(t + lamb * step) > f0 - 1e-14:
-            lamb *= 0.5
-        if lamb <= 1e-12:
-            break
-        t = t + lamb * step
-    return value(t), t
-
-
-def _ew_exp_min(par: _Param, p: np.ndarray):
-    """min E[exp(-X(theta)) - 1] by damped Newton."""
-    q = par.C.shape[1]
-    t = np.zeros(q)
-
-    def value(tv):
-        return float(p @ np.expm1(-(par.x0 + par.C @ tv)))
-
-    for _ in range(200):
-        e = p * np.exp(-(par.x0 + par.C @ t))
-        grad = -par.C.T @ e
-        if float(np.linalg.norm(grad)) < 1e-12:
-            break
-        H = par.C.T @ (par.C * e[:, None]) + 1e-12 * np.eye(q)
-        step = np.linalg.solve(H, -grad)
+        H = par.C.T @ (par.C * w[:, None])
+        if log:
+            H = H - np.outer(grad, grad)
+        step = np.linalg.solve(H + 1e-12 * np.eye(q), -grad)
         f0 = value(t)
         lamb = 1.0
         while lamb > 1e-12 and value(t + lamb * step) > f0 - 1e-14:
@@ -303,7 +313,9 @@ def _kelley_min(oracle, q: int, radius: float = 16.0,
     if q == 0:
         v, _ = oracle(np.zeros(0))
         return v, np.zeros(0)
-    cuts = []
+    rows, rhs = [], []                     # cuts g.theta - tau <= g.t - v
+    c = np.zeros(q + 1)
+    c[q] = 1.0
     t = np.zeros(q)
     best_v, best_t = math.inf, t
     R = radius
@@ -311,17 +323,9 @@ def _kelley_min(oracle, q: int, radius: float = 16.0,
         v, g = oracle(t)
         if v < best_v - 1e-15:
             best_v, best_t = v, t.copy()
-        cuts.append((g.copy(), v - float(g @ t)))
-        nv = q + 1
-        rows = np.zeros((len(cuts), nv))
-        rhs = np.zeros(len(cuts))
-        for i, (gi, ci) in enumerate(cuts):
-            rows[i, :q] = gi
-            rows[i, q] = -1.0
-            rhs[i] = -ci
-        c = np.zeros(nv)
-        c[q] = 1.0
-        res = solve_lp(c, A_ub=rows, b_ub=rhs,
+        rows.append(np.append(g, -1.0))
+        rhs.append(float(g @ t) - v)
+        res = solve_lp(c, A_ub=np.array(rows), b_ub=np.array(rhs),
                        lower=np.concatenate([np.full(q, -R), [-np.inf]]),
                        upper=np.concatenate([np.full(q, R), [np.inf]]))
         if res.status != OPTIMAL:  # pragma: no cover
@@ -355,6 +359,20 @@ def _sup_es_oracle(par: _Param, space, spec: RiskSpec):
     return oracle
 
 
+def _lp_min(spec: RiskSpec, p: np.ndarray, par: _Param):
+    """(LPResult, theta) of the family's LP over par; None for the families
+    without one (exp losses, general adjusted-ES profiles)."""
+    fam = spec.family
+    if fam in ("es", "lses", "adjes"):
+        pieces = _shortfall_pieces(spec)
+        return None if pieces is None else _es_min(par, p, pieces)
+    if fam == "wc" or (fam == "sr" and spec.loss.zero_on_negatives):
+        return _wc_min(par, p)
+    if fam in ("ew", "sr", "oce") and spec.loss.kind == "pwl":
+        return _pwl_family_min(par, p, spec)
+    return None
+
+
 def rho_nu(spec: RiskSpec, m: Market, nu: float):
     """(rho_nu, minimiser): minimal risk over portfolios with E[X_pi] = nu.
 
@@ -377,35 +395,20 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
         raise ValueError("value-at-risk slice minimisation is not supported")
     if fam == "eloss":
         return -nu, par.to_portfolio(np.zeros(par.C.shape[1]))
-    if fam in ("es", "lses", "adjes"):
-        pieces = _shortfall_pieces(spec)
-        if pieces is None:
+    solved = _lp_min(spec, p, par)
+    if solved is None:
+        if fam in ("es", "lses", "adjes"):
             # the minimiser grows with the slice offset, and so does its box
             cap = 2.0 ** 24 * max(1.0, float(np.max(np.abs(par.x0))))
             v, t = _kelley_min(_sup_es_oracle(par, m.space, spec),
                                par.C.shape[1], cap=cap)
-            return v, par.to_portfolio(t)
-        res, t = _es_min(par, p, pieces)
-    elif fam == "wc":
-        res, t = _wc_min(par, p)
-    elif fam in ("ew", "sr", "oce"):
-        loss = spec.loss
-        if fam == "sr" and loss.zero_on_negatives:
-            res, t = _wc_min(par, p)
-        elif loss.kind == "pwl":
-            res, t = _pwl_family_min(par, p, spec)
-        elif loss.kind == "exp":
-            if fam == "ew":
-                v, t = _ew_exp_min(par, p)
-            else:
-                v, t = _entropic_min(par, p)
-            return v, par.to_portfolio(t)
+        elif spec.loss.kind == "exp":
+            v, t = _newton_min(par, p, log=fam != "ew")
         else:
             raise ValueError(f"{fam} slice minimisation unsupported for "
-                             f"{loss.kind} losses")
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported family {fam!r}")
-
+                             f"{spec.loss.kind} losses")
+        return v, par.to_portfolio(t)
+    res, t = solved
     if res.status == UNBOUNDED:
         direction = _descent_direction(spec, m, par)
         return -math.inf, direction
@@ -494,15 +497,10 @@ def _dualbox_min(par: _Param, p: np.ndarray, kind: str, a: float,
             row[0, y0 + n_y1:] = -a
         rows.append(row)
         rhs.append([0.0])                  # -b sum y1 + a sum y2 >= 0
-    rows.append(np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0], nv - q))]))
-    rhs.append(par.b_ub)
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    lower = np.concatenate([par.lower, np.full(y0 - q, -np.inf),
-                            np.zeros(n_y1 + n_y2)])
-    upper = np.concatenate([par.upper, np.full(nv - q, np.inf)])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
-    return res, (res.x[:q] if res.status == OPTIMAL else None)
+    return _solve_family(par, p, c, 0.0, rows, rhs,
+                         np.concatenate([np.full(y0 - q, -np.inf),
+                                         np.zeros(n_y1 + n_y2)]),
+                         np.full(nv - q, np.inf))
 
 
 def _recession_min(spec: RiskSpec, m: Market, par: _Param):
@@ -512,15 +510,9 @@ def _recession_min(spec: RiskSpec, m: Market, par: _Param):
         res, t = _es_min(par, p, [(desc[1], desc[1], 0.0, 0.0)])
     elif desc[0] == "wc":
         res, t = _wc_min(par, p)
-    elif desc[0] == "eloss":
-        # min E[-X(theta)] is linear
-        c0 = -float(p @ par.x0)
-        ct = -(p @ par.C)
-        res = solve_lp(ct, A_ub=par.A_ub, b_ub=par.b_ub,
-                       lower=par.lower, upper=par.upper)
-        if res.status == OPTIMAL:
-            return float(res.value) + c0, par.to_portfolio(res.x)
-        return -math.inf, None
+    elif desc[0] == "eloss":               # min E[-X(theta)] is linear
+        res, t = _solve_family(par, p, -(p @ par.C), -float(p @ par.x0),
+                               [], [], np.zeros(0), np.zeros(0))
     else:
         res, t = _dualbox_min(par, p, *desc)
     if res.status == UNBOUNDED:
@@ -540,8 +532,7 @@ def rho_inf_nu(spec: RiskSpec, m: Market, nu: float) -> float:
 
 def recession_ball_min(spec: RiskSpec, m: Market):
     """(min, argmin) of the recession risk over the l1 ball of portfolios."""
-    value, pi = _recession_min(spec, m, _ball_param(m))
-    return value, pi
+    return _recession_min(spec, m, _ball_param(m))
 
 
 # ---------------------------------------------------------------------------
@@ -573,28 +564,6 @@ class FrontierResult:
         return vals
 
 
-def _golden_argmin(f, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of the golden-section bracket of a unimodal f on [lo, hi],
-    shrunk below width tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
                      steps: int) -> FrontierResult:
     """Sweep rho_nu over a uniform grid and classify the regime.
@@ -604,10 +573,13 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     (a -inf or failed unit slice carries to every nu > 0).  Other families
     solve one slice per grid node.
 
-    In convex families the boundary minimiser is refined by golden section
-    between the neighbouring grid nodes of the argmin; otherwise the grid
-    argmin stands (irregular boundaries are legal for star-shaped measures).
-    When every slice fails, nu_min and rho_min are NaN and ``errors`` says why.
+    In the positive regime a convex family that is not homogeneous takes
+    its boundary minimiser from one LP over the portfolios with
+    0 <= E[X_pi] <= nu_max when it has an LP; a family without one refines
+    the grid argmin by golden section between its neighbouring nodes.
+    Otherwise the grid argmin stands (irregular boundaries are legal for
+    star-shaped measures).  When every slice fails, nu_min and rho_min are
+    NaN and ``errors`` says why.
     """
     if nu_max <= 0 or steps < 2:
         raise ValueError("need nu_max > 0 and steps >= 2")
@@ -648,13 +620,20 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
                               rho_inf_1, regime, errors)
     k = int(np.nanargmin(values))
     nu_min, rho_min = float(grid[k]), float(values[k])
-    if spec.convex and regime == REGIME_POSITIVE and 0 < k < steps - 1:
-        nu_ref = _golden_argmin(lambda nu: rho_nu(spec, m, nu)[0],
-                                float(grid[k - 1]), float(grid[k + 1]),
-                                1e-9 * max(1.0, nu_max))
-        rho_ref = rho_nu(spec, m, nu_ref)[0]
+    if (spec.convex and regime == REGIME_POSITIVE
+            and not spec.positively_homogeneous):
+        ref = _lp_min(spec, m.space.probs, _pi_param(m, 0.0, nu_max))
+        if ref is not None and ref[0].status == OPTIMAL:
+            nu_ref = float(np.clip(m.mean_excess @ ref[1], 0.0, nu_max))
+            rho_ref = ref[0].value
+        elif ref is None and 0 < k < steps - 1:
+            nu_ref = golden_min(lambda nu: rho_nu(spec, m, nu)[0],
+                                float(grid[k - 1]), float(grid[k + 1]), 1e-9)
+            rho_ref = rho_nu(spec, m, nu_ref)[0]
+        else:
+            nu_ref, rho_ref = nu_min, rho_min
         if rho_ref <= rho_min:
-            nu_min, rho_min = nu_ref, rho_ref
+            nu_min, rho_min = nu_ref, float(rho_ref)
     if regime == REGIME_NEGATIVE:
         nu_min, rho_min = math.inf, -math.inf
     elif regime == REGIME_ZERO and np.all(np.diff(values) < 0):
@@ -777,9 +756,12 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     family (negative or zero recession boundary slope).  With a positive
     slope, a positively homogeneous family's boundary is the increasing ray
     nu rho_1, so MIN_RISK is the slice at nu* and MAX_RETURN is
-    nu = rho* / rho_1 with portfolio nu pi_1: one slice LP each.  Other
-    families search the convex boundary by golden section (MIN_RISK) and
-    bisection (MAX_RETURN), solving each slice once.
+    nu = rho* / rho_1 with portfolio nu pi_1: one slice LP each.  Any other
+    LP family solves one LP over the portfolios: MIN_RISK adds the row
+    E[X_pi] >= nu*, and MAX_RETURN maximises E[X_pi] with the risk objective
+    moved into rows <= rho*.  The families without an LP search the convex
+    boundary by golden section (MIN_RISK) and bisection (MAX_RETURN),
+    solving each slice once.
     """
     if level < 0:
         raise ValueError("the target level must be nonnegative")
@@ -792,6 +774,9 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
         if ray:
             value, pi = rho_nu(spec, m, level)
             return MeanRiskSolution("optimal", value, pi, level)
+        solved = _lp_min(spec, m.space.probs, _pi_param(m, level))
+        if solved is not None:
+            return _lp_solution(m, *solved, max_return=False)
         # golden over nu >= nu* of the convex map nu -> rho_nu
         lo = level
         hi = max(level + 1.0, 2.0 * level)
@@ -803,8 +788,7 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
         if hi > 1e12:
             return MeanRiskSolution("unbounded",
                                     cause="risk keeps decreasing with return")
-        mid = _golden_argmin(lambda nu: rho_nu(spec, m, nu)[0], lo, hi,
-                             1e-9 * max(1.0, hi))
+        mid = golden_min(lambda nu: rho_nu(spec, m, nu)[0], lo, hi, 1e-9)
         at_mid = rho_nu(spec, m, mid)
         best_nu, (value, pi) = min([(lo, at_lo), (mid, at_mid)],
                                    key=lambda cand: cand[1][0])
@@ -817,14 +801,13 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
             rho_1, pi_1 = rho_nu(spec, m, 1.0)
             nu = level / rho_1
             return MeanRiskSolution("optimal", nu, nu * pi_1, nu)
-        at_lo = rho_nu(spec, m, 0.0)
-        rho_min_proxy = min(0.0, at_lo[0])
-        if level < rho_min_proxy - 1e-12:
-            return MeanRiskSolution("infeasible",
-                                    cause="risk budget below minimal risk")
+        solved = _lp_min(spec, m.space.probs, _pi_param(m, 0.0, budget=level))
+        if solved is not None:
+            return _lp_solution(m, *solved, max_return=True)
         # rho_nu -> inf as nu -> inf, so bisect the increasing branch; the
-        # last doubling step within budget starts the bracket
-        lo, hi = 0.0, 1.0
+        # last doubling step within budget starts the bracket (the risk at
+        # nu = 0 is at most rho(0) = 0 <= rho*)
+        lo, hi, at_lo = 0.0, 1.0, rho_nu(spec, m, 0.0)
         for _ in range(200):
             at_hi = rho_nu(spec, m, hi)
             if at_hi[0] > level:
@@ -842,3 +825,17 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
                 break
         return MeanRiskSolution("optimal", lo, at_lo[1], lo)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _lp_solution(m: Market, res, pi, max_return: bool) -> MeanRiskSolution:
+    """The mean-risk answer of one LP over the portfolios."""
+    if res.status == OPTIMAL:
+        nu = float(m.mean_excess @ pi)
+        return MeanRiskSolution("optimal", nu if max_return else res.value,
+                                pi, nu)
+    if res.status == INFEASIBLE:
+        return MeanRiskSolution("infeasible",
+                                cause="risk budget below minimal risk")
+    return MeanRiskSolution("unbounded", cause=(
+        "return unbounded within the risk budget" if max_return
+        else "risk keeps decreasing with return"))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (SLACK_TOL, DualSetSpec, closure_dual_set, dual_set,
+from .dual import (SLACK_TOL, DualSetSpec, _martingale_rows,
+                   closure_dual_set, dual_set,
                    interior_martingale_feasibility, interior_polytope,
                    martingale_feasibility, set_polytope)
 from .market import Market, RandVar
@@ -58,16 +59,10 @@ def augment_market(m: Market, payoff: RandVar, price: float) -> Market:
     return Market(m.space, m.r, np.hstack([m.excess, new_excess[:, None]]))
 
 
-def _mg_rows(m: Market, nvars: int):
-    rows = np.zeros((m.d, nvars))
-    rows[:, :m.space.n] = (m.excess * m.space.probs[:, None]).T
-    return rows, np.zeros(m.d)
-
-
 def _bound(m: Market, pt, price_vec: np.ndarray, maximize: bool) -> tuple[float, np.ndarray]:
     c = np.zeros(pt.nvars)
     c[:pt.n] = price_vec
-    mg_A, mg_b = _mg_rows(m, pt.nvars)
+    mg_A, mg_b = _martingale_rows(m, pt.nvars)
     res = solve_lp(c, A_ub=pt.A_ub, b_ub=pt.b_ub,
                    A_eq=np.vstack([pt.A_eq, mg_A]),
                    b_eq=np.concatenate([pt.b_eq, mg_b]),
@@ -99,7 +94,7 @@ def _attained(m: Market, spec_set, price_vec: np.ndarray, bound: float,
         A_eq_set = np.hstack([base.A_eq,
                               np.zeros((base.A_eq.shape[0], 1))])
         b_eq_set = base.b_eq
-    mg_A, mg_b = _mg_rows(m, nvars)
+    mg_A, mg_b = _martingale_rows(m, nvars)
     pin = np.zeros(nvars)
     pin[:m.space.n] = price_vec
     A_eq = np.vstack([A_eq_set, mg_A, pin[None, :]])

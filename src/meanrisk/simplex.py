@@ -69,8 +69,11 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
     negative reduced cost but no admissible pivot row is rounding noise (the
     phase-1 objective is bounded below), so it is skipped until the next
     pivot rather than reported unbounded, and the phase ends as soon as
-    no basis index is ncols or above (no artificial left).
+    no basis index is ncols or above (no artificial left).  With no columns
+    nothing can enter, so the basis is optimal as it stands.
     """
+    if ncols == 0:
+        return OPTIMAL, 0
     reduced = T[cost, :ncols]
     rhs = T[:m, -1]
     skipped = []

@@ -112,6 +112,17 @@ class TestDualEvaluate:
                 assert du == pytest.approx(prim, abs=1e-7), spec.label()
                 checked += 1
 
+    def test_expected_loss_needs_no_lp(self, rng, monkeypatch):
+        # the only density is Z = 1, so the value is E[-X]
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_lp called")
+
+        monkeypatch.setattr(dual, "solve_lp", no_lp)
+        for n in (1, 7, 60):
+            X = random_randvar(rng, n, scale=1.5)
+            assert dual_evaluate(RiskSpec.expected_loss(), X) == \
+                evaluate(RiskSpec.expected_loss(), X)
+
     def test_var_and_ew_rejected(self):
         with pytest.raises(ValueError):
             dual_evaluate(RiskSpec.var_at(0.3), X_PM1)

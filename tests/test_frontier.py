@@ -11,9 +11,9 @@ from meanrisk import (LossFunction, LPError, Market, RandVar, RiskSpec,
                       classify_sensitivity, detect_arbitrage,
                       efficient_frontier, evaluate, excess_return,
                       general_profile, lses_profile, mean_rho_solve,
-                      optimal_boundary, portfolio_slice, recession_ball_min,
-                      recession_efficient_frontier, rho_inf_nu, rho_nu,
-                      step_profile, table_profile)
+                      optimal_boundary, portfolio_slice, price_bounds,
+                      recession_ball_min, recession_efficient_frontier,
+                      rho_inf_nu, rho_nu, step_profile, table_profile)
 from meanrisk.fixtures import (IRREGULAR_SPOT_VALUES, boundary_norm_market,
                                boundary_norm_profile, irregular_boundary)
 
@@ -278,6 +278,23 @@ class TestOptimalBoundary:
         assert np.all(np.diff(after) >= -1e-9)
         assert fr.rho_min <= 0.0
         assert fr.nu_min < math.inf
+
+    def test_last_node_argmin_matches_a_fine_scan(self):
+        # the grid argmin is the last node, nu = 0.2, while the boundary
+        # minimiser lies between the last two nodes (near nu = 0.19)
+        m = random_market(np.random.default_rng(246), n=6, d=2,
+                          arbitrage_free=True)
+        spec = RiskSpec.lses_at(0.5)
+        fr = optimal_boundary(spec, m, 0.2, 11)
+        assert fr.regime == "POSITIVE"
+        assert int(np.argmin(fr.rho_values)) == 10
+        scan = min(rho_nu(spec, m, nu)[0]
+                   for nu in np.linspace(0.18, 0.2, 401))
+        assert fr.rho_min <= scan + 1e-9
+        assert fr.rho_min < fr.rho_values[-1] - 1e-3
+        assert 0.18 < fr.nu_min < 0.2
+        assert rho_nu(spec, m, fr.nu_min)[0] == pytest.approx(fr.rho_min,
+                                                              abs=1e-9)
 
     def test_negative_regime_strictly_decreasing(self):
         fr = optimal_boundary(RiskSpec.es_at(0.8), BINOMIAL, 2.0, 9)
@@ -581,22 +598,136 @@ class TestMeanRisk:
         assert sol.nu == pytest.approx(ref.nu, rel=1e-8)
 
     def test_general_search_solves_each_slice_once(self, monkeypatch):
-        m = random_market(np.random.default_rng(3), n=4, d=2,
-                          arbitrage_free=True)
-        for market, spec, level in ((TRINOMIAL, RiskSpec.lses_at(0.3), 1.0),
-                                    (TRINOMIAL, RiskSpec.lses_at(0.3), 0.0),
-                                    (m, RiskSpec.oce_with(EXP), 0.2)):
+        # an LP family solves no slice: one LP over the portfolios after
+        # the recession LP for the slope
+        for level in (1.0, 0.0):
             for mode in ("MIN_RISK", "MAX_RETURN"):
                 seen = counting(monkeypatch, "rho_nu")
-                sol = mean_rho_solve(spec, market, mode, level)
+                lps = counting(monkeypatch, "solve_lp")
+                sol = mean_rho_solve(RiskSpec.lses_at(0.3), TRINOMIAL, mode,
+                                     level)
                 monkeypatch.undo()
                 assert sol.status == "optimal"
-                assert len(seen) > 10
-                assert len(set(seen)) == len(seen), (spec.label(), mode)
+                assert seen == [] and len(lps) == 2, (mode, level)
+        # the exp loss has no LP and searches, solving each slice once
+        m = random_market(np.random.default_rng(3), n=4, d=2,
+                          arbitrage_free=True)
+        for mode in ("MIN_RISK", "MAX_RETURN"):
+            seen = counting(monkeypatch, "rho_nu")
+            sol = mean_rho_solve(RiskSpec.oce_with(EXP), m, mode, 0.2)
+            monkeypatch.undo()
+            assert sol.status == "optimal"
+            assert len(seen) > 10
+            assert len(set(seen)) == len(seen), mode
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             mean_rho_solve(RiskSpec.es_at(0.5), TRINOMIAL, "MIN_RISK", -1.0)
+
+
+def lp_search_specs():
+    """Non-homogeneous LP families: each nu-question is one LP over pi."""
+    return [RiskSpec.lses_at(0.5),
+            RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
+                                             (1.0, 0.0)])),
+            RiskSpec.oce_with(LossFunction.pwl((0.5, 1.0, 2.0),
+                                               (-0.1, 0.2)))]
+
+
+class TestPortfolioLps:
+    """The boundary minimiser and both mean-risk problems against a brute
+    scan of slices."""
+
+    def test_match_brute_slice_scan(self):
+        solved = set()
+        for seed in (246, 11, 12):
+            m = random_market(np.random.default_rng(seed), n=6, d=2,
+                              arbitrage_free=True)
+            for spec in lp_search_specs():
+                tag = (spec.label(), seed)
+                assert not spec.positively_homogeneous
+                fr = optimal_boundary(spec, m, 0.2, 11)
+                if fr.regime != "POSITIVE":
+                    continue
+                top = 0.6
+                cap = mean_rho_solve(spec, m, "MAX_RETURN", 0.05)
+                if cap.status == "optimal":
+                    top = max(top, 1.5 * cap.nu)
+                nus = np.linspace(0.0, top, 301)
+                scan = np.array([rho_nu(spec, m, nu)[0] for nu in nus])
+                # boundary minimiser over [0, 0.2]
+                assert fr.rho_min <= scan[nus <= 0.2].min() + 1e-9, tag
+                assert 0.0 <= fr.nu_min <= 0.2, tag
+                assert rho_nu(spec, m, fr.nu_min)[0] == pytest.approx(
+                    fr.rho_min, abs=1e-9), tag
+                # least risk at return >= level
+                for level in (0.05, 0.3):
+                    sol = mean_rho_solve(spec, m, "MIN_RISK", level)
+                    assert sol.status == "optimal", tag
+                    assert sol.nu >= level - 1e-12, tag
+                    assert sol.value <= scan[nus >= level].min() + 1e-9, tag
+                    assert sol.value <= rho_nu(spec, m, level)[0] + 1e-9, tag
+                    X = excess_return(m, sol.portfolio)
+                    assert X.mean() == pytest.approx(sol.nu, abs=1e-12), tag
+                    assert evaluate(spec, X) == pytest.approx(
+                        sol.value, abs=1e-9), tag
+                # largest return at risk <= budget
+                assert cap.status == "optimal", tag
+                within = nus[scan <= 0.05]
+                assert within.max() < top, tag
+                assert cap.nu >= within.max() - 1e-9, tag
+                assert cap.value == cap.nu
+                X = excess_return(m, cap.portfolio)
+                assert X.mean() == pytest.approx(cap.nu, abs=1e-12), tag
+                assert evaluate(spec, X) <= 0.05 + 1e-9, tag
+                assert rho_nu(spec, m, cap.nu + 1e-6)[0] > 0.05, tag
+                solved.add(spec.label())
+        assert solved == {spec.label() for spec in lp_search_specs()}
+
+
+def single_asset_specs():
+    return [RiskSpec.es_at(0.3), RiskSpec.wc(), RiskSpec.expected_loss(),
+            RiskSpec.lses_at(0.4), RiskSpec.adjusted(step_profile(0.4)),
+            RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
+                                             (1.0, 0.0)])),
+            RiskSpec.adjusted(general_profile(
+                lambda x: 0.3 * (1.0 / np.asarray(x) - 1.0), 0.0, True,
+                0.3)),
+            RiskSpec.oce_with(PWL), RiskSpec.oce_with(EXP),
+            RiskSpec.sr_with(PWL), RiskSpec.sr_with(EXP),
+            RiskSpec.ew_with(PWL), RiskSpec.ew_with(EXP)]
+
+
+class TestSingleAsset:
+    """With d = 1 every slice is one portfolio, so its LPs have no columns."""
+
+    @pytest.mark.parametrize("spec", single_asset_specs(),
+                             ids=lambda spec: spec.label())
+    def test_boundary_detectors_and_prices(self, spec):
+        for seed in range(4):
+            local = np.random.default_rng(1300 + seed)
+            m = random_market(local, n=3 + seed, d=1)
+            fr = optimal_boundary(spec, m, 0.5, 5)
+            assert fr.errors == [] and np.all(np.isfinite(fr.rho_values))
+            for nu, value, pi in zip(fr.nu_grid, fr.rho_values,
+                                     fr.optimal_portfolios):
+                assert evaluate(spec, excess_return(m, pi)) == \
+                    pytest.approx(value, rel=1e-9, abs=1e-12)
+            if spec.family == "ew":
+                continue                   # no dual representation
+            rep = detect_arbitrage(spec, m)
+            assert rep.errors == [], seed
+            if spec.family == "eloss":
+                assert rep.rho_inf_1 == pytest.approx(-1.0)
+                assert rep.rho_arbitrage
+            payoff = RandVar(m.space, local.normal(1.0, 0.5, m.space.n))
+            for kind in ("NO_ARB", "NO_RHO_ARB", "NO_STRONG_RHO_ARB"):
+                try:
+                    iv = price_bounds(m, payoff, spec, kind)
+                except ValueError as exc:
+                    assert "admits" in str(exc), (kind, seed)
+                else:
+                    assert iv.lower <= iv.upper + 1e-12, (kind, seed)
 
 
 class TestIrregularBoundaryFixture:

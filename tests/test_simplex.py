@@ -34,6 +34,29 @@ def test_infeasible_and_unbounded():
     assert solve_lp([0.0], lower=[2.0], upper=[1.0]).status == INFEASIBLE
 
 
+def test_zero_variables():
+    # no column can enter: optimal at the empty point when the rows hold
+    res = solve_lp(np.zeros(0))
+    assert res.status == OPTIMAL and res.x.size == 0 and res.value == 0.0
+    for kwargs in ({"A_ub": np.zeros((2, 0)), "b_ub": [1.0, 0.0]},
+                   {"A_eq": np.zeros((2, 0)), "b_eq": [0.0, 0.0]},
+                   {"A_ub": np.zeros((1, 0)), "b_ub": [0.0],
+                    "A_eq": np.zeros((1, 0)), "b_eq": [0.0]}):
+        res = solve_lp(np.zeros(0), **kwargs)
+        assert res.status == OPTIMAL and res.x.size == 0, kwargs
+        assert res.value == 0.0 and res.pivots == 0, kwargs
+    res = solve_lp(np.zeros(0), A_eq=np.zeros((2, 0)), b_eq=[0.0, 0.0],
+                   maximize=True)
+    assert res.status == OPTIMAL
+
+
+def test_zero_variables_infeasible_rhs():
+    for kwargs in ({"A_ub": np.zeros((2, 0)), "b_ub": [1.0, -1.0]},
+                   {"A_eq": np.zeros((1, 0)), "b_eq": [2.0]},
+                   {"A_eq": np.zeros((2, 0)), "b_eq": [0.0, -0.5]}):
+        assert solve_lp(np.zeros(0), **kwargs).status == INFEASIBLE, kwargs
+
+
 def test_degenerate_cycling_instance(monkeypatch):
     # Beale's classical cycling example: Dantzig pricing cycles on it, so
     # the switch to Bland's rule after a degenerate run must terminate it.
