@@ -25,7 +25,7 @@ import numpy as np
 from .losses import GPiece, LossFunction, TargetProfile, lses_profile
 from .market import FiniteSpace, Market, RandVar
 from .measures import (RiskSpec, es, evaluate, expected_loss, golden_min,
-                       quantile_pieces, worst_case)
+                       quantile_pieces, shortfall_risk, worst_case)
 from .simplex import OPTIMAL, LPError, solve_lp
 
 SLACK_TOL = 1e-9
@@ -667,29 +667,13 @@ def _oce_smooth_dual(X: RandVar, loss: LossFunction) -> float:
 
 
 def _sr_smooth_dual(X: RandVar, loss: LossFunction) -> float:
-    """Nested one-dimensional duals: sup over the scale of an OCE-type dual."""
+    """E[-ZX] - alpha(Z) at the primal witness Z proportional to
+    l'(-X - m*), m* the shortfall risk; only the exp loss gets here, as
+    losses vanishing on the negatives use the worst-case box."""
     p = X.space.probs
-    x = X.values
-
-    def inner(lam: float) -> float:
-        def phi(mu: float) -> float:
-            return mu + float(p @ loss.value(-x - mu)) / lam
-        mu = golden_min(phi, -worst_case(X) - 60.0, worst_case(X) + 60.0,
-                        1e-12)
-        z = loss.derivative(-x - mu) / lam
-        total = float(p @ z)
-        if total <= 0:
-            return phi(mu)
-        z = z / total
-        k = lam * total  # scale back to the un-normalised multiplier
-        pen = float(p @ loss.conjugate_value(k * z)) / k
-        return -float(p @ (z * x)) - pen
-
-    def outer(u: float) -> float:
-        return -inner(math.exp(u))
-
-    u = golden_min(outer, -16.0, 16.0, 1e-12)
-    return inner(math.exp(u))
+    z = loss.derivative(-X.values - shortfall_risk(X, loss))
+    z = z / float(p @ z)
+    return -float(p @ (z * X.values)) - _scaled_box_penalty(z, p, loss)
 
 
 # ---------------------------------------------------------------------------

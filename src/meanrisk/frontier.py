@@ -13,20 +13,23 @@ every solve exact where possible:
                         -> cutting planes on the value/subgradient oracle
 * worst case            -> minimax LP
 * pwl loss families     -> epigraph LPs over the loss pieces
-* exp loss families     -> damped Newton on the smooth convex objective
+* exp loss families     -> damped Newton over pi with the return as a
+                           KKT row
 * positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
   kinked at 0 only, adjusted ES with a profile vanishing on [beta, 1])
                         -> rho_nu = nu rho_1, so a boundary sweep solves the
                            slices at nu = 0 and 1 only, and the mean-risk
                            problems one slice each
 
-The same LPs also run over all portfolios pi, with X = excess pi and the
-expected return g.pi as a row, so every question about nu for an LP family
-is one LP: the boundary minimiser adds the row 0 <= g.pi <= nu_max, the
-minimal risk at return >= nu* adds g.pi >= nu*, and the maximal return at
-risk <= rho* maximises g.pi with the risk objective moved into a row.  Only
-the families without an LP (exp losses, general adjusted-ES profiles)
-search over slices.
+The same solvers also run over all portfolios pi, with X = excess pi and
+the expected return g.pi as a row.  nu -> rho_nu is convex, so the boundary
+minimiser (rows 0 <= g.pi <= nu_max) and the minimal risk at return >= nu*
+(row g.pi >= nu*) are one solve each: the family's LP, Kelley for a general
+adjusted-ES profile, or for an exp loss the unconstrained Newton minimiser,
+replaced by the slice at the band's nearer edge when its return leaves the
+band.  The maximal return at risk <= rho* is one LP that maximises g.pi
+with the risk objective moved into a row; the families without an LP
+bisect over slices for it, the one search over slices left.
 
 Recession frontiers are linear programs obtained by dualising the inner
 support-function maximisation over the closed dual polytope, so the primal
@@ -36,7 +39,7 @@ are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,8 +50,9 @@ from .losses import lses_profile
 from .market import (ArbitrageWitness, Market, RandVar,
                      check_classical_arbitrage, excess_return,
                      portfolio_slice)
-from .measures import RiskSpec, adjusted_es_argmax, evaluate, golden_min
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, solve_lp
+from .measures import RiskSpec, adjusted_es_argmax, evaluate
+from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult,
+                      solve_lp)
 
 SIGN_TOL = 1e-7          # sign classification of rho_inf_1 and ball minima
 OBJ_TOL = 1e-8           # cutting-plane convergence on objective values
@@ -250,48 +254,51 @@ def _pwl_family_min(par: _Param, p: np.ndarray, spec: RiskSpec):
                          np.full(extra + n, np.inf))
 
 
-def _newton_min(par: _Param, p: np.ndarray, log: bool):
-    """min log E[exp(-X(theta))] (log) or E[exp(-X(theta)) - 1] by damped
-    Newton (slice parametrisation)."""
-    q = par.C.shape[1]
-    t = np.zeros(q)
+def _newton_min(m: Market, p: np.ndarray, log: bool, nu: float | None = None):
+    """(min, argmin) over the portfolios pi of log E[exp(-X_pi)] (log) or
+    E[exp(-X_pi)] - 1, which share their minimiser, by damped Newton on the
+    log form.  Unconstrained when nu is None; otherwise KKT steps keep
+    E[X_pi] = nu from the least-norm start nu g / |g|^2."""
+    E, g, d = m.excess, m.mean_excess, m.d
+    pi = np.zeros(d) if nu is None else nu * g / float(g @ g)
+    k = d if nu is None else d + 1        # size of the Newton / KKT system
+    kkt = np.zeros((d + 1, d + 1))
+    kkt[:d, d] = kkt[d, :d] = g
 
-    def value(tv):
-        expo = -(par.x0 + par.C @ tv)
-        if not log:
-            return float(p @ np.expm1(expo))
-        mx = float(np.max(expo))
-        return mx + math.log(float(p @ np.exp(expo - mx)))
+    def value(x):                          # log E[exp(-x)]
+        mx = -x.min()
+        return mx + math.log(float(p @ np.exp(-x - mx)))
 
+    f = value(E @ pi)
     for _ in range(200):
-        expo = -(par.x0 + par.C @ t)
-        if log:                            # normalised weights of exp(-X)
-            w = p * np.exp(expo - np.max(expo))
-            w = w / w.sum()
-        else:
-            w = p * np.exp(expo)
-        grad = -par.C.T @ w
-        if float(np.linalg.norm(grad)) < 1e-12:
+        expo = -(E @ pi)
+        w = p * np.exp(expo - expo.max())
+        w = w / w.sum()                    # normalised weights of exp(-X)
+        grad = -E.T @ w
+        kkt[:d, :d] = E.T @ (E * w[:, None]) - np.outer(grad, grad)
+        kkt[:d, :d] += 1e-12 * np.eye(d)
+        step = np.linalg.solve(kkt[:k, :k], np.append(-grad, 0.0)[:k])[:d]
+        decrement = -float(grad @ step)    # twice the predicted decrease
+        if decrement <= 1e-18:
             break
-        H = par.C.T @ (par.C * w[:, None])
-        if log:
-            H = H - np.outer(grad, grad)
-        step = np.linalg.solve(H + 1e-12 * np.eye(q), -grad)
-        f0 = value(t)
         lamb = 1.0
-        while lamb > 1e-12 and value(t + lamb * step) > f0 - 1e-14:
-            lamb *= 0.5
-        if lamb <= 1e-12:
+        while lamb >= 1e-12:
+            trial = pi + lamb * step
+            f_trial = value(E @ trial)
+            if f_trial <= f - 0.25 * lamb * decrement:
+                break
+            # near the minimiser only the full step is worth trying
+            lamb = 0.5 * lamb if decrement > 1e-12 else 0.0
+        else:
             break
-        t = t + lamb * step
-    return value(t), t
+        pi, f = trial, f_trial
+    return (f if log else math.expm1(f)), pi
 
 
 def _tail_density(X: RandVar, alpha: float) -> np.ndarray:
     """A maximiser of E[-ZX] over {0 <= Z <= 1/alpha, E[Z] = 1}."""
     order = np.argsort(X.values, kind="stable")
     p = X.space.probs[order]
-    cum = np.cumsum(p)
     z = np.zeros(X.space.n)
     budget = alpha
     for pos, idx in enumerate(order):
@@ -303,39 +310,47 @@ def _tail_density(X: RandVar, alpha: float) -> np.ndarray:
     return z
 
 
-def _kelley_min(oracle, q: int, radius: float = 16.0,
-                cap: float = 2.0 ** 24):
-    """Minimise a convex function from value/subgradient cuts on a box.
+def _kelley_min(oracle, par: _Param, p: np.ndarray):
+    """Minimise a convex function of theta over par's rows from
+    value/subgradient cuts, the master LP built by ``_solve_family``.
 
-    The box starts at +-radius and grows fourfold while the master minimiser
-    sits on its edge, up to +-cap.
+    The box starts at +-16 and grows fourfold while the master LP is
+    infeasible or its minimiser sits on the box's edge, up to 2^24 times the
+    largest entry of par's offset and right-hand sides.  The start theta = 0
+    counts as a candidate only when it meets par's rows; master points do.
     """
+    q = par.C.shape[1]
     if q == 0:
         v, _ = oracle(np.zeros(0))
         return v, np.zeros(0)
+    cap = 2.0 ** 24 * max(1.0, *np.abs(par.x0), *np.abs(par.b_ub))
     rows, rhs = [], []                     # cuts g.theta - tau <= g.t - v
     c = np.zeros(q + 1)
     c[q] = 1.0
     t = np.zeros(q)
     best_v, best_t = math.inf, t
-    R = radius
+    counts = bool(np.all(par.b_ub >= 0.0))
+    R = 16.0
     for _ in range(400):
         v, g = oracle(t)
-        if v < best_v - 1e-15:
+        if counts and v < best_v - 1e-15:
             best_v, best_t = v, t.copy()
+        counts = True
         rows.append(np.append(g, -1.0))
         rhs.append(float(g @ t) - v)
-        res = solve_lp(c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                       lower=np.concatenate([np.full(q, -R), [-np.inf]]),
-                       upper=np.concatenate([np.full(q, R), [np.inf]]))
+        while True:
+            box = replace(par, lower=np.full(q, -R), upper=np.full(q, R))
+            res, t_new = _solve_family(box, p, c, 0.0, [np.array(rows)],
+                                       [np.array(rhs)], np.array([-np.inf]),
+                                       np.array([np.inf]))
+            if res.status != INFEASIBLE or R >= cap:
+                break
+            R *= 4.0
         if res.status != OPTIMAL:  # pragma: no cover
             raise LPError("cutting-plane master LP failed")
-        t_new, bound = res.x[:q], res.x[q]
         if np.max(np.abs(t_new)) > R - 1e-6 and R < cap:
             R *= 4.0
-            t = t_new
-            continue
-        if best_v - bound <= OBJ_TOL * max(1.0, abs(best_v)):
+        elif best_v - res.value <= OBJ_TOL * max(1.0, abs(best_v)):
             break
         t = t_new
     return best_v, best_t
@@ -378,7 +393,8 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
 
     ES, LSES and adjusted ES solve one shortfall LP whatever n is, with one
     block per constant / affine-in-1/x profile piece; only a profile with a
-    general piece runs Kelley cutting planes.
+    general piece runs Kelley cutting planes.  An exp loss runs Newton over
+    pi with the row E[X_pi] = nu.
 
     Returns (-inf, direction) when the slice problem is certified unbounded,
     which cannot happen for the built-in expectation-bounded families.
@@ -397,30 +413,51 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
         return -nu, par.to_portfolio(np.zeros(par.C.shape[1]))
     solved = _lp_min(spec, p, par)
     if solved is None:
-        if fam in ("es", "lses", "adjes"):
-            # the minimiser grows with the slice offset, and so does its box
-            cap = 2.0 ** 24 * max(1.0, float(np.max(np.abs(par.x0))))
-            v, t = _kelley_min(_sup_es_oracle(par, m.space, spec),
-                               par.C.shape[1], cap=cap)
-        elif spec.loss.kind == "exp":
-            v, t = _newton_min(par, p, log=fam != "ew")
-        else:
-            raise ValueError(f"{fam} slice minimisation unsupported for "
-                             f"{spec.loss.kind} losses")
-        return v, par.to_portfolio(t)
+        return _smooth_min(spec, m, par, nu)
     res, t = solved
     if res.status == UNBOUNDED:
-        direction = _descent_direction(spec, m, par)
-        return -math.inf, direction
+        # a direction along which the recession risk is negative, if any
+        value, pi = recession_ball_min(spec, m)
+        return -math.inf, pi if value < -SIGN_TOL else None
     if res.status != OPTIMAL:
         raise LPError(f"slice LP ended with status {res.status}")
     return float(res.value), par.to_portfolio(t)
 
 
-def _descent_direction(spec: RiskSpec, m: Market, par: _Param):
-    """A null direction along which the recession risk is negative, if any."""
-    value, pi = recession_ball_min(spec, m)
-    return pi if value < -SIGN_TOL else None
+def _smooth_min(spec: RiskSpec, m: Market, par: _Param,
+                nu: float | None = None):
+    """(value, pi) over par for a family without an LP: Kelley for a general
+    adjusted-ES profile, Newton over pi for an exp loss (on E[X_pi] = nu
+    when nu is set, else unconstrained)."""
+    p = m.space.probs
+    if spec.family == "adjes":
+        v, t = _kelley_min(_sup_es_oracle(par, m.space, spec), par, p)
+        return v, par.to_portfolio(t)
+    if spec.loss.kind != "exp":
+        raise ValueError(f"{spec.family} slice minimisation unsupported for "
+                         f"{spec.loss.kind} losses")
+    return _newton_min(m, p, spec.family != "ew", nu)
+
+
+def _band_min(spec: RiskSpec, m: Market, lo: float, hi: float = math.inf):
+    """(LPResult, pi) of min rho(X_pi) over lo <= E[X_pi] <= hi for a convex
+    family that is not positively homogeneous.
+
+    An LP family solves its LP over the portfolios, a general adjusted-ES
+    profile runs Kelley over them, and an exp loss takes the unconstrained
+    Newton minimiser, replaced by the slice at the nearer edge of the band
+    when its return leaves the band: nu -> rho_nu is convex, so that slice
+    is the band's minimum.
+    """
+    par = _pi_param(m, lo, hi)
+    solved = _lp_min(spec, m.space.probs, par)
+    if solved is not None:
+        return solved
+    v, pi = _smooth_min(spec, m, par)
+    nu = float(m.mean_excess @ pi)
+    if spec.family != "adjes" and not lo <= nu <= hi:
+        v, pi = rho_nu(spec, m, lo if nu < lo else hi)
+    return LPResult(OPTIMAL, pi, v), pi
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +611,10 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     solve one slice per grid node.
 
     In the positive regime a convex family that is not homogeneous takes
-    its boundary minimiser from one LP over the portfolios with
-    0 <= E[X_pi] <= nu_max when it has an LP; a family without one refines
-    the grid argmin by golden section between its neighbouring nodes.
-    Otherwise the grid argmin stands (irregular boundaries are legal for
+    its boundary minimiser from one solve over the portfolios with
+    0 <= E[X_pi] <= nu_max (``_band_min``: the family's LP, Kelley, or an
+    exp loss's Newton solve plus at most one edge slice).  Otherwise the
+    grid argmin stands (irregular boundaries are legal for
     star-shaped measures).  When every slice fails, nu_min and rho_min are
     NaN and ``errors`` says why.
     """
@@ -622,18 +659,10 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     nu_min, rho_min = float(grid[k]), float(values[k])
     if (spec.convex and regime == REGIME_POSITIVE
             and not spec.positively_homogeneous):
-        ref = _lp_min(spec, m.space.probs, _pi_param(m, 0.0, nu_max))
-        if ref is not None and ref[0].status == OPTIMAL:
-            nu_ref = float(np.clip(m.mean_excess @ ref[1], 0.0, nu_max))
-            rho_ref = ref[0].value
-        elif ref is None and 0 < k < steps - 1:
-            nu_ref = golden_min(lambda nu: rho_nu(spec, m, nu)[0],
-                                float(grid[k - 1]), float(grid[k + 1]), 1e-9)
-            rho_ref = rho_nu(spec, m, nu_ref)[0]
-        else:
-            nu_ref, rho_ref = nu_min, rho_min
-        if rho_ref <= rho_min:
-            nu_min, rho_min = nu_ref, float(rho_ref)
+        res, pi = _band_min(spec, m, 0.0, nu_max)
+        if res.status == OPTIMAL and res.value <= rho_min:
+            nu_min = float(np.clip(m.mean_excess @ pi, 0.0, nu_max))
+            rho_min = float(res.value)
     if regime == REGIME_NEGATIVE:
         nu_min, rho_min = math.inf, -math.inf
     elif regime == REGIME_ZERO and np.all(np.diff(values) < 0):
@@ -757,11 +786,12 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     slope, a positively homogeneous family's boundary is the increasing ray
     nu rho_1, so MIN_RISK is the slice at nu* and MAX_RETURN is
     nu = rho* / rho_1 with portfolio nu pi_1: one slice LP each.  Any other
-    LP family solves one LP over the portfolios: MIN_RISK adds the row
-    E[X_pi] >= nu*, and MAX_RETURN maximises E[X_pi] with the risk objective
-    moved into rows <= rho*.  The families without an LP search the convex
-    boundary by golden section (MIN_RISK) and bisection (MAX_RETURN),
-    solving each slice once.
+    family answers MIN_RISK with one solve over the portfolios with
+    E[X_pi] >= nu* (``_band_min``); an exp loss with a zero slope is
+    unbounded, as E[exp(-X)] is strictly convex and never attains the
+    infimum.  MAX_RETURN maximises E[X_pi] with the risk objective moved
+    into rows <= rho*, one LP; the families without an LP bisect the
+    increasing branch of the convex boundary, solving each slice once.
     """
     if level < 0:
         raise ValueError("the target level must be nonnegative")
@@ -774,25 +804,10 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
         if ray:
             value, pi = rho_nu(spec, m, level)
             return MeanRiskSolution("optimal", value, pi, level)
-        solved = _lp_min(spec, m.space.probs, _pi_param(m, level))
-        if solved is not None:
-            return _lp_solution(m, *solved, max_return=False)
-        # golden over nu >= nu* of the convex map nu -> rho_nu
-        lo = level
-        hi = max(level + 1.0, 2.0 * level)
-        at_lo = rho_nu(spec, m, lo)
-        for _ in range(80):
-            if rho_nu(spec, m, hi)[0] > at_lo[0] or hi > 1e12:
-                break
-            hi *= 2.0
-        if hi > 1e12:
+        if rho_inf_1 <= SIGN_TOL and getattr(spec.loss, "kind", "") == "exp":
             return MeanRiskSolution("unbounded",
                                     cause="risk keeps decreasing with return")
-        mid = golden_min(lambda nu: rho_nu(spec, m, nu)[0], lo, hi, 1e-9)
-        at_mid = rho_nu(spec, m, mid)
-        best_nu, (value, pi) = min([(lo, at_lo), (mid, at_mid)],
-                                   key=lambda cand: cand[1][0])
-        return MeanRiskSolution("optimal", value, pi, best_nu)
+        return _lp_solution(m, *_band_min(spec, m, level), max_return=False)
     if mode == "MAX_RETURN":
         if rho_inf_1 <= SIGN_TOL:
             return MeanRiskSolution(

@@ -240,21 +240,6 @@ class LossFunction:
             cuts.append((float(x), -float(v)))
         return sorted(set(cuts))
 
-    def conjugate_derivative(self, z):
-        """A subgradient selection of l* (used for cutting planes)."""
-        z = np.asarray(z, dtype=float)
-        if self.kind == "exp":
-            out = np.where(z > 0, np.log(np.maximum(z, 1e-300)), 0.0)
-        elif self.kind == "power":
-            g = self.exponent
-            if g == 1.0:
-                out = np.zeros_like(z)
-            else:
-                out = (np.maximum(z, 0.0) / (self.coef * g)) ** (1.0 / (g - 1.0))
-        else:
-            raise ValueError("pwl conjugates are handled through their cuts")
-        return out if np.ndim(out) else float(out)
-
 
 # ---------------------------------------------------------------------------
 # Target profiles

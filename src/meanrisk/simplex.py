@@ -35,6 +35,8 @@ UNBOUNDED = "unbounded"
 
 _RCOST_TOL = 1e-9   # reduced cost considered negative below -_RCOST_TOL
 _PIVOT_TOL = 1e-10  # smallest admissible pivot magnitude
+_SMALL_PIVOT = 1e-6  # a pivot below this is picked again among the entries
+_PIVOT_REL = 1e-7    # of at least _PIVOT_REL times the column's largest
 _PHASE1_TOL = 1e-8  # residual infeasibility treated as zero
 _RATIO_TIE = 1e-12  # ratios within this of the minimum tie; smaller steps
                     # count as degenerate
@@ -58,6 +60,16 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     factors = T[:, col].copy()
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
+
+
+def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
+                rows: np.ndarray) -> tuple[int, float]:
+    """Leaving row among ``rows`` by the minimum ratio (ties to the lowest
+    basis index) and that ratio."""
+    ratios = rhs[rows] / col[rows]
+    best = ratios.min()
+    ties = rows[ratios <= best + _RATIO_TIE]
+    return int(ties[np.argmin(basis[ties])]), float(best)
 
 
 def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
@@ -101,10 +113,12 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
                 return UNBOUNDED, pivots
             skipped.append(entering)
             continue
-        ratios = rhs[rows] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + _RATIO_TIE]
-        leaving = ties[np.argmin(basis[ties])]
+        leaving, best = _ratio_test(col, rhs, basis, rows)
+        if col[leaving] < _SMALL_PIVOT:
+            # a tiny pivot spreads its rounding over every row, so pick
+            # again among the entries near the column's largest one
+            big = rows[col[rows] >= _PIVOT_REL * col[rows].max()]
+            leaving, best = _ratio_test(col, rhs, basis, big)
         degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
         skipped = []
         basis[leaving] = entering
@@ -142,15 +156,17 @@ def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
         if T[:m, -1][held].sum() > _PHASE1_TOL:
             return LPResult(INFEASIBLE, pivots=pivots)
 
-        # Drive leftover artificials out of the basis; drop redundant rows.
+        # Drive leftover artificials out of the basis on their rows' largest
+        # entries; drop redundant rows.
         keep = np.ones(m + 1, dtype=bool)
         for i in np.flatnonzero(held):
-            nz = np.flatnonzero(np.abs(T[i, :n]) > _PIVOT_TOL)
-            if nz.size == 0:
+            size = np.abs(T[i, :n])
+            if not np.any(size > _PIVOT_TOL):
                 keep[i] = False
             else:
-                basis[i] = nz[0]
-                _pivot(T, i, nz[0])
+                j = int(np.argmax(size))
+                basis[i] = j
+                _pivot(T, i, j)
                 pivots += 1
         if keep.all():
             T = T[:m + 1]

@@ -89,6 +89,30 @@ class TestRhoNu:
                                               TRINOMIAL.excess @ pi))
             assert achieved == pytest.approx(value, abs=1e-6), spec.label()
 
+    def test_exp_slices_match_a_brute_scan(self):
+        # Newton over the slice's null coordinate from the particular
+        # solution nu e_j / g_j stalled on these markets (48.2, 63.9, 70.5)
+        for seed in (4, 131, 193):
+            m = random_market(np.random.default_rng(seed), n=6, d=2,
+                              arbitrage_free=True)
+            sl = portfolio_slice(m, 0.2)
+            for spec in (RiskSpec.oce_with(EXP), RiskSpec.ew_with(EXP)):
+                lo, hi = -200.0, 200.0
+                for _ in range(4):         # zoom in on the grid argmin
+                    ts = np.linspace(lo, hi, 401)
+                    vals = [evaluate(spec, excess_return(m, sl.point([t])))
+                            for t in ts]
+                    k = int(np.argmin(vals))
+                    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, 400)]
+                brute = min(vals)
+                value, pi = rho_nu(spec, m, 0.2)
+                tag = (spec.label(), seed)
+                assert value == pytest.approx(brute, abs=1e-6), tag
+                assert value <= brute + 1e-12, tag
+                X = excess_return(m, pi)
+                assert X.mean() == pytest.approx(0.2, abs=1e-12), tag
+                assert evaluate(spec, X) == pytest.approx(value, abs=1e-9), tag
+
     def test_shortfall_lp_matches_cutting_planes(self):
         for n in (3, 4, 6, 12, 20):
             for seed in range(2):
@@ -101,7 +125,7 @@ class TestRhoNu:
                         par = frontier._slice_param(m, nu)
                         kel_val, _ = frontier._kelley_min(
                             frontier._sup_es_oracle(par, m.space, spec),
-                            par.C.shape[1])
+                            par, m.space.probs)
                         tag = (spec.label(), n, seed, nu)
                         assert lp_val == pytest.approx(
                             kel_val, rel=1e-7, abs=1e-12), tag
@@ -295,6 +319,25 @@ class TestOptimalBoundary:
         assert 0.18 < fr.nu_min < 0.2
         assert rho_nu(spec, m, fr.nu_min)[0] == pytest.approx(fr.rho_min,
                                                               abs=1e-9)
+
+    def test_exp_end_node_minimiser(self):
+        # the grid argmin is an end node while the boundary minimiser lies
+        # inside the end bracket: near nu = 0.01 (seed 5), nu = 0.194 (66)
+        spec = RiskSpec.oce_with(EXP)
+        for seed, node, bracket in ((5, 0, (0.0, 0.02)),
+                                    (66, 10, (0.18, 0.2))):
+            m = random_market(np.random.default_rng(seed), n=6, d=2,
+                              arbitrage_free=True)
+            fr = optimal_boundary(spec, m, 0.2, 11)
+            assert fr.regime == "POSITIVE" and fr.errors == [], seed
+            assert int(np.argmin(fr.rho_values)) == node, seed
+            scan = min(rho_nu(spec, m, nu)[0]
+                       for nu in np.linspace(*bracket, 81))
+            assert fr.rho_min <= scan + 1e-12, seed
+            assert fr.rho_min < fr.rho_values[node] - 5e-5, seed
+            assert bracket[0] < fr.nu_min < bracket[1], seed
+            assert rho_nu(spec, m, fr.nu_min)[0] == pytest.approx(
+                fr.rho_min, abs=1e-9), seed
 
     def test_negative_regime_strictly_decreasing(self):
         fr = optimal_boundary(RiskSpec.es_at(0.8), BINOMIAL, 2.0, 9)
@@ -609,16 +652,47 @@ class TestMeanRisk:
                 monkeypatch.undo()
                 assert sol.status == "optimal"
                 assert seen == [] and len(lps) == 2, (mode, level)
-        # the exp loss has no LP and searches, solving each slice once
+        # the exp loss has no LP: MIN_RISK is one Newton solve plus at most
+        # the slice at nu*, and MAX_RETURN bisects, solving each slice once
         m = random_market(np.random.default_rng(3), n=4, d=2,
                           arbitrage_free=True)
-        for mode in ("MIN_RISK", "MAX_RETURN"):
+        # (the unconstrained minimiser has return 1.07)
+        for level, slices in ((0.2, []), (2.0, [2.0])):
             seen = counting(monkeypatch, "rho_nu")
-            sol = mean_rho_solve(RiskSpec.oce_with(EXP), m, mode, 0.2)
+            sol = mean_rho_solve(RiskSpec.oce_with(EXP), m, "MIN_RISK", level)
             monkeypatch.undo()
-            assert sol.status == "optimal"
-            assert len(seen) > 10
-            assert len(set(seen)) == len(seen), mode
+            assert sol.status == "optimal" and sol.nu >= level - 1e-12
+            assert seen == slices, level
+        seen = counting(monkeypatch, "rho_nu")
+        sol = mean_rho_solve(RiskSpec.oce_with(EXP), m, "MAX_RETURN", 0.2)
+        monkeypatch.undo()
+        assert sol.status == "optimal"
+        assert len(seen) > 10
+        assert len(set(seen)) == len(seen)
+
+    def test_ew_exp_min_risk(self):
+        # Newton over the slice hit a singular Hessian here
+        spec = RiskSpec.ew_with(EXP)
+        m = random_market(np.random.default_rng(708), n=5, d=3,
+                          arbitrage_free=True)
+        sol = mean_rho_solve(spec, m, "MIN_RISK", 0.1)
+        assert sol.status == "optimal" and sol.nu >= 0.1
+        X = excess_return(m, sol.portfolio)
+        assert X.mean() == pytest.approx(sol.nu, abs=1e-12)
+        assert evaluate(spec, X) == pytest.approx(sol.value, abs=1e-12)
+        scan = min(rho_nu(spec, m, nu)[0] for nu in np.linspace(0.1, 3.0, 291))
+        assert sol.value <= scan + 1e-12
+        assert sol.value == pytest.approx(scan, abs=1e-5)
+
+    def test_exp_min_risk_at_zero_slope_is_unbounded(self):
+        # E[exp(-X)] is strictly convex, so with rho_inf_1 = 0 the
+        # boundary keeps decreasing and never attains its infimum
+        m = Market.from_excess([0.5, 0.5], 0.0, [[0.0], [1.0]])
+        for spec in (RiskSpec.oce_with(EXP), RiskSpec.ew_with(EXP)):
+            assert abs(rho_inf_nu(spec, m, 1.0)) <= frontier.SIGN_TOL
+            sol = mean_rho_solve(spec, m, "MIN_RISK", 0.1)
+            assert sol.status == "unbounded", spec.label()
+            assert sol.cause == "risk keeps decreasing with return"
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
@@ -626,12 +700,17 @@ class TestMeanRisk:
 
 
 def lp_search_specs():
-    """Non-homogeneous LP families: each nu-question is one LP over pi."""
+    """Non-homogeneous convex families: the boundary minimiser and MIN_RISK
+    are one solve over pi (an LP, Kelley, or Newton plus at most one edge
+    slice).  ew:l=exp is left out: it never reaches the positive regime."""
     return [RiskSpec.lses_at(0.5),
             RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
                                              (1.0, 0.0)])),
             RiskSpec.oce_with(LossFunction.pwl((0.5, 1.0, 2.0),
-                                               (-0.1, 0.2)))]
+                                               (-0.1, 0.2))),
+            RiskSpec.oce_with(EXP), RiskSpec.sr_with(EXP),
+            RiskSpec.adjusted(general_profile(
+                lambda x: 0.3 * (1.0 / np.asarray(x) - 1.0), 0.0, True, 0.3))]
 
 
 class TestPortfolioLps:

@@ -2,8 +2,49 @@
 import numpy as np
 import pytest
 
-from meanrisk import simplex
+from conftest import random_market
+from meanrisk import (LossFunction, RiskSpec, detect_arbitrage, dual,
+                      frontier, market, optimal_boundary, rho_nu, simplex,
+                      table_profile)
 from meanrisk.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, solve_lp
+
+
+def assert_feasible(res, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+                    lower=None, upper=None, **_):
+    """An optimal result meets its rows and bounds to 1e-9 relative: each
+    residual within 1e-9 (1 + |rhs| + |row| . |x|)."""
+    if res.status != OPTIMAL:
+        return
+    x = res.x
+    for A, b, equal in ((A_ub, b_ub, False), (A_eq, b_eq, True)):
+        if A is None:
+            continue
+        A, b = np.atleast_2d(np.asarray(A, float)), np.asarray(b, float)
+        gap = A @ x - b
+        tol = 1e-9 * (1.0 + np.abs(b) + np.abs(A) @ np.abs(x))
+        assert np.all((np.abs(gap) if equal else gap) <= tol), \
+            float(np.max(gap - tol))
+    lo = np.zeros(x.size) if lower is None else np.asarray(lower, float)
+    hi = np.full(x.size, np.inf) if upper is None else np.asarray(upper,
+                                                                  float)
+    assert np.all(x >= lo - 1e-9 * (1.0 + np.abs(lo)))
+    assert np.all(x <= hi + 1e-9 * (1.0 + np.abs(hi)))
+
+
+def checked_lps(monkeypatch, *modules):
+    """Route each module's solve_lp through assert_feasible; the returned
+    list gets one entry per call."""
+    seen = []
+
+    def checked(c, **kwargs):
+        res = solve_lp(c, **kwargs)
+        assert_feasible(res, c, **kwargs)
+        seen.append(res)
+        return res
+
+    for module in modules:
+        monkeypatch.setattr(module, "solve_lp", checked)
+    return seen
 
 
 def test_textbook_optimum():
@@ -161,6 +202,8 @@ def test_matches_reference_solver_on_random_instances(rng):
             assert np.all(A_ub @ res.x <= b_ub + 1e-8)
         if A_eq is not None:
             assert np.allclose(A_eq @ res.x, b_eq, atol=1e-8)
+        assert_feasible(res, c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                        lower=lower, upper=upper)
     assert min(seen.values()) >= 20, seen
 
 
@@ -233,3 +276,30 @@ def test_standard_form_matches_column_loop(rng, monkeypatch):
             assert np.array_equal(got, want)
         if res.status == OPTIMAL:
             assert np.array_equal(res.x, to_x(std.x))
+
+
+class TestTinyPivots:
+    """A pivot just above the admissible floor used to leave optimal points
+    that broke their rows by up to 0.64."""
+
+    def test_sr_detector_on_a_large_market(self, monkeypatch):
+        # raised ValueError('density must integrate to one')
+        lps = checked_lps(monkeypatch, frontier, dual, market)
+        m = random_market(np.random.default_rng(1000), n=50, d=5,
+                          arbitrage_free=True)
+        rep = detect_arbitrage(
+            RiskSpec.sr_with(LossFunction.pwl((0.5, 2.0), (0.0,))), m)
+        assert rep.errors == [] and lps
+
+    def test_boundary_minimum_is_its_slice(self, monkeypatch):
+        # reported rho_min -0.200105 where the slice at nu_min gives -0.199903
+        lps = checked_lps(monkeypatch, frontier)
+        spec = RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
+                                                (1.0, 0.0)]))
+        m = random_market(np.random.default_rng(2), n=40, d=5,
+                          arbitrage_free=True)
+        fr = optimal_boundary(spec, m, 0.2, 11)
+        assert fr.errors == [] and fr.regime == "POSITIVE"
+        assert rho_nu(spec, m, fr.nu_min)[0] == pytest.approx(fr.rho_min,
+                                                              abs=1e-9)
+        assert lps
