@@ -12,7 +12,7 @@ every solve exact where possible:
 * adjusted ES with a general profile piece
                         -> cutting planes on the value/subgradient oracle
 * worst case            -> minimax LP
-* pwl loss families     -> epigraph LPs over the loss pieces
+* pwl loss families     -> hinge LPs, one row per atom and kink
 * exp loss families     -> damped Newton over pi with the return as a
                            KKT row
 * positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
@@ -142,6 +142,27 @@ def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
     return res, res.x[:q]
 
 
+def _lift(par: _Param, kink: float = 0.0) -> float:
+    """The shift s >= 0 that makes v = 0 meet every row u_i >= -X_i - m - b
+    with b >= kink once m = m' + s: max(0, -min(x0) - kink)."""
+    return max(0.0, -float((par.x0 + kink).min()))
+
+
+def _hinge_rows(par: _Param, nv: int, m: int | None, u: int | None,
+                kink: float = 0.0, lift: float = 0.0):
+    """(block, rhs) of the rows u_i >= -X_i - m - kink, one per atom, over
+    v = (theta, ...): m is the column of a scalar lifted by ``lift`` (its
+    value is v[m] + lift), u the first of n columns; None drops either."""
+    n, q = par.C.shape
+    block = np.zeros((n, nv))
+    block[:, :q] = -par.C
+    if m is not None:
+        block[:, m] = -1.0
+    if u is not None:
+        block[np.arange(n), u + np.arange(n)] = -1.0
+    return block, (par.x0 + kink) + lift
+
+
 def _es_min(par: _Param, p: np.ndarray, pieces):
     """min over theta of max_k sup_{lo_k <= x <= hi_k} ES_x(X) - a_k - b_k/x.
 
@@ -152,7 +173,8 @@ def _es_min(par: _Param, p: np.ndarray, pieces):
     a piece reaching x = 0 keeps its hi endpoint and bounds E[u_k] <= b_k.
     A single endpoint objective is the LP objective, so ES at alpha, the
     piece (alpha, alpha, 0, 0), is the plain (theta, m, u) LP; several take
-    an epigraph variable tau after theta.
+    an epigraph variable tau after theta.  Every m_k, and tau, is lifted by
+    max(0, -min x0), so v = 0 is feasible and the LP needs no phase 1.
     """
     n, q = par.C.shape
     ends = [[hi] if lo == 0.0 else [lo] if b == 0.0 else [lo, hi]
@@ -160,8 +182,9 @@ def _es_min(par: _Param, p: np.ndarray, pieces):
     epigraph = len(ends) > 1 or len(ends[0]) > 1
     start = q + int(epigraph)
     nv = start + len(pieces) * (1 + n)
+    lift = _lift(par)
     c = np.zeros(nv)
-    shift = 0.0
+    shift = lift
     rows, rhs = [], []
     for k, ((lo, _, a, b), xs) in enumerate(zip(pieces, ends)):
         mk = start + k * (1 + n)
@@ -175,13 +198,10 @@ def _es_min(par: _Param, p: np.ndarray, pieces):
                 rows.append(row)
                 rhs.append([a + b / x])    # m_k + E[u_k]/x - g(x) <= tau
             else:
-                c, shift = row[0], -(a + b / x)
-        block = np.zeros((n, nv))
-        block[:, :q] = -par.C
-        block[:, mk] = -1.0
-        block[:, uk] = -np.eye(n)
+                c, shift = row[0], lift - (a + b / x)
+        block, bound = _hinge_rows(par, nv, mk, mk + 1, lift=lift)
         rows.append(block)
-        rhs.append(par.x0)                 # u_k >= -X - m_k
+        rhs.append(bound)                  # u_k >= -X - m_k
         if lo == 0.0:
             row = np.zeros((1, nv))
             row[0, uk] = p
@@ -206,52 +226,69 @@ def _shortfall_pieces(spec: RiskSpec):
 
 
 def _wc_min(par: _Param, p: np.ndarray):
-    n, q = par.C.shape
+    """min over theta of max_i -X_i: the minimax LP in (theta, tau), with
+    tau lifted by max(0, -min x0) so that v = 0 is feasible."""
+    q = par.C.shape[1]
+    lift = _lift(par)
     c = np.zeros(q + 1)
     c[q] = 1.0
-    rows = np.zeros((n, q + 1))
-    rows[:, :q] = -par.C
-    rows[:, q] = -1.0                      # -X_i <= tau
-    return _solve_family(par, p, c, 0.0, [rows], [par.x0],
+    block, bound = _hinge_rows(par, q + 1, q, None, lift=lift)  # -X_i <= tau
+    return _solve_family(par, p, c, lift, [block], [bound],
                          np.array([-np.inf]), np.array([np.inf]))
 
 
 def _pwl_family_min(par: _Param, p: np.ndarray, spec: RiskSpec):
-    """Epigraph LP for ew/sr/oce with piecewise-linear losses."""
+    """Hinge LP for ew/sr/oce with piecewise-linear losses.
+
+    With slopes s_0..s_K and kinks b_1 < ... < b_K, l(0) = 0 gives
+    l(y) = c0 + s_0 y + sum_k d_k (y - b_k)^+ with jumps d_k = s_k - s_{k-1}
+    and c0 = -sum_k d_k (-b_k)^+.  Over v = (theta, m, w_k >= 0) with the
+    rows w_k >= y - b_k at y = -X - m, E[l(y)] is affine in v: one row and
+    one nonnegative column per atom and kink.  sr minimises m subject to
+    E[l(y)] <= 0, oce minimises m + E[l(y)], and ew, which has no m,
+    E[l(-X)].  m is lifted by max(0, -min x0 - min(b_1, 0)), so v = 0 meets
+    every row and sr and oce need no phase 1.
+    """
     loss = spec.loss
-    lines = loss.pieces_as_lines()
+    s0 = loss.slopes[0]
+    jumps = np.diff(loss.slopes)
+    keep = jumps > 0.0                    # a flat kink needs no column
+    kinks, jumps = np.asarray(loss.breakpoints)[keep], jumps[keep]
+    c0 = -float(jumps @ np.maximum(-kinks, 0.0))
     n, q = par.C.shape
     fam = spec.family
-    extra = 0 if fam == "ew" else 1       # sr: capital m, oce: eta
-    nv = q + extra + n
+    m = None if fam == "ew" else q        # sr: capital m, oce: eta = -m
+    w0 = q + (m is not None)
+    nv = w0 + n * kinks.size
+    lift = 0.0 if m is None else _lift(par, kinks.min(initial=0.0))
     rows, rhs = [], []
-    for (A, B) in lines:
-        # one row per atom: A y_i + B <= t_i with the argument y_i =
-        # -X_i - m (sr), eta - X_i (oce), -X_i (ew)
-        block = np.zeros((n, nv))
-        block[:, :q] = -A * par.C
-        if fam == "sr":
-            block[:, q] = -A
-        elif fam == "oce":
-            block[:, q] = A
-        block[np.arange(n), q + extra + np.arange(n)] = -1.0
+    for k, b in enumerate(kinks):         # w_k >= -X - m - b_k
+        block, bound = _hinge_rows(par, nv, m, w0 + k * n, b, lift)
         rows.append(block)
-        rhs.append(A * par.x0 - B)
-    c = np.zeros(nv)
+        rhs.append(bound)
+    # E[l(y)] = loss . v + const
+    loss_row = np.zeros(nv)
+    loss_row[:q] = -s0 * (p @ par.C)
+    if m is not None:
+        loss_row[m] = -s0
+    loss_row[w0:] = np.outer(jumps, p).ravel()
+    const = c0 - s0 * (float(p @ par.x0) + lift)
     if fam == "sr":
-        c[q] = 1.0
-        row = np.zeros((1, nv))
-        row[0, q + extra:] = p
-        rows.append(row)
-        rhs.append([0.0])                 # E[l(-X-m)] <= 0
+        c = np.zeros(nv)
+        c[m] = 1.0
+        rows.append(loss_row[None, :])
+        rhs.append([-const])              # E[l(-X-m)] <= 0
+        shift = lift
     elif fam == "oce":
-        c[q] = -1.0
-        c[q + extra:] = p
+        c = loss_row
+        c[m] += 1.0
+        shift = const + lift
     else:
-        c[q + extra:] = p
-    return _solve_family(par, p, c, 0.0, rows, rhs,
-                         np.full(extra + n, -np.inf),
-                         np.full(extra + n, np.inf))
+        c, shift = loss_row, const
+    return _solve_family(par, p, c, shift, rows, rhs,
+                         np.concatenate([np.full(w0 - q, -np.inf),
+                                         np.zeros(nv - w0)]),
+                         np.full(nv - q, np.inf))
 
 
 def _newton_min(m: Market, p: np.ndarray, log: bool, nu: float | None = None):
@@ -498,10 +535,12 @@ def _dualbox_min(par: _Param, p: np.ndarray, kind: str, a: float,
     E[Z] = 1); "ew" is the box a <= Z <= b without E[Z] = 1, whose support
     function E[b (-X)^+ - a X^+] is the expected weighted loss's recession.
     The inner maximisation is dualised, so the joint problem is one LP in
-    (theta, mu, y1, y2), with no mu for "ew".
+    (theta, mu, y1, y2), with no mu for "ew".  mu is lifted by
+    max(0, -min x0), so v = 0 meets the atom rows.
     """
     n, q = par.C.shape
     has_mu = kind != "ew"
+    lift = _lift(par) if has_mu else 0.0
     has_up = b != math.inf
     has_lo = a > 0.0
     n_y1 = n if has_up else 0
@@ -525,7 +564,8 @@ def _dualbox_min(par: _Param, p: np.ndarray, kind: str, a: float,
         rows[atoms, y0 + atoms] = -1.0
     if has_lo:
         rows[atoms, y0 + n_y1 + atoms] = 1.0
-    rows, rhs = [rows], [p * par.x0]       # mu p_i + y1_i - y2_i >= c_i(theta)
+    # mu p_i + y1_i - y2_i >= c_i(theta)
+    rows, rhs = [rows], [p * (par.x0 + lift)]
     if kind == "scaled":
         row = np.zeros((1, nv))
         if has_up:
@@ -534,7 +574,7 @@ def _dualbox_min(par: _Param, p: np.ndarray, kind: str, a: float,
             row[0, y0 + n_y1:] = -a
         rows.append(row)
         rhs.append([0.0])                  # -b sum y1 + a sum y2 >= 0
-    return _solve_family(par, p, c, 0.0, rows, rhs,
+    return _solve_family(par, p, c, lift, rows, rhs,
                          np.concatenate([np.full(y0 - q, -np.inf),
                                          np.zeros(n_y1 + n_y2)]),
                          np.full(nv - q, np.inf))

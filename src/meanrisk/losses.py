@@ -213,20 +213,6 @@ class LossFunction:
                            np.inf, out)
         return out if np.ndim(out) else float(out)
 
-    def pieces_as_lines(self) -> list[tuple[float, float]]:
-        """l(y) = max_k (A_k y + B_k): one supporting line per pwl piece."""
-        if self.kind != "pwl":
-            raise ValueError("only pwl losses decompose into lines")
-        kinks, vals = self._pwl_kinks()
-        if kinks.size == 0:
-            return [(self.slopes[0], 0.0)]
-        lines = []
-        for j, s in enumerate(self.slopes):
-            anchor = max(j - 1, 0)      # piece j touches kink j-1 (piece 0: kink 0)
-            lines.append((float(s),
-                          float(vals[anchor] - s * kinks[anchor])))
-        return sorted(set(lines))
-
     def conjugate_cuts(self) -> list[tuple[float, float]]:
         """Supporting lines of l*: l*(z) = max_k (A_k z + B_k) on [a_l, b_l].
 

@@ -35,8 +35,8 @@ UNBOUNDED = "unbounded"
 
 _RCOST_TOL = 1e-9   # reduced cost considered negative below -_RCOST_TOL
 _PIVOT_TOL = 1e-10  # smallest admissible pivot magnitude
-_SMALL_PIVOT = 1e-6  # a pivot below this is picked again among the entries
-_PIVOT_REL = 1e-7    # of at least _PIVOT_REL times the column's largest
+_SMALL_PIVOT = 1e-6  # a pivot below this is picked again (Harris' test)
+_HARRIS_TOL = 1e-8   # infeasibility the re-picked pivot may leave in a row
 _PHASE1_TOL = 1e-8  # residual infeasibility treated as zero
 _RATIO_TIE = 1e-12  # ratios within this of the minimum tie; smaller steps
                     # count as degenerate
@@ -53,6 +53,7 @@ class LPResult:
     x: np.ndarray | None = None
     value: float | None = None
     pivots: int = 0     # phase-1 plus phase-2 pivots
+    phase1_pivots: int = 0
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -64,12 +65,20 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
                 rows: np.ndarray) -> tuple[int, float]:
-    """Leaving row among ``rows`` by the minimum ratio (ties to the lowest
-    basis index) and that ratio."""
+    """Leaving row among ``rows`` and its ratio: the minimum ratio, ties to
+    the lowest basis index.  A tiny pivot spreads its rounding over every
+    row, so then the largest entry leaves among the rows whose ratio is so
+    close to the minimum that no row ends more than _HARRIS_TOL below zero
+    (Harris 1973)."""
     ratios = rhs[rows] / col[rows]
     best = ratios.min()
     ties = rows[ratios <= best + _RATIO_TIE]
-    return int(ties[np.argmin(basis[ties])]), float(best)
+    leaving = int(ties[np.argmin(basis[ties])])
+    if col[leaving] < _SMALL_PIVOT:
+        near = ratios <= best + _HARRIS_TOL / col[rows]
+        k = int(np.argmax(np.where(near, col[rows], 0.0)))
+        leaving, best = int(rows[k]), ratios[k]
+    return leaving, float(best)
 
 
 def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
@@ -114,11 +123,6 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
             skipped.append(entering)
             continue
         leaving, best = _ratio_test(col, rhs, basis, rows)
-        if col[leaving] < _SMALL_PIVOT:
-            # a tiny pivot spreads its rounding over every row, so pick
-            # again among the entries near the column's largest one
-            big = rows[col[rows] >= _PIVOT_REL * col[rows].max()]
-            leaving, best = _ratio_test(col, rhs, basis, big)
         degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
         skipped = []
         basis[leaving] = entering
@@ -147,14 +151,14 @@ def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     T[:m][neg] *= -1.0
     basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
     artificial = basis >= n
-    pivots = 0
+    pivots = phase1 = 0
 
     if artificial.any():
         T[m + 1] = -T[:m][artificial].sum(axis=0)
         _, pivots = _iterate(T, basis, m, m + 1, n, max_iter, True)
         held = basis >= n
         if T[:m, -1][held].sum() > _PHASE1_TOL:
-            return LPResult(INFEASIBLE, pivots=pivots)
+            return LPResult(INFEASIBLE, pivots=pivots, phase1_pivots=pivots)
 
         # Drive leftover artificials out of the basis on their rows' largest
         # entries; drop redundant rows.
@@ -168,6 +172,7 @@ def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
                 basis[i] = j
                 _pivot(T, i, j)
                 pivots += 1
+        phase1 = pivots
         if keep.all():
             T = T[:m + 1]
         else:
@@ -178,10 +183,10 @@ def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     status, phase2 = _iterate(T, basis, m, m, n, max_iter, False)
     pivots += phase2
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, pivots=pivots)
+        return LPResult(UNBOUNDED, pivots=pivots, phase1_pivots=phase1)
     x = np.zeros(n)
     x[basis] = T[:m, -1]
-    return LPResult(OPTIMAL, x, float(c @ x), pivots)
+    return LPResult(OPTIMAL, x, float(c @ x), pivots, phase1)
 
 
 def solve_lp(c,
@@ -246,8 +251,9 @@ def solve_lp(c,
         max_iter = 2000 + 200 * (A_std.shape[0] + A_std.shape[1])
     res = _solve_standard(c_std, A_std, b_std, slack, max_iter)
     if res.status != OPTIMAL:
-        return LPResult(res.status, pivots=res.pivots)
+        return LPResult(res.status, pivots=res.pivots,
+                        phase1_pivots=res.phase1_pivots)
 
     x = offset + np.bincount(src, weights=sign * res.x[:ny], minlength=nvar)
     value = float(c @ x)
-    return LPResult(OPTIMAL, x, value, res.pivots)
+    return LPResult(OPTIMAL, x, value, res.pivots, res.phase1_pivots)

@@ -35,6 +35,19 @@ def shortfall_specs():
             RiskSpec.adjusted(bounded_tail_profile(0.8, 0.3))]
 
 
+def solved_lps(monkeypatch):
+    """Spy on frontier.solve_lp; the returned list gets each LPResult."""
+    seen = []
+    inner = frontier.solve_lp
+
+    def spy(c, **kwargs):
+        seen.append(inner(c, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(frontier, "solve_lp", spy)
+    return seen
+
+
 def suite_specs():
     return [RiskSpec.es_at(0.3), RiskSpec.es_at(0.75),
             RiskSpec.lses_at(0.3),
@@ -171,7 +184,8 @@ class TestRhoNu:
         assert per_slice == [1] * len(per_slice)
 
     def test_es_slice_is_the_plain_shortfall_lp(self, monkeypatch):
-        # variables (theta, m, u >= 0): min m + E[u]/alpha, u >= -X - m
+        # variables (theta, m, u >= 0): min m + E[u]/alpha, u >= -X - m,
+        # with m lifted by s = max(0, -min x0) so that v = 0 is feasible
         m = random_market(np.random.default_rng(9), n=6, d=3)
         seen = []
         inner = frontier.solve_lp
@@ -189,27 +203,36 @@ class TestRhoNu:
                                                  m.space.probs / 0.3]))
         assert np.array_equal(kw["A_ub"], np.hstack(
             [-par.C, -np.ones((n, 1)), -np.eye(n)]))
-        assert np.array_equal(kw["b_ub"], par.x0)
+        lift = max(0.0, -par.x0.min())
+        assert lift > 0.0 and kw["b_ub"].min() == 0.0
+        assert np.array_equal(kw["b_ub"], par.x0 + lift)
         assert np.array_equal(kw["lower"], np.concatenate(
             [np.full(q, -np.inf), [-np.inf], np.zeros(n)]))
         assert np.array_equal(kw["upper"], np.full(q + 1 + n, np.inf))
 
     def test_es_slice_pivot_count(self, monkeypatch):
-        # Dantzig pricing from the slack basis takes 88 pivots on this
-        # 150-atom slice LP; Bland's rule from an all-artificial basis
-        # takes 421, which the bound rejects
-        m = random_market(np.random.default_rng(0), n=150, d=2)
-        seen = []
-        inner = frontier.solve_lp
+        # from the lifted slack basis the 150-atom slice LP takes 15-19
+        # pivots on seeds 0-3 and no phase 1; with an artificial on every
+        # atom below -m it took 79-88
+        seen = solved_lps(monkeypatch)
+        for seed in range(4):
+            m = random_market(np.random.default_rng(seed), n=150, d=2)
+            seen.clear()
+            rho_nu(RiskSpec.es_at(0.1), m, 0.1)
+            (res,) = seen
+            assert res.phase1_pivots == 0 and 0 < res.pivots <= 30, seed
 
-        def spy(c, **kwargs):
-            seen.append(inner(c, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(frontier, "solve_lp", spy)
-        rho_nu(RiskSpec.es_at(0.1), m, 0.1)
-        (res,) = seen
-        assert 0 < res.pivots <= 120
+    def test_pwl_slice_pivot_count(self, monkeypatch):
+        # the hinge LP for sr:l=pwl(0.5,0,2) has one row per atom and takes
+        # 17-22 pivots on seeds 0-3; the epigraph LP (two rows and a split
+        # column per atom) took 92-121
+        seen = solved_lps(monkeypatch)
+        for seed in range(4):
+            m = random_market(np.random.default_rng(seed), n=40, d=3)
+            seen.clear()
+            rho_nu(RiskSpec.sr_with(PWL), m, 0.1)
+            (res,) = seen
+            assert res.phase1_pivots == 0 and 0 < res.pivots <= 40, seed
 
     def test_es_boundary_homogeneous(self):
         rho1 = rho_nu(RiskSpec.es_at(0.4), TRINOMIAL, 1.0)[0]

@@ -1,8 +1,12 @@
 """LP row builders against the per-row loops they replaced.
 
-Each reference below is the loop form of one builder.  The array-built rows
-must be the same rows in the same order, bit for bit (signs of zero
+Each loop reference below is the loop form of one builder.  The array-built
+rows must be the same rows in the same order, bit for bit (signs of zero
 included), so pivots and answers do not change.
+
+The value references are the frontier LPs before the pwl hinge rows and the
+lifted start: the epigraph LP of the pwl families and the unlifted
+shortfall, minimax and dual-box LPs.  The new LPs must reach their values.
 """
 import math
 
@@ -11,8 +15,10 @@ import numpy as np
 import meanrisk.dual as dual
 import meanrisk.frontier as frontier
 from conftest import random_market, random_randvar, random_space
-from meanrisk import DualSetSpec, LossFunction, RiskSpec
+from meanrisk import (DualSetSpec, LossFunction, RiskSpec,
+                      bounded_tail_profile, table_profile)
 from meanrisk.dual import interior_polytope, set_polytope
+from meanrisk.simplex import OPTIMAL, solve_lp
 
 
 def same(got, want):
@@ -132,47 +138,59 @@ def interior_polytope_loop(ds, space):
     return nvars, np.array(rows), np.array(rhs), A_eq
 
 
-def pwl_family_loop(par, p, spec):
-    lines = spec.loss.pieces_as_lines()
+def pwl_hinge_loop(par, p, spec):
+    s = spec.loss.slopes
+    kinks = [(b, s[k + 1] - s[k]) for k, b in enumerate(spec.loss.breakpoints)
+             if s[k + 1] - s[k] > 0.0]
     n, q = par.C.shape
     fam = spec.family
     extra = 0 if fam == "ew" else 1
-    nv = q + extra + n
+    w0 = q + extra
+    nv = w0 + n * len(kinks)
+    lift = 0.0
+    if extra:
+        low = min([b for b, _ in kinks] + [0.0])
+        lift = max(0.0, -min(x + low for x in par.x0))
     rows, rhs = [], []
-    for (A, B) in lines:
+    for k, (b, _) in enumerate(kinks):
         for i in range(n):
             row = np.zeros(nv)
-            row[:q] = -A * par.C[i]
-            if fam == "sr":
-                row[q] = -A
-            elif fam == "oce":
-                row[q] = A
-            row[q + extra + i] = -1.0
+            row[:q] = -par.C[i]
+            if extra:
+                row[q] = -1.0
+            row[w0 + k * n + i] = -1.0
             rows.append(row)
-            rhs.append(A * par.x0[i] - B)
-    c = np.zeros(nv)
+            rhs.append(par.x0[i] + b + lift)
+    loss_row = np.zeros(nv)
+    loss_row[:q] = -s[0] * (p @ par.C)
+    if extra:
+        loss_row[q] = -s[0]
+    for k, (_, jump) in enumerate(kinks):
+        for i in range(n):
+            loss_row[w0 + k * n + i] = jump * p[i]
+    jumps = np.array([jump for _, jump in kinks])
+    c0 = -float(jumps @ np.maximum(-np.array([b for b, _ in kinks]), 0.0))
+    const = c0 - s[0] * (float(p @ par.x0) + lift)
     if fam == "sr":
+        c = np.zeros(nv)
         c[q] = 1.0
-        row = np.zeros(nv)
-        row[q + extra:] = p
-        rows.append(row)
-        rhs.append(0.0)
-    elif fam == "oce":
-        c[q] = -1.0
-        c[q + extra:] = p
+        rows.append(loss_row)
+        rhs.append(-const)
     else:
-        c[q + extra:] = p
-    A_ub = np.vstack([np.array(rows),
+        c = loss_row
+        if fam == "oce":
+            c[q] += 1.0
+    A_ub = np.vstack([np.array(rows).reshape(-1, nv),
                       np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
                                                      nv - q))])])
     b_ub = np.concatenate([np.array(rhs), par.b_ub])
     lower = np.concatenate([par.lower, np.full(extra, -np.inf),
-                            np.full(n, -np.inf)])
-    upper = np.concatenate([par.upper, np.full(extra + n, np.inf)])
+                            np.zeros(nv - w0)])
+    upper = np.concatenate([par.upper, np.full(nv - q, np.inf)])
     return dict(c=c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
 
 
-def dualbox_loop(par, p, kind, a, b):
+def dualbox_loop(par, p, kind, a, b, lifted=True):
     n, q = par.C.shape
     has_mu = kind != "ew"
     has_up = b != math.inf
@@ -189,6 +207,7 @@ def dualbox_loop(par, p, kind, a, b):
             c[y0:y0 + n_y1] = b
         if has_lo:
             c[y0 + n_y1:] = -a
+    lift = max(0.0, -min(par.x0)) if has_mu and lifted else 0.0
     rows, rhs = [], []
     for i in range(n):
         row = np.zeros(nv)
@@ -200,7 +219,7 @@ def dualbox_loop(par, p, kind, a, b):
         if has_lo:
             row[y0 + n_y1 + i] = 1.0
         rows.append(row)
-        rhs.append(p[i] * par.x0[i])
+        rhs.append(p[i] * (par.x0[i] + lift))
     if kind == "scaled":
         row = np.zeros(nv)
         if has_up:
@@ -266,6 +285,110 @@ def perspective_cut_loop(X, loss):
             rhs.append(0.0)
     return dict(c=c, A_ub=np.array(rows), b_ub=np.array(rhs),
                 A_eq=np.concatenate([p, np.zeros(n + 1)])[None, :])
+
+
+# ---------------------------------------------------------------------------
+# Value references: the builders before the hinge rows and the lifted start
+# ---------------------------------------------------------------------------
+
+def pwl_lines(loss):
+    """l(y) = max_k (A_k y + B_k): one supporting line per pwl piece."""
+    kinks, vals = loss._pwl_kinks()
+    if kinks.size == 0:
+        return [(loss.slopes[0], 0.0)]
+    lines = []
+    for j, s in enumerate(loss.slopes):
+        anchor = max(j - 1, 0)
+        lines.append((float(s), float(vals[anchor] - s * kinks[anchor])))
+    return sorted(set(lines))
+
+
+def pwl_epigraph_min(par, p, spec):
+    """One row A y_i + B <= t_i per line and atom, t free."""
+    n, q = par.C.shape
+    fam = spec.family
+    extra = 0 if fam == "ew" else 1
+    nv = q + extra + n
+    rows, rhs = [], []
+    for (A, B) in pwl_lines(spec.loss):
+        block = np.zeros((n, nv))
+        block[:, :q] = -A * par.C
+        if fam == "sr":
+            block[:, q] = -A
+        elif fam == "oce":
+            block[:, q] = A
+        block[np.arange(n), q + extra + np.arange(n)] = -1.0
+        rows.append(block)
+        rhs.append(A * par.x0 - B)
+    c = np.zeros(nv)
+    if fam == "sr":
+        c[q] = 1.0
+        row = np.zeros((1, nv))
+        row[0, q + extra:] = p
+        rows.append(row)
+        rhs.append([0.0])
+    elif fam == "oce":
+        c[q] = -1.0
+        c[q + extra:] = p
+    else:
+        c[q + extra:] = p
+    return frontier._solve_family(par, p, c, 0.0, rows, rhs,
+                                  np.full(extra + n, -np.inf),
+                                  np.full(extra + n, np.inf))
+
+
+def es_unlifted_min(par, p, pieces):
+    n, q = par.C.shape
+    ends = [[hi] if lo == 0.0 else [lo] if b == 0.0 else [lo, hi]
+            for lo, hi, _, b in pieces]
+    epigraph = len(ends) > 1 or len(ends[0]) > 1
+    start = q + int(epigraph)
+    nv = start + len(pieces) * (1 + n)
+    c = np.zeros(nv)
+    shift = 0.0
+    rows, rhs = [], []
+    for k, ((lo, _, a, b), xs) in enumerate(zip(pieces, ends)):
+        mk = start + k * (1 + n)
+        uk = slice(mk + 1, mk + 1 + n)
+        for x in xs:
+            row = np.zeros((1, nv))
+            row[0, mk] = 1.0
+            row[0, uk] = p / x
+            if epigraph:
+                row[0, q] = -1.0
+                rows.append(row)
+                rhs.append([a + b / x])
+            else:
+                c, shift = row[0], -(a + b / x)
+        block = np.zeros((n, nv))
+        block[:, :q] = -par.C
+        block[:, mk] = -1.0
+        block[:, uk] = -np.eye(n)
+        rows.append(block)
+        rhs.append(par.x0)
+        if lo == 0.0:
+            row = np.zeros((1, nv))
+            row[0, uk] = p
+            rows.append(row)
+            rhs.append([b])
+    if epigraph:
+        c[q] = 1.0
+    lower = np.zeros(nv - q)
+    lower[:start - q] = -np.inf
+    lower[start - q::1 + n] = -np.inf
+    return frontier._solve_family(par, p, c, shift, rows, rhs, lower,
+                                  np.full(nv - q, np.inf))
+
+
+def wc_unlifted_min(par, p):
+    n, q = par.C.shape
+    c = np.zeros(q + 1)
+    c[q] = 1.0
+    rows = np.zeros((n, q + 1))
+    rows[:, :q] = -par.C
+    rows[:, q] = -1.0
+    return frontier._solve_family(par, p, c, 0.0, [rows], [par.x0],
+                                  np.array([-np.inf]), np.array([np.inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +462,13 @@ class TestRowBuilders:
             m = random_market(rng, n=n, d=int(rng.integers(1, min(4, n))))
             p = m.space.probs
             for par in (frontier._slice_param(m, float(rng.uniform(0, 1))),
+                        frontier._pi_param(m, float(rng.uniform(0, 0.2))),
                         frontier._ball_param(m)):
                 for fam in ("ew", "sr", "oce"):
                     spec = RiskSpec(fam, loss=random_pwl(rng))
                     seen.clear()
                     frontier._pwl_family_min(par, p, spec)
-                    want = pwl_family_loop(par, p, spec)
+                    want = pwl_hinge_loop(par, p, spec)
                     (got,) = seen
                     for key, value in want.items():
                         assert same(got[key], value), (fam, key)
@@ -373,3 +497,80 @@ class TestRowBuilders:
                 (got,) = seen
                 for key, value in want.items():
                     assert same(got[key], value), (build.__name__, key)
+
+
+def random_params(rng, m):
+    """A slice, a band of returns, the l1 ball and a risk budget."""
+    nu = float(rng.uniform(0.0, 0.5))
+    yield frontier._slice_param(m, nu)
+    yield frontier._pi_param(m, nu, nu + float(rng.uniform(0.0, 0.3)))
+    yield frontier._ball_param(m)
+    yield frontier._pi_param(m, 0.0, budget=float(rng.uniform(0.05, 0.5)))
+
+
+def shortfall_specs(rng):
+    alpha = float(rng.uniform(0.05, 0.9))
+    return [RiskSpec.es_at(alpha), RiskSpec.lses_at(alpha),
+            RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
+                                             (1.0, 0.0)])),
+            RiskSpec.adjusted(bounded_tail_profile(0.8, 0.3))]
+
+
+def same_value(got, want, tag):
+    (res, _), (ref, _) = got, want
+    assert res.status == ref.status, tag
+    if ref.status == OPTIMAL:
+        assert abs(res.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value)), \
+            (tag, res.value, ref.value)
+
+
+class TestLiftedLps:
+    """The hinge LP and the lifted shortfall, minimax and dual-box LPs solve
+    the same programs as the epigraph and unlifted LPs they replaced."""
+
+    def test_values_match_references(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(3, 12))
+            m = random_market(rng, n=n, d=int(rng.integers(1, min(4, n))))
+            p = m.space.probs
+            for k, par in enumerate(random_params(rng, m)):
+                for fam in ("ew", "sr", "oce"):
+                    spec = RiskSpec(fam, loss=random_pwl(rng))
+                    same_value(frontier._pwl_family_min(par, p, spec),
+                               pwl_epigraph_min(par, p, spec), (k, fam))
+                for spec in shortfall_specs(rng):
+                    pieces = frontier._shortfall_pieces(spec)
+                    same_value(frontier._es_min(par, p, pieces),
+                               es_unlifted_min(par, p, pieces),
+                               (k, spec.label()))
+                same_value(frontier._wc_min(par, p), wc_unlifted_min(par, p),
+                           (k, "wc"))
+                if par.budget is not None:
+                    continue
+                lo = float(rng.uniform(0.1, 0.9))
+                hi = float(rng.uniform(1.1, 5.0))
+                for kind in ("dualbox", "scaled", "ew"):
+                    for a, b in ((lo, hi), (0.0, hi), (lo, math.inf)):
+                        ref = solve_lp(**dualbox_loop(par, p, kind, a, b,
+                                                      lifted=False))
+                        same_value(frontier._dualbox_min(par, p, kind, a, b),
+                                   (ref, None), (k, kind, a, b))
+
+    def test_slices_need_no_phase1(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(3, 40))
+            m = random_market(rng, n=n, d=int(rng.integers(1, min(6, n))))
+            p = m.space.probs
+            for par in (frontier._slice_param(m, float(rng.uniform(0, 1))),
+                        frontier._ball_param(m)):
+                lps = [frontier._wc_min(par, p)]
+                lps += [frontier._es_min(par, p, frontier._shortfall_pieces(s))
+                        for s in shortfall_specs(rng)]
+                lps += [frontier._pwl_family_min(
+                    par, p, RiskSpec(fam, loss=random_pwl(rng)))
+                    for fam in ("sr", "oce")]
+                lps += [frontier._dualbox_min(par, p, kind, 0.5, 2.0)
+                        for kind in ("dualbox", "scaled")]
+                for res, _ in lps:
+                    assert res.status == OPTIMAL
+                    assert res.phase1_pivots == 0 < res.pivots

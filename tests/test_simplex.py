@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import random_market
-from meanrisk import (LossFunction, RiskSpec, detect_arbitrage, dual,
+from meanrisk import (LossFunction, Market, RiskSpec, detect_arbitrage, dual,
                       frontier, market, optimal_boundary, rho_nu, simplex,
                       table_profile)
 from meanrisk.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, solve_lp
@@ -73,6 +73,19 @@ def test_infeasible_and_unbounded():
                     b_eq=[1, 2]).status == INFEASIBLE
     assert solve_lp([-1], A_ub=[[0.0]], b_ub=[1.0]).status == UNBOUNDED
     assert solve_lp([0.0], lower=[2.0], upper=[1.0]).status == INFEASIBLE
+
+
+def test_phase1_pivots_are_counted():
+    # the textbook program starts from its slack basis: no phase 1
+    res = solve_lp([2, 3], A_ub=[[1, 1], [6, 3], [1, 2]],
+                   b_ub=[100, 360, 120], maximize=True)
+    assert res.phase1_pivots == 0 < res.pivots
+    # x1 + x2 >= 2 needs an artificial, and phase 1 pivots it out
+    res = solve_lp([1, 2], A_ub=[[-1, -1]], b_ub=[-2])
+    assert res.status == OPTIMAL and res.value == pytest.approx(2.0)
+    assert 0 < res.phase1_pivots <= res.pivots
+    res = solve_lp([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+    assert res.status == INFEASIBLE and res.phase1_pivots == res.pivots
 
 
 def test_zero_variables():
@@ -303,3 +316,22 @@ class TestTinyPivots:
         assert rho_nu(spec, m, fr.nu_min)[0] == pytest.approx(fr.rho_min,
                                                               abs=1e-9)
         assert lps
+
+
+class TestSmallScale:
+    """Excess returns near 1e-7 make every pivot tiny.  A re-pick that
+    ignored the ratios left the basis primal infeasible, and the martingale
+    program then handed Density negative values."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_es_detector_at_1e_7(self, monkeypatch, seed):
+        m = random_market(np.random.default_rng(seed), n=4 + seed % 8,
+                          d=1 + seed % 3, arbitrage_free=True)
+        small = Market.from_excess(m.space.probs, m.r, 1e-7 * m.excess)
+        spec = RiskSpec.es_at(0.25)
+        want = detect_arbitrage(spec, m)
+        lps = checked_lps(monkeypatch, frontier, dual, market)
+        rep = detect_arbitrage(spec, small)
+        assert rep.errors == [] and lps
+        assert rep.rho_arbitrage == want.rho_arbitrage
+        assert rep.strong_rho_arbitrage == want.strong_rho_arbitrage
