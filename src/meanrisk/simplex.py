@@ -21,7 +21,9 @@ dense float64 tableau is adequate.
 and reduces it to standard form internally (nonnegative variables, equality
 rows).  An inequality row with a nonnegative right-hand side starts with
 its slack in the basis; only equality rows and rows with a negative
-right-hand side get a phase-1 artificial.
+right-hand side get a phase-1 artificial.  Each equality row is scaled to
+a largest entry of one, so phase 1's absolute tolerances hold for rows of
+any scale.
 """
 from __future__ import annotations
 
@@ -67,16 +69,20 @@ def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
                 rows: np.ndarray) -> tuple[int, float]:
     """Leaving row among ``rows`` and its ratio: the minimum ratio, ties to
     the lowest basis index.  A tiny pivot spreads its rounding over every
-    row, so then the largest entry leaves among the rows whose ratio is so
-    close to the minimum that no row ends more than _HARRIS_TOL below zero
-    (Harris 1973)."""
+    row, so then Harris' two-pass test (Harris 1973) picks again: the step
+    bound theta_max is the least ratio with each row's rhs relaxed by
+    _HARRIS_TOL * min(1, entry), and the largest entry leaves among the rows
+    whose ratio is at most theta_max.  Every row then ends at or above
+    -_HARRIS_TOL, and a row with an entry e < 1 at or above -_HARRIS_TOL * e,
+    so rows of data near 1e-7 are held to their own scale."""
     ratios = rhs[rows] / col[rows]
     best = ratios.min()
     ties = rows[ratios <= best + _RATIO_TIE]
     leaving = int(ties[np.argmin(basis[ties])])
     if col[leaving] < _SMALL_PIVOT:
-        near = ratios <= best + _HARRIS_TOL / col[rows]
-        k = int(np.argmax(np.where(near, col[rows], 0.0)))
+        relax = _HARRIS_TOL * np.minimum(1.0, col[rows])
+        theta_max = ((rhs[rows] + relax) / col[rows]).min()
+        k = int(np.argmax(np.where(ratios <= theta_max, col[rows], 0.0)))
         leaving, best = int(rows[k]), ratios[k]
     return leaving, float(best)
 
@@ -146,6 +152,11 @@ def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     T = np.zeros((m + 2, n + 1))
     T[:m, :n] = A
     T[:m, -1] = b
+    # Phase 1 judges the equality rows with absolute tolerances, so each is
+    # scaled to a largest entry of one.
+    eq = np.flatnonzero(slack < 0)
+    size = np.abs(A[eq]).max(axis=1, initial=0.0)
+    T[eq] /= np.where(size > 0.0, size, 1.0)[:, None]
     T[m, :n] = c
     neg = b < 0
     T[:m][neg] *= -1.0

@@ -318,20 +318,58 @@ class TestTinyPivots:
         assert lps
 
 
+def test_harris_repick_keeps_every_row_feasible():
+    # Row 0 holds a tiny pivot at ratio 0.  A window of 1e-8 / entry let
+    # row 1 (entry 1e-7, ratio 0.09) leave, which took row 2 to -0.04.
+    col = np.array([1e-9, 1e-7, 1.0])
+    rhs = np.array([0.0, 0.09e-7, 0.05])
+    rows = np.arange(3)
+    leaving, step = simplex._ratio_test(col, rhs, rows.copy(), rows)
+    assert leaving != 1
+    assert step == rhs[leaving] / col[leaving]
+    end = rhs - col * step
+    assert np.all(end >= -simplex._HARRIS_TOL)
+    assert np.all(end >= -simplex._HARRIS_TOL * np.minimum(1.0, col))
+
+
+def test_harris_repick_bound_on_random_columns():
+    rng = np.random.default_rng(0)
+    rows = np.arange(12)
+    for _ in range(200):
+        col = 10.0 ** rng.uniform(-9, 1, 12)
+        col[0] = 1e-9
+        rhs = col * rng.uniform(0, 2, 12)
+        rhs[0] = 0.0
+        _, step = simplex._ratio_test(col, rhs, rows.copy(), rows)
+        end = rhs - col * step
+        assert np.all(end >= -simplex._HARRIS_TOL * np.minimum(1.0, col))
+
+
 class TestSmallScale:
     """Excess returns near 1e-7 make every pivot tiny.  A re-pick that
     ignored the ratios left the basis primal infeasible, and the martingale
-    program then handed Density negative values."""
+    program then handed Density negative values.  Seeds 34 and 41 ended
+    phase 1 on an artificial worth 1.4e-9 in a row of entries near 7e-9,
+    under phase 1's absolute tolerance, until equality rows were scaled."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_es_detector_at_1e_7(self, monkeypatch, seed):
+    @staticmethod
+    def check(monkeypatch, seed, spec, small_spec):
         m = random_market(np.random.default_rng(seed), n=4 + seed % 8,
                           d=1 + seed % 3, arbitrage_free=True)
         small = Market.from_excess(m.space.probs, m.r, 1e-7 * m.excess)
-        spec = RiskSpec.es_at(0.25)
         want = detect_arbitrage(spec, m)
         lps = checked_lps(monkeypatch, frontier, dual, market)
-        rep = detect_arbitrage(spec, small)
+        rep = detect_arbitrage(small_spec, small)
         assert rep.errors == [] and lps
         assert rep.rho_arbitrage == want.rho_arbitrage
         assert rep.strong_rho_arbitrage == want.strong_rho_arbitrage
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 34, 41])
+    def test_es_detector_at_1e_7(self, monkeypatch, seed):
+        spec = RiskSpec.es_at(0.25)
+        self.check(monkeypatch, seed, spec, spec)
+
+    def test_lses_detector_at_1e_7(self, monkeypatch):
+        # LSES's b scales with the returns
+        self.check(monkeypatch, 34, RiskSpec.lses_at(0.5),
+                   RiskSpec.lses_at(0.5e-7))
