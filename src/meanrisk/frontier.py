@@ -31,10 +31,12 @@ band.  The maximal return at risk <= rho* is one LP that maximises g.pi
 with the risk objective moved into a row; the families without an LP
 bisect over slices for it, the one search over slices left.
 
-Recession frontiers are linear programs obtained by dualising the inner
-support-function maximisation over the closed dual polytope, so the primal
-arbitrage detectors never consult the martingale feasibility programs they
-are checked against.
+The recession measure rho^inf is a family of its own, so recession
+frontiers run the builders above: es at beta for adjusted ES, wc for lses,
+and for ew/sr/oce the hinge LP of the asymptotic loss
+l_inf(y) = b_l y^+ - a_l y^-, whose dual set is the closure box [a_l, b_l].
+The primal arbitrage detectors thus never consult the martingale
+feasibility programs they are checked against.
 """
 from __future__ import annotations
 
@@ -237,26 +239,25 @@ def _wc_min(par: _Param, p: np.ndarray):
                          np.array([-np.inf]), np.array([np.inf]))
 
 
-def _pwl_family_min(par: _Param, p: np.ndarray, spec: RiskSpec):
-    """Hinge LP for ew/sr/oce with piecewise-linear losses.
+def _pwl_family_min(par: _Param, p: np.ndarray, fam: str, slopes,
+                    breakpoints):
+    """Hinge LP for ew/sr/oce with a piecewise-linear loss, given by its
+    slopes s_0..s_K and kinks b_1 < ... < b_K.
 
-    With slopes s_0..s_K and kinks b_1 < ... < b_K, l(0) = 0 gives
-    l(y) = c0 + s_0 y + sum_k d_k (y - b_k)^+ with jumps d_k = s_k - s_{k-1}
-    and c0 = -sum_k d_k (-b_k)^+.  Over v = (theta, m, w_k >= 0) with the
-    rows w_k >= y - b_k at y = -X - m, E[l(y)] is affine in v: one row and
-    one nonnegative column per atom and kink.  sr minimises m subject to
-    E[l(y)] <= 0, oce minimises m + E[l(y)], and ew, which has no m,
-    E[l(-X)].  m is lifted by max(0, -min x0 - min(b_1, 0)), so v = 0 meets
-    every row and sr and oce need no phase 1.
+    l(0) = 0 gives l(y) = c0 + s_0 y + sum_k d_k (y - b_k)^+ with jumps
+    d_k = s_k - s_{k-1} and c0 = -sum_k d_k (-b_k)^+.  Over v = (theta, m,
+    w_k >= 0) with the rows w_k >= y - b_k at y = -X - m, E[l(y)] is affine
+    in v: one row and one nonnegative column per atom and kink.  sr
+    minimises m subject to E[l(y)] <= 0, oce minimises m + E[l(y)], and ew,
+    which has no m, E[l(-X)].  m is lifted by max(0, -min x0 - min(b_1, 0)),
+    so v = 0 meets every row and sr and oce need no phase 1.
     """
-    loss = spec.loss
-    s0 = loss.slopes[0]
-    jumps = np.diff(loss.slopes)
+    s0 = slopes[0]
+    jumps = np.diff(slopes)
     keep = jumps > 0.0                    # a flat kink needs no column
-    kinks, jumps = np.asarray(loss.breakpoints)[keep], jumps[keep]
+    kinks, jumps = np.asarray(breakpoints, dtype=float)[keep], jumps[keep]
     c0 = -float(jumps @ np.maximum(-kinks, 0.0))
     n, q = par.C.shape
-    fam = spec.family
     m = None if fam == "ew" else q        # sr: capital m, oce: eta = -m
     w0 = q + (m is not None)
     nv = w0 + n * kinks.size
@@ -421,7 +422,8 @@ def _lp_min(spec: RiskSpec, p: np.ndarray, par: _Param):
     if fam == "wc" or (fam == "sr" and spec.loss.zero_on_negatives):
         return _wc_min(par, p)
     if fam in ("ew", "sr", "oce") and spec.loss.kind == "pwl":
-        return _pwl_family_min(par, p, spec)
+        return _pwl_family_min(par, p, fam, spec.loss.slopes,
+                               spec.loss.breakpoints)
     return None
 
 
@@ -455,7 +457,7 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
     if res.status == UNBOUNDED:
         # a direction along which the recession risk is negative, if any
         value, pi = recession_ball_min(spec, m)
-        return -math.inf, pi if value < -SIGN_TOL else None
+        return -math.inf, pi if _ball_descends(value, m) else None
     if res.status != OPTIMAL:
         raise LPError(f"slice LP ended with status {res.status}")
     return float(res.value), par.to_portfolio(t)
@@ -498,104 +500,57 @@ def _band_min(spec: RiskSpec, m: Market, lo: float, hi: float = math.inf):
 
 
 # ---------------------------------------------------------------------------
-# Recession frontier (linear programs over the closed dual polytopes)
+# Recession frontier (the recession measure's own LP)
 # ---------------------------------------------------------------------------
 
-def _recession_descriptor(spec: RiskSpec):
+def _recession_spec(spec: RiskSpec):
+    """The recession measure of ``spec`` as (family, parameter): es with its
+    level, wc or eloss, or ew/sr/oce with the slopes (a_l, b_l) of the
+    asymptotic loss l_inf(y) = b_l y^+ - a_l y^-.  sr is the worst case when
+    l_inf vanishes on the negatives or is infinite on the positives, and
+    oce when both hold.  Every loss with b_l = inf has a_l = 0, so only ew
+    reaches the slopes (0, inf).
+    """
     fam = spec.family
-    if fam == "es":
-        return ("es", spec.alpha)
-    if fam in ("wc", "lses"):
-        return ("wc",)
-    if fam == "eloss":
-        return ("eloss",)
+    if fam in ("es", "wc", "eloss"):
+        return fam, spec.alpha
+    if fam == "lses":
+        return "wc", None
     if fam == "adjes":
         beta = spec.profile.beta
-        return ("es", beta) if beta > 0 else ("wc",)
-    if fam == "oce":
-        a, b = spec.loss.a_l, spec.loss.b_l
-        if a == 0.0 and b == math.inf:
-            return ("wc",)
-        return ("dualbox", a, b)
-    if fam == "sr":
-        loss = spec.loss
-        if loss.zero_on_negatives or loss.a_l == 0.0 or loss.b_l == math.inf:
-            return ("wc",)
-        return ("scaled", loss.a_l, loss.b_l)
-    if fam == "ew":
-        return ("ew", spec.loss.a_l, spec.loss.b_l)
-    raise ValueError(f"no recession frontier for family {fam!r}")
-
-
-def _dualbox_min(par: _Param, p: np.ndarray, kind: str, a: float,
-                 b: float):
-    """min over theta of max{E[-ZX] : Z in the density set of ``kind``}.
-
-    "dualbox" and "scaled" are the box and scaled-box density sets (with
-    E[Z] = 1); "ew" is the box a <= Z <= b without E[Z] = 1, whose support
-    function E[b (-X)^+ - a X^+] is the expected weighted loss's recession.
-    The inner maximisation is dualised, so the joint problem is one LP in
-    (theta, mu, y1, y2), with no mu for "ew".  mu is lifted by
-    max(0, -min x0), so v = 0 meets the atom rows.
-    """
-    n, q = par.C.shape
-    has_mu = kind != "ew"
-    lift = _lift(par) if has_mu else 0.0
-    has_up = b != math.inf
-    has_lo = a > 0.0
-    n_y1 = n if has_up else 0
-    n_y2 = n if has_lo else 0
-    y0 = q + int(has_mu)
-    nv = y0 + n_y1 + n_y2
-    c = np.zeros(nv)
-    if has_mu:
-        c[q] = 1.0
-    if kind != "scaled":
-        if has_up:
-            c[y0:y0 + n_y1] = b
-        if has_lo:
-            c[y0 + n_y1:] = -a
-    rows = np.zeros((n, nv))
-    rows[:, :q] = -p[:, None] * par.C
-    if has_mu:
-        rows[:, q] = -p
-    atoms = np.arange(n)
-    if has_up:
-        rows[atoms, y0 + atoms] = -1.0
-    if has_lo:
-        rows[atoms, y0 + n_y1 + atoms] = 1.0
-    # mu p_i + y1_i - y2_i >= c_i(theta)
-    rows, rhs = [rows], [p * (par.x0 + lift)]
-    if kind == "scaled":
-        row = np.zeros((1, nv))
-        if has_up:
-            row[0, y0:y0 + n_y1] = b
-        if has_lo:
-            row[0, y0 + n_y1:] = -a
-        rows.append(row)
-        rhs.append([0.0])                  # -b sum y1 + a sum y2 >= 0
-    return _solve_family(par, p, c, lift, rows, rhs,
-                         np.concatenate([np.full(y0 - q, -np.inf),
-                                         np.zeros(n_y1 + n_y2)]),
-                         np.full(nv - q, np.inf))
+        return ("es", beta) if beta > 0 else ("wc", None)
+    if fam not in ("ew", "sr", "oce"):
+        raise ValueError(f"no recession frontier for family {fam!r}")
+    loss = spec.loss
+    a, b = loss.a_l, loss.b_l
+    if (fam == "sr" and (loss.zero_on_negatives or a == 0.0
+                         or b == math.inf)
+            or fam == "oce" and a == 0.0 and b == math.inf):
+        return "wc", None
+    return fam, (a, b)
 
 
 def _recession_min(spec: RiskSpec, m: Market, par: _Param):
     p = m.space.probs
-    desc = _recession_descriptor(spec)
-    if desc[0] == "es":
-        res, t = _es_min(par, p, [(desc[1], desc[1], 0.0, 0.0)])
-    elif desc[0] == "wc":
+    fam, arg = _recession_spec(spec)
+    if fam == "es":
+        res, t = _es_min(par, p, [(arg, arg, 0.0, 0.0)])
+    elif fam == "wc":
         res, t = _wc_min(par, p)
-    elif desc[0] == "eloss":               # min E[-X(theta)] is linear
+    elif fam == "eloss":                   # min E[-X(theta)] is linear
         res, t = _solve_family(par, p, -(p @ par.C), -float(p @ par.x0),
                                [], [], np.zeros(0), np.zeros(0))
-    else:
-        res, t = _dualbox_min(par, p, *desc)
+    elif arg[1] < math.inf:
+        res, t = _pwl_family_min(par, p, fam, arg, (0.0,))
+    else:                                  # ew: 0 on X >= 0, inf elsewhere
+        q = par.C.shape[1]
+        block, bound = _hinge_rows(par, q, None, None)      # -X <= 0
+        res, t = _solve_family(par, p, np.zeros(q), 0.0, [block], [bound],
+                               np.zeros(0), np.zeros(0))
+        if res.status == INFEASIBLE:
+            return math.inf, None
     if res.status == UNBOUNDED:
         return -math.inf, None
-    if res.status == INFEASIBLE and desc[0] == "ew":
-        return math.inf, None              # b_l = inf, and every X loses somewhere
     if res.status != OPTIMAL:
         raise LPError(f"recession LP ended with status {res.status}")
     return float(res.value), par.to_portfolio(t)
@@ -608,8 +563,23 @@ def rho_inf_nu(spec: RiskSpec, m: Market, nu: float) -> float:
 
 
 def recession_ball_min(spec: RiskSpec, m: Market):
-    """(min, argmin) of the recession risk over the l1 ball of portfolios."""
-    return _recession_min(spec, m, _ball_param(m))
+    """(min, argmin) of the recession risk over the l1 ball of portfolios.
+
+    The recession risk is positively homogeneous, so the LP runs on the
+    excess returns over their largest entry and its minimum is scaled back:
+    the simplex's tolerances then meet the same data whatever its units.
+    """
+    scale = float(np.abs(m.excess).max(initial=0.0)) or 1.0
+    par = _ball_param(m)
+    value, pi = _recession_min(spec, m, replace(par, C=par.C / scale))
+    return scale * value, pi
+
+
+def _ball_descends(value: float, m: Market) -> bool:
+    """Whether a recession minimum over the l1 ball is negative.  On the
+    ball |X| <= max|excess|, so SIGN_TOL shrinks with that scale below 1."""
+    scale = min(1.0, float(np.abs(m.excess).max(initial=0.0)))
+    return value < -SIGN_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +759,7 @@ def detect_arbitrage(spec: RiskSpec, m: Market) -> ArbitrageReport:
     closure_w = martingale_feasibility(m, closure_dual_set(spec))
     strong = closure_w is None
     ball_min, ball_pi = recession_ball_min(spec, m)
-    strong_inf = ball_min < -SIGN_TOL
+    strong_inf = _ball_descends(ball_min, m)
     ray = ball_pi if strong_inf else None
     if strong_inf and not strong:
         errors.append("descent ray found but the closure dual set meets M")

@@ -102,6 +102,8 @@ class LossFunction:
         """lim_{x->+inf} l(x)/x (possibly inf)."""
         if self.kind == "pwl":
             return self.slopes[-1]
+        if self.kind == "power" and self.exponent == 1.0:
+            return self.coef            # c x^+
         return math.inf
 
     @property

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_market
 import meanrisk.frontier as frontier
@@ -263,7 +265,7 @@ class TestRecessionBoundary:
         assert evaluate(RiskSpec.es_at(0.8), X) < 0
 
     def test_point_slice_equals_recession_value(self, rng):
-        # d = 1 slices are single portfolios, so the dualised minimax LP must
+        # d = 1 slices are single portfolios, so the recession LP must
         # reproduce the direct recession evaluation there
         from meanrisk import recession_value
         for seed in range(15):
@@ -296,6 +298,37 @@ class TestRecessionBoundary:
                     w = w / np.sum(np.abs(w))
                     Xi = RandVar(m.space, m.excess @ w)
                     assert recession_value(spec, Xi) >= value - 1e-8
+
+
+class TestPowerOneTwin:
+    """power(c, 1) is c y^+, the pwl loss with slopes (0, c) kinked at 0, so
+    both must give the same values, recession, classification and verdicts
+    (b_l = c, not inf)."""
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("fam", ["oce", "ew", "sr"])
+    def test_matches_pwl_twin(self, fam, c):
+        from meanrisk import recession_value
+        power = RiskSpec(fam, loss=LossFunction.power(c, 1.0))
+        pwl = RiskSpec(fam, loss=LossFunction.pwl((0.0, c), (0.0,)))
+        assert power.loss.b_l == c
+        assert classify_sensitivity(power) == classify_sensitivity(pwl)
+        for seed in range(6):
+            local = np.random.default_rng(1500 + seed)
+            n = int(local.integers(3, 8))
+            m = random_market(local, n=n, d=int(local.integers(1, min(4, n))))
+            X = excess_return(m, portfolio_slice(m, 0.7).particular)
+            for value in (evaluate, recession_value):
+                assert value(power, X) == pytest.approx(
+                    value(pwl, X), rel=1e-7, abs=1e-9), (seed, value)
+            assert rho_inf_nu(power, m, 1.0) == pytest.approx(
+                rho_inf_nu(pwl, m, 1.0), rel=1e-9, abs=1e-12), seed
+            if fam == "ew":
+                continue                   # no dual representation
+            got, want = detect_arbitrage(power, m), detect_arbitrage(pwl, m)
+            for flag in ("rho_arbitrage", "strong_rho_arbitrage",
+                         "strong_recession_arbitrage", "errors"):
+                assert getattr(got, flag) == getattr(want, flag), (seed, flag)
 
 
 class TestOptimalBoundary:
@@ -578,6 +611,48 @@ class TestDetectors:
                 if rep.strong_rho_arbitrage and not rep.rho_arbitrage:
                     disagreements += 1
         assert disagreements == 0
+
+
+class TestVerdictInvariance:
+    """detect_arbitrage's verdicts do not depend on the units of the excess
+    returns (an LSES's b scales with them) or on the order of the atoms."""
+
+    @staticmethod
+    def specs(factor):
+        """(spec, its twin on the returns times factor) pairs."""
+        same = [RiskSpec.es_at(0.25), RiskSpec.wc(),
+                RiskSpec.adjusted(step_profile(0.4)), RiskSpec.oce_with(PWL),
+                RiskSpec.sr_with(PWL)]
+        return [(s, s) for s in same] + [(RiskSpec.lses_at(0.5),
+                                          RiskSpec.lses_at(0.5 * factor))]
+
+    @staticmethod
+    def verdict(rep):
+        return (rep.classical is not None, rep.rho_arbitrage,
+                rep.strong_rho_arbitrage, rep.strong_recession_arbitrage,
+                rep.errors)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    # at 1e-6 the ball LP of these markets stopped at X = 0 until it ran on
+    # returns over their largest entry
+    @example(1232)
+    @example(2067)
+    def test_scale_and_permutation(self, seed):
+        local = np.random.default_rng(seed)
+        n = int(local.integers(3, 9))
+        m = random_market(local, n=n, d=int(local.integers(1, min(4, n))))
+        factor = 10.0 ** int(local.integers(-6, 4))
+        perm = local.permutation(n)
+        scaled = Market.from_excess(m.space.probs, m.r, factor * m.excess)
+        permuted = Market.from_excess(m.space.probs[perm], m.r,
+                                      m.excess[perm])
+        for spec, scaled_spec in self.specs(factor):
+            want = self.verdict(detect_arbitrage(spec, m))
+            assert self.verdict(detect_arbitrage(scaled_spec, scaled)) == \
+                want, (spec.label(), factor)
+            assert self.verdict(detect_arbitrage(spec, permuted)) == want, \
+                (spec.label(), perm)
 
 
 class TestMeanRisk:

@@ -6,7 +6,9 @@ included), so pivots and answers do not change.
 
 The value references are the frontier LPs before the pwl hinge rows and the
 lifted start: the epigraph LP of the pwl families and the unlifted
-shortfall, minimax and dual-box LPs.  The new LPs must reach their values.
+shortfall and minimax LPs, and the dual-box LP that solved the recession
+measure of ew/sr/oce before it took the hinge LP of the asymptotic loss.
+The new LPs must reach their values.
 """
 import math
 
@@ -18,7 +20,7 @@ from conftest import random_market, random_randvar, random_space
 from meanrisk import (DualSetSpec, LossFunction, RiskSpec,
                       bounded_tail_profile, table_profile)
 from meanrisk.dual import interior_polytope, set_polytope
-from meanrisk.simplex import OPTIMAL, solve_lp
+from meanrisk.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
 def same(got, want):
@@ -138,12 +140,10 @@ def interior_polytope_loop(ds, space):
     return nvars, np.array(rows), np.array(rhs), A_eq
 
 
-def pwl_hinge_loop(par, p, spec):
-    s = spec.loss.slopes
-    kinks = [(b, s[k + 1] - s[k]) for k, b in enumerate(spec.loss.breakpoints)
+def pwl_hinge_loop(par, p, fam, s, breakpoints):
+    kinks = [(b, s[k + 1] - s[k]) for k, b in enumerate(breakpoints)
              if s[k + 1] - s[k] > 0.0]
     n, q = par.C.shape
-    fam = spec.family
     extra = 0 if fam == "ew" else 1
     w0 = q + extra
     nv = w0 + n * len(kinks)
@@ -180,7 +180,7 @@ def pwl_hinge_loop(par, p, spec):
         c = loss_row
         if fam == "oce":
             c[q] += 1.0
-    A_ub = np.vstack([np.array(rows).reshape(-1, nv),
+    A_ub = np.vstack([np.array(rows).reshape(len(rows), nv),
                       np.hstack([par.A_ub, np.zeros((par.A_ub.shape[0],
                                                      nv - q))])])
     b_ub = np.concatenate([np.array(rhs), par.b_ub])
@@ -190,7 +190,7 @@ def pwl_hinge_loop(par, p, spec):
     return dict(c=c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
 
 
-def dualbox_loop(par, p, kind, a, b, lifted=True):
+def dualbox_loop(par, p, kind, a, b):
     n, q = par.C.shape
     has_mu = kind != "ew"
     has_up = b != math.inf
@@ -207,7 +207,6 @@ def dualbox_loop(par, p, kind, a, b, lifted=True):
             c[y0:y0 + n_y1] = b
         if has_lo:
             c[y0 + n_y1:] = -a
-    lift = max(0.0, -min(par.x0)) if has_mu and lifted else 0.0
     rows, rhs = [], []
     for i in range(n):
         row = np.zeros(nv)
@@ -219,7 +218,7 @@ def dualbox_loop(par, p, kind, a, b, lifted=True):
         if has_lo:
             row[y0 + n_y1 + i] = 1.0
         rows.append(row)
-        rhs.append(p[i] * (par.x0[i] + lift))
+        rhs.append(p[i] * par.x0[i])
     if kind == "scaled":
         row = np.zeros(nv)
         if has_up:
@@ -408,6 +407,21 @@ def random_pwl(rng):
     return LossFunction.pwl((0.0, left, 1.0, right), (-1.0, -0.2, 0.0))
 
 
+def recession_specs(rng):
+    """es, wc, lses and adjusted ES, whose recession LPs are the shortfall
+    and minimax LPs, and ew/sr/oce with losses that have a_l = 0, kinks
+    off 0, the identity, exp (b_l = inf) and c y^+ with c < 1."""
+    yield RiskSpec.wc()
+    yield from shortfall_specs(rng)
+    losses = (random_pwl(rng), LossFunction.pwl((0.0, 2.5), (0.0,)),
+              LossFunction.pwl((0.4, 1.0, 3.0), (-0.5, 0.3)),
+              LossFunction.identity(), LossFunction.exp())
+    for fam in ("ew", "sr", "oce"):
+        for loss in losses:
+            yield RiskSpec(fam, loss=loss)
+    yield RiskSpec.ew_with(LossFunction.power(0.5, 1.0))
+
+
 def random_dual_sets(rng):
     loss = random_pwl(rng)
     lo = float(rng.uniform(0.1, 0.9))
@@ -465,23 +479,31 @@ class TestRowBuilders:
                         frontier._pi_param(m, float(rng.uniform(0, 0.2))),
                         frontier._ball_param(m)):
                 for fam in ("ew", "sr", "oce"):
-                    spec = RiskSpec(fam, loss=random_pwl(rng))
+                    loss = random_pwl(rng)
                     seen.clear()
-                    frontier._pwl_family_min(par, p, spec)
-                    want = pwl_hinge_loop(par, p, spec)
+                    frontier._pwl_family_min(par, p, fam, loss.slopes,
+                                             loss.breakpoints)
+                    want = pwl_hinge_loop(par, p, fam, loss.slopes,
+                                          loss.breakpoints)
                     (got,) = seen
                     for key, value in want.items():
                         assert same(got[key], value), (fam, key)
-                lo = float(rng.uniform(0.1, 0.9))
-                hi = float(rng.uniform(1.1, 5.0))
-                for kind in ("dualbox", "scaled", "ew"):
-                    for a, b in ((lo, hi), (0.0, hi), (lo, math.inf)):
-                        seen.clear()
-                        frontier._dualbox_min(par, p, kind, a, b)
-                        want = dualbox_loop(par, p, kind, a, b)
-                        (got,) = seen
-                        for key, value in want.items():
-                            assert same(got[key], value), (kind, key)
+                for spec in recession_specs(rng):
+                    fam, arg = frontier._recession_spec(spec)
+                    if fam == "eloss" or fam == "ew" and arg[1] == math.inf:
+                        continue
+                    seen.clear()
+                    frontier._recession_min(spec, m, par)
+                    (got,) = seen
+                    if fam == "es":
+                        frontier._es_min(par, p, [(arg, arg, 0.0, 0.0)])
+                    elif fam == "wc":
+                        frontier._wc_min(par, p)
+                    else:
+                        seen.append(pwl_hinge_loop(par, p, fam, arg, (0.0,)))
+                    want = seen[1]
+                    for key, value in want.items():
+                        assert same(got[key], value), (spec.label(), key)
 
     def test_cut_lps_match_loops(self, rng, monkeypatch):
         seen = self._spy(monkeypatch, dual)
@@ -516,6 +538,22 @@ def shortfall_specs(rng):
             RiskSpec.adjusted(bounded_tail_profile(0.8, 0.3))]
 
 
+def same_recession(got, ref, tag):
+    """A recession value against the dual-box LP's: -inf when that LP is
+    unbounded and inf when it is infeasible (ew with b_l = inf)."""
+    value, _ = got
+    want = {OPTIMAL: ref.value, UNBOUNDED: -math.inf,
+            INFEASIBLE: math.inf}[ref.status]
+    if math.isinf(want):
+        assert value == want, (tag, value, want)
+    else:
+        assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), \
+            (tag, value, want)
+
+
+DUALBOX_KIND = {"oce": "dualbox", "sr": "scaled", "ew": "ew"}
+
+
 def same_value(got, want, tag):
     (res, _), (ref, _) = got, want
     assert res.status == ref.status, tag
@@ -525,8 +563,9 @@ def same_value(got, want, tag):
 
 
 class TestLiftedLps:
-    """The hinge LP and the lifted shortfall, minimax and dual-box LPs solve
-    the same programs as the epigraph and unlifted LPs they replaced."""
+    """The hinge LP and the lifted shortfall and minimax LPs solve the same
+    programs as the epigraph and unlifted LPs they replaced, and the
+    recession LPs of ew/sr/oce reach the dual-box LP's values."""
 
     def test_values_match_references(self, rng):
         for _ in range(25):
@@ -536,8 +575,9 @@ class TestLiftedLps:
             for k, par in enumerate(random_params(rng, m)):
                 for fam in ("ew", "sr", "oce"):
                     spec = RiskSpec(fam, loss=random_pwl(rng))
-                    same_value(frontier._pwl_family_min(par, p, spec),
-                               pwl_epigraph_min(par, p, spec), (k, fam))
+                    same_value(frontier._pwl_family_min(
+                        par, p, fam, spec.loss.slopes, spec.loss.breakpoints),
+                        pwl_epigraph_min(par, p, spec), (k, fam))
                 for spec in shortfall_specs(rng):
                     pieces = frontier._shortfall_pieces(spec)
                     same_value(frontier._es_min(par, p, pieces),
@@ -547,14 +587,15 @@ class TestLiftedLps:
                            (k, "wc"))
                 if par.budget is not None:
                     continue
-                lo = float(rng.uniform(0.1, 0.9))
-                hi = float(rng.uniform(1.1, 5.0))
-                for kind in ("dualbox", "scaled", "ew"):
-                    for a, b in ((lo, hi), (0.0, hi), (lo, math.inf)):
-                        ref = solve_lp(**dualbox_loop(par, p, kind, a, b,
-                                                      lifted=False))
-                        same_value(frontier._dualbox_min(par, p, kind, a, b),
-                                   (ref, None), (k, kind, a, b))
+                for spec in recession_specs(rng):
+                    if spec.family not in DUALBOX_KIND:
+                        continue
+                    loss = spec.loss
+                    ref = solve_lp(**dualbox_loop(
+                        par, p, DUALBOX_KIND[spec.family], loss.a_l,
+                        loss.b_l))
+                    same_recession(frontier._recession_min(spec, m, par),
+                                   ref, (k, spec.label()))
 
     def test_slices_need_no_phase1(self, rng):
         for _ in range(20):
@@ -566,11 +607,16 @@ class TestLiftedLps:
                 lps = [frontier._wc_min(par, p)]
                 lps += [frontier._es_min(par, p, frontier._shortfall_pieces(s))
                         for s in shortfall_specs(rng)]
-                lps += [frontier._pwl_family_min(
-                    par, p, RiskSpec(fam, loss=random_pwl(rng)))
-                    for fam in ("sr", "oce")]
-                lps += [frontier._dualbox_min(par, p, kind, 0.5, 2.0)
-                        for kind in ("dualbox", "scaled")]
+                for fam in ("sr", "oce"):
+                    loss = random_pwl(rng)
+                    lps.append(frontier._pwl_family_min(
+                        par, p, fam, loss.slopes, loss.breakpoints))
+                    # the recession LP: the hinge LP of l_inf
+                    rfam, slopes = frontier._recession_spec(
+                        RiskSpec(fam, loss=LossFunction.pwl(
+                            (0.5, 1.0, 2.0), (-0.5, 0.3))))
+                    lps.append(frontier._pwl_family_min(par, p, rfam, slopes,
+                                                        (0.0,)))
                 for res, _ in lps:
                     assert res.status == OPTIMAL
                     assert res.phase1_pivots == 0 < res.pivots

@@ -363,6 +363,8 @@ class TestSmallScale:
         assert rep.errors == [] and lps
         assert rep.rho_arbitrage == want.rho_arbitrage
         assert rep.strong_rho_arbitrage == want.strong_rho_arbitrage
+        assert (rep.strong_recession_arbitrage
+                == want.strong_recession_arbitrage)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 34, 41])
     def test_es_detector_at_1e_7(self, monkeypatch, seed):
