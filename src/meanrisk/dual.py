@@ -24,8 +24,8 @@ import numpy as np
 
 from .losses import GPiece, LossFunction, TargetProfile, lses_profile
 from .market import FiniteSpace, Market, RandVar
-from .measures import (RiskSpec, es, evaluate, expected_loss, golden_min,
-                       quantile_pieces, shortfall_risk, worst_case)
+from .measures import (RiskSpec, _entropic, es, evaluate, expected_loss,
+                       golden_min, quantile_pieces, worst_case)
 from .simplex import OPTIMAL, LPError, solve_lp
 
 SLACK_TOL = 1e-9
@@ -493,10 +493,11 @@ def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
     Linear programs cover the box/sup-norm families: adjusted ES solves one
     LP in (z, M) per constant / affine-in-1/x profile piece, and loss
     sensitive ES is the one-piece profile b (1/x - 1).  Piecewise-linear
-    conjugates become exact cutting planes; smooth conjugates go through the
-    one-dimensional Lagrangian dual with a primal witness recovered for the
-    reported value.  The expected loss has the single density Z = 1, so its
-    value is E[-X] with no LP.
+    conjugates become exact cutting planes, and the OCE of c y^+ is the
+    support value of the box [0, c], on which its penalty vanishes.  The
+    exp loss gives the OCE and the shortfall risk the same dual value, at
+    the Gibbs density Z = exp(-X) / E[exp(-X)].  The expected loss has the
+    single density Z = 1, so its value is E[-X] with no LP.
     """
     fam = spec.family
     if fam == "eloss":
@@ -507,17 +508,17 @@ def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
         return _adjes_dual(X, lses_profile(spec.b))
     if fam == "adjes":
         return _adjes_dual(X, spec.profile)
+    if fam in ("oce", "sr") and spec.loss.kind == "exp":
+        return _gibbs_dual(X)
     if fam == "oce":
         if spec.loss.kind == "pwl":
             return _penalized_cut_lp(X, spec.loss)
-        return _oce_smooth_dual(X, spec.loss)
+        return support_value(dual_set(spec), X)    # c y^+: the box [0, c]
     if fam == "sr":
         loss = spec.loss
         if loss.zero_on_negatives:
             return support_value(DualSetSpec("box", 0.0, math.inf), X)
-        if loss.kind == "pwl":
-            return _perspective_cut_lp(X, loss)
-        return _sr_smooth_dual(X, loss)
+        return _perspective_cut_lp(X, loss)
     raise ValueError(f"family {fam!r} is not dual-capable")
 
 
@@ -649,31 +650,18 @@ def _perspective_cut_lp(X: RandVar, loss: LossFunction) -> float:
     return float(res.value)
 
 
-def _oce_smooth_dual(X: RandVar, loss: LossFunction) -> float:
-    """One-dimensional Lagrangian dual with a primal density witness."""
-    p = X.space.probs
-    x = X.values
-
-    def phi(lam: float) -> float:
-        return lam + float(p @ loss.value(-x - lam))
-
-    lam = golden_min(phi, -worst_case(X) - 50.0, worst_case(X) + 50.0, 1e-12)
-    z = loss.derivative(-x - lam)
-    total = float(p @ z)
-    if total <= 0:
-        return phi(lam)
-    z = z / total
-    return -float(p @ (z * x)) - float(p @ loss.conjugate_value(z))
-
-
-def _sr_smooth_dual(X: RandVar, loss: LossFunction) -> float:
-    """E[-ZX] - alpha(Z) at the primal witness Z proportional to
-    l'(-X - m*), m* the shortfall risk; only the exp loss gets here, as
-    losses vanishing on the negatives use the worst-case box."""
-    p = X.space.probs
-    z = loss.derivative(-X.values - shortfall_risk(X, loss))
-    z = z / float(p @ z)
-    return -float(p @ (z * X.values)) - _scaled_box_penalty(z, p, loss)
+def _gibbs_dual(X: RandVar) -> float:
+    """E[-ZX] - E[Z log Z] at the Gibbs density Z = exp(-X) / E[exp(-X)],
+    the maximiser for the exp loss in both the OCE penalty E[l*(Z)] and the
+    shortfall penalty inf_k E[l*(kZ)]/k, which equal E[Z log Z] there.
+    log Z = -Y - log E[exp(-Y)] comes from its formula, so atoms whose
+    weight underflows to 0 need no log of 0.  Z is the same for Y = X -
+    min X, whose log-mean-exp carries no rounding of a large offset."""
+    p, x = X.space.probs, X.values
+    y = x - x.min()
+    log_z = -y - _entropic(p, y)
+    z = np.exp(log_z)
+    return -float(p @ (z * x)) - float(p @ (z * log_z))
 
 
 # ---------------------------------------------------------------------------

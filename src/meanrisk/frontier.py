@@ -12,7 +12,8 @@ every solve exact where possible:
 * adjusted ES with a general profile piece
                         -> cutting planes on the value/subgradient oracle
 * worst case            -> minimax LP
-* pwl loss families     -> hinge LPs, one row per atom and kink
+* pwl loss families and c y^+
+                        -> hinge LPs, one row per atom and kink
 * exp loss families     -> damped Newton over pi with the return as a
                            KKT row
 * positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
@@ -52,7 +53,7 @@ from .losses import lses_profile
 from .market import (ArbitrageWitness, Market, RandVar,
                      check_classical_arbitrage, excess_return,
                      portfolio_slice)
-from .measures import RiskSpec, adjusted_es_argmax, evaluate
+from .measures import RiskSpec, _entropic, adjusted_es_argmax, evaluate
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult,
                       solve_lp)
 
@@ -303,11 +304,7 @@ def _newton_min(m: Market, p: np.ndarray, log: bool, nu: float | None = None):
     kkt = np.zeros((d + 1, d + 1))
     kkt[:d, d] = kkt[d, :d] = g
 
-    def value(x):                          # log E[exp(-x)]
-        mx = -x.min()
-        return mx + math.log(float(p @ np.exp(-x - mx)))
-
-    f = value(E @ pi)
+    f = _entropic(p, E @ pi)
     for _ in range(200):
         expo = -(E @ pi)
         w = p * np.exp(expo - expo.max())
@@ -322,7 +319,7 @@ def _newton_min(m: Market, p: np.ndarray, log: bool, nu: float | None = None):
         lamb = 1.0
         while lamb >= 1e-12:
             trial = pi + lamb * step
-            f_trial = value(E @ trial)
+            f_trial = _entropic(p, E @ trial)
             if f_trial <= f - 0.25 * lamb * decrement:
                 break
             # near the minimiser only the full step is worth trying
@@ -414,16 +411,21 @@ def _sup_es_oracle(par: _Param, space, spec: RiskSpec):
 
 def _lp_min(spec: RiskSpec, p: np.ndarray, par: _Param):
     """(LPResult, theta) of the family's LP over par; None for the families
-    without one (exp losses, general adjusted-ES profiles)."""
+    without one (exp losses, ew with c y^gamma for gamma > 1, general
+    adjusted-ES profiles)."""
     fam = spec.family
     if fam in ("es", "lses", "adjes"):
         pieces = _shortfall_pieces(spec)
         return None if pieces is None else _es_min(par, p, pieces)
     if fam == "wc" or (fam == "sr" and spec.loss.zero_on_negatives):
         return _wc_min(par, p)
-    if fam in ("ew", "sr", "oce") and spec.loss.kind == "pwl":
-        return _pwl_family_min(par, p, fam, spec.loss.slopes,
-                               spec.loss.breakpoints)
+    if fam in ("ew", "sr", "oce"):
+        loss = spec.loss
+        if loss.kind == "pwl":
+            return _pwl_family_min(par, p, fam, loss.slopes, loss.breakpoints)
+        if loss.kind == "power" and loss.exponent == 1.0:
+            # c y^+ is the pwl loss with slopes (0, c) kinked at 0
+            return _pwl_family_min(par, p, fam, (0.0, loss.coef), (0.0,))
     return None
 
 

@@ -4,9 +4,10 @@
 piecewise-linear ones given by slopes and breakpoints, plus the analytic
 families exp (l(x)=e^x-1) and power (l(x)=c*x^gamma for x>0, 0 otherwise).
 The piecewise-linear and exp forms satisfy l(x) >= x and can be used with
-every loss-based risk functional; the power form only satisfies the relaxed
-shortfall conditions (l nondecreasing, convex, l(0)=0, l(x)>0 for x>0) and
-is rejected by the optimized certainty equivalent.
+every loss-based risk functional.  A power loss satisfies it only as c x^+
+with c >= 1, the one power loss the optimized certainty equivalent takes;
+the others meet the relaxed shortfall conditions (l nondecreasing, convex,
+l(0)=0, l(x)>0 for x>0).
 
 ``TargetProfile`` represents nonincreasing g:(0,1] -> [0,inf] with g(1)=0
 as pieces that are constant, affine in 1/x, or general callables, together
@@ -128,7 +129,10 @@ class LossFunction:
 
     @property
     def positively_homogeneous(self) -> bool:
-        """True when l(lam x) = lam l(x) for lam > 0: pwl with kinks at 0 only."""
+        """True when l(lam x) = lam l(x) for lam > 0: pwl with kinks at 0
+        only, and c x^+ (power with exponent 1)."""
+        if self.kind == "power":
+            return self.exponent == 1.0
         return self.kind == "pwl" and all(bk == 0.0 for bk in self.breakpoints)
 
     # -- evaluation ----------------------------------------------------------
@@ -177,17 +181,11 @@ class LossFunction:
         return out if np.ndim(out) else float(out)
 
     def derivative(self, x):
-        """A subgradient selection of l."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(x)
-        elif self.kind == "power":
-            out = np.where(x > 0, self.coef * self.exponent *
-                           np.power(np.maximum(x, 0.0), self.exponent - 1.0), 0.0)
-        else:
-            idx = np.searchsorted(np.asarray(self.breakpoints), x, side="left")
-            out = np.asarray(self.slopes, dtype=float)[idx]
+        """The left derivative of a pwl loss (its slope left of each kink)."""
+        if self.kind != "pwl":
+            raise ValueError("derivatives are taken of pwl losses only")
+        idx = np.searchsorted(np.asarray(self.breakpoints), x, side="left")
+        out = np.asarray(self.slopes, dtype=float)[idx]
         return out if np.ndim(out) else float(out)
 
     # -- convex conjugate ----------------------------------------------------

@@ -25,9 +25,7 @@ from .losses import LossFunction, TargetProfile
 from .market import FiniteSpace, RandVar
 
 QTOL = 1e-12          # quantile breakpoint tolerance
-VALUE_TOL = 1e-12     # 1-d solver tolerance on values
-ARG_TOL = 1e-10       # 1-d solver tolerance on arguments
-MAX_ITER = 200
+ARG_TOL = 1e-10       # golden-section tolerance on arguments
 
 FAMILIES = ("var", "es", "wc", "lses", "adjes", "ew", "sr", "oce", "eloss")
 
@@ -108,73 +106,76 @@ def expected_weighted_loss(X: RandVar, loss: LossFunction) -> float:
     return float(X.space.probs @ loss.value(-X.values))
 
 
+def _entropic(p: np.ndarray, x: np.ndarray) -> float:
+    """log E[exp(-x)] under the probabilities p: the entropic risk of x.
+
+    Computed as t + log1p(E[expm1(-x - t)]) with t = max(-x), which keeps
+    the digits of a tiny spread of x that log(E[exp(-x - t)]) rounds away
+    near 1.  Once that mean falls to 1/2 or below, log1p would amplify the
+    rounding of E[expm1] instead, and the direct sum is exact to rounding.
+    """
+    y = -np.asarray(x, dtype=float)
+    t = float(y.max())
+    s = float(p @ np.expm1(y - t))
+    if s > -0.5:
+        return t + math.log1p(s)
+    return t + math.log(float(p @ np.exp(y - t)))
+
+
 def shortfall_risk(X: RandVar, loss: LossFunction) -> float:
     """Smallest m with E[l(-X-m)] <= 0; the worst case when l|_(-inf,0] == 0.
 
-    For a pwl loss phi(m) = E[l(-X-m)] is nonincreasing and affine between
-    the sorted kinks -x_i - b_k, so a binary search finds the first kink with
-    phi <= 0 in O(log(nk)) evaluations of phi, and the root is the linear
-    interpolation from the kink before it.
+    The exp loss has the closed form m = log E[exp(-X)], the entropic risk
+    (Foellmer and Schied).  For a pwl loss phi(m) = E[l(-X-m)] is
+    nonincreasing and affine between the sorted kinks -x_i - b_k, so a
+    binary search finds the first kink with phi <= 0 in O(log(nk))
+    evaluations of phi, and the root is the linear interpolation from the
+    kink before it.
     """
     if loss.zero_on_negatives:
         return worst_case(X)
     p = X.space.probs
+    if loss.kind == "exp":
+        return _entropic(p, X.values)
 
     def phi(m: float) -> float:
         return float(p @ loss.value(-X.values - m))
 
-    if loss.kind == "pwl":
-        kinks = np.unique(-X.values[:, None] - np.asarray(loss.breakpoints))
-        if not kinks.size:
-            kinks = np.zeros(1)
-        lo, hi = 0, kinks.size - 1
-        f0, f1 = phi(kinks[lo]), phi(kinks[hi])
-        if f0 <= 0.0:
-            # root lies left of every kink, where phi has slope -b_l
-            return kinks[0] + f0 / loss.b_l
-        if f1 > 0.0:
-            # beyond the last kink phi equals the (negative) left plateau of l
-            tail = phi(kinks[-1] + 1.0)
-            if tail < 0.0:
-                slope = (tail - f1) / 1.0
-                return kinks[-1] + f1 / (-slope)
-            raise ValueError(  # pragma: no cover
-                "shortfall risk is not finite for this loss")
-        while hi - lo > 1:           # phi(kinks[lo]) > 0 >= phi(kinks[hi])
-            mid = (lo + hi) // 2
-            fm = phi(kinks[mid])
-            if fm <= 0.0:
-                hi, f1 = mid, fm
-            else:
-                lo, f0 = mid, fm
-        return kinks[lo] + f0 * (kinks[hi] - kinks[lo]) / (f0 - f1)
-
-    lo = -X.mean() - 1.0
-    hi = lo + 1.0
-    for _ in range(200):
-        if phi(hi) <= 0.0:
-            break
-        hi = lo + 2.0 * (hi - lo)
-    else:  # pragma: no cover
-        raise ValueError("shortfall risk bracket expansion failed")
-    for _ in range(MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= 0.0:
-            hi = mid
+    kinks = np.unique(-X.values[:, None] - np.asarray(loss.breakpoints))
+    if not kinks.size:
+        kinks = np.zeros(1)
+    lo, hi = 0, kinks.size - 1
+    f0, f1 = phi(kinks[lo]), phi(kinks[hi])
+    if f0 <= 0.0:
+        # root lies left of every kink, where phi has slope -b_l
+        return kinks[0] + f0 / loss.b_l
+    if f1 > 0.0:
+        # beyond the last kink phi equals the (negative) left plateau of l
+        tail = phi(kinks[-1] + 1.0)
+        if tail < 0.0:
+            slope = (tail - f1) / 1.0
+            return kinks[-1] + f1 / (-slope)
+        raise ValueError(  # pragma: no cover
+            "shortfall risk is not finite for this loss")
+    while hi - lo > 1:           # phi(kinks[lo]) > 0 >= phi(kinks[hi])
+        mid = (lo + hi) // 2
+        fm = phi(kinks[mid])
+        if fm <= 0.0:
+            hi, f1 = mid, fm
         else:
-            lo = mid
-        if hi - lo < ARG_TOL and abs(phi(hi)) < math.sqrt(VALUE_TOL):
-            break
-    return hi
+            lo, f0 = mid, fm
+    return kinks[lo] + f0 * (kinks[hi] - kinks[lo]) / (f0 - f1)
 
 
 def oce(X: RandVar, loss: LossFunction) -> float:
     """inf_eta E[l(eta - X)] - eta (optimised certainty equivalent).
 
-    A pwl loss puts the infimum at a kink x_i + b_k, found by a binary
-    search for the sign change of the slope over the sorted kinks: O(log(nk))
-    slope evaluations and two objective evaluations.  Other losses bisect
-    the derivative.
+    The exp loss gives the entropic risk log E[exp(-X)], and c y^+ with
+    c > 1 gives ES at level 1/c (Ben-Tal and Teboulle 2007); no other power
+    loss satisfies l(x) >= x.  A pwl loss puts the infimum at a kink
+    x_i + b_k, found by a binary search for the sign change of the slope
+    over the sorted kinks: O(log(nk)) slope evaluations and two objective
+    evaluations.
     """
     if not loss.satisfies_l_geq_x:
         raise ValueError("the certainty-equivalent family needs l(x) >= x")
@@ -183,48 +184,28 @@ def oce(X: RandVar, loss: LossFunction) -> float:
         # l equals the identity on a half line; the infimum is the expected loss
         return expected_loss(X)
     p = X.space.probs
+    if loss.kind == "exp":
+        return _entropic(p, X.values)
+    if loss.kind == "power":
+        return es(X, 1.0 / loss.coef)
 
     def objective(eta: float) -> float:
         return float(p @ loss.value(eta - X.values)) - eta
 
-    if loss.kind == "pwl":
-        # the objective is convex and affine between the sorted kinks.  Its
-        # left slope E[l'(eta - X)] - 1 is nondecreasing in eta in floating
-        # point too, which objective values are not: two kinks an ulp apart
-        # compare by rounding noise.  The argmin lies between the last kink
-        # with left slope <= 0 and the first one with left slope > 0.
-        etas = np.unique(X.values[:, None] + np.asarray(loss.breakpoints))
-        lo, hi = 0, etas.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if float(p @ loss.derivative(etas[mid] - X.values)) > 1.0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return min(objective(e) for e in etas[max(lo - 1, 0):lo + 1])
-
-    def slope(eta: float) -> float:
-        return float(p @ loss.derivative(eta - X.values)) - 1.0
-
-    lo = float(np.min(X.values)) - 1.0
-    hi = float(np.max(X.values)) + 1.0
-    for _ in range(200):
-        if slope(lo) < 0.0:
-            break
-        lo -= 2.0 * (hi - lo)
-    for _ in range(200):
-        if slope(hi) > 0.0:
-            break
-        hi += 2.0 * (hi - lo)
-    for _ in range(MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
+    # the objective is convex and affine between the sorted kinks.  Its
+    # left slope E[l'(eta - X)] - 1 is nondecreasing in eta in floating
+    # point too, which objective values are not: two kinks an ulp apart
+    # compare by rounding noise.  The argmin lies between the last kink
+    # with left slope <= 0 and the first one with left slope > 0.
+    etas = np.unique(X.values[:, None] + np.asarray(loss.breakpoints))
+    lo, hi = 0, etas.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(p @ loss.derivative(etas[mid] - X.values)) > 1.0:
             hi = mid
-        if hi - lo < ARG_TOL:
-            break
-    return objective(0.5 * (lo + hi))
+        else:
+            lo = mid + 1
+    return min(objective(e) for e in etas[max(lo - 1, 0):lo + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dual machinery: representations, recession values, martingale programs."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -122,6 +123,31 @@ class TestDualEvaluate:
             X = random_randvar(rng, n, scale=1.5)
             assert dual_evaluate(RiskSpec.expected_loss(), X) == \
                 evaluate(RiskSpec.expected_loss(), X)
+
+    def test_exp_families_match_decimal_log_mean_exp(self, rng):
+        # sr and oce with the exp loss are log E[exp(-X)]: exact to rounding
+        # at every scale of X, and without overflow at |X| ~ 700
+        def reference(X):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                p = [Decimal(float(q)) for q in X.space.probs]
+                mean = sum(q * (-Decimal(float(x))).exp()
+                           for q, x in zip(p, X.values)) / sum(p)
+                return float(mean.ln())
+
+        base = [random_randvar(rng, int(rng.integers(2, 12)))
+                for _ in range(4)]
+        cases = [X.scaled(10.0 ** k) for X in base for k in range(-9, 3)]
+        cases += [RandVar(HALF, np.array([-800.0, 0.0])),
+                  RandVar(HALF, np.array([700.0, -720.0]))]
+        for X in cases:
+            want = reference(X)
+            scale = float(np.max(np.abs(X.values)))
+            for spec in (RiskSpec.sr_with(EXP), RiskSpec.oce_with(EXP)):
+                assert abs(evaluate(spec, X) - want) <= 1e-13 * scale, \
+                    (spec.label(), X.values)
+                assert abs(dual_evaluate(spec, X) - want) <= 1e-12 * scale, \
+                    (spec.label(), X.values)
 
     def test_var_and_ew_rejected(self):
         with pytest.raises(ValueError):

@@ -305,12 +305,16 @@ class TestPowerOneTwin:
     both must give the same values, recession, classification and verdicts
     (b_l = c, not inf)."""
 
+    @staticmethod
+    def twins(fam, c):
+        return (RiskSpec(fam, loss=LossFunction.power(c, 1.0)),
+                RiskSpec(fam, loss=LossFunction.pwl((0.0, c), (0.0,))))
+
     @pytest.mark.parametrize("c", [1.0, 2.0, 3.5])
     @pytest.mark.parametrize("fam", ["oce", "ew", "sr"])
     def test_matches_pwl_twin(self, fam, c):
-        from meanrisk import recession_value
-        power = RiskSpec(fam, loss=LossFunction.power(c, 1.0))
-        pwl = RiskSpec(fam, loss=LossFunction.pwl((0.0, c), (0.0,)))
+        from meanrisk import dual_evaluate, recession_value
+        power, pwl = self.twins(fam, c)
         assert power.loss.b_l == c
         assert classify_sensitivity(power) == classify_sensitivity(pwl)
         for seed in range(6):
@@ -325,10 +329,37 @@ class TestPowerOneTwin:
                 rho_inf_nu(pwl, m, 1.0), rel=1e-9, abs=1e-12), seed
             if fam == "ew":
                 continue                   # no dual representation
+            assert dual_evaluate(power, X) == pytest.approx(
+                dual_evaluate(pwl, X), rel=1e-9, abs=1e-12), seed
+            assert dual_evaluate(power, X) == pytest.approx(
+                evaluate(power, X), rel=1e-9, abs=1e-12), seed
             got, want = detect_arbitrage(power, m), detect_arbitrage(pwl, m)
             for flag in ("rho_arbitrage", "strong_rho_arbitrage",
                          "strong_recession_arbitrage", "errors"):
                 assert getattr(got, flag) == getattr(want, flag), (seed, flag)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("fam", ["oce", "ew", "sr"])
+    def test_sweeps_match_pwl_twin(self, fam, c):
+        power, pwl = self.twins(fam, c)
+        assert power.positively_homogeneous == pwl.positively_homogeneous
+        for seed in range(6):
+            local = np.random.default_rng(1600 + seed)
+            n = int(local.integers(3, 8))
+            m = random_market(local, n=n, d=int(local.integers(1, min(4, n))),
+                              arbitrage_free=seed % 2 == 0)
+            got = optimal_boundary(power, m, 0.2, 5)
+            want = optimal_boundary(pwl, m, 0.2, 5)
+            np.testing.assert_allclose(got.rho_values, want.rho_values,
+                                       rtol=1e-12, atol=1e-15)
+            assert got.nu_min == want.nu_min and got.regime == want.regime
+            for mode, level in (("MIN_RISK", 0.1), ("MAX_RETURN", 0.2)):
+                a = mean_rho_solve(power, m, mode, level)
+                b = mean_rho_solve(pwl, m, mode, level)
+                assert a.status == b.status, (seed, mode)
+                if b.status == "optimal":
+                    assert (a.value, a.nu) == pytest.approx(
+                        (b.value, b.nu), rel=1e-12, abs=1e-15), (seed, mode)
 
 
 class TestOptimalBoundary:

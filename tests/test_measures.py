@@ -397,7 +397,9 @@ class TestPositiveHomogeneityFlag:
                 RiskSpec.ew_with(LossFunction.identity()),
                 RiskSpec.sr_with(LossFunction.pwl((0.0, 1.0, 3.0),
                                                   (0.0, 1.0))),
-                RiskSpec.sr_with(LossFunction.power(2.0, 3.0))]
+                RiskSpec.sr_with(LossFunction.power(2.0, 3.0)),
+                RiskSpec.oce_with(LossFunction.power(2.0, 1.0)),
+                RiskSpec.ew_with(LossFunction.power(0.5, 1.0))]
 
     def unflagged(self):
         return [RiskSpec.lses_at(0.5), RiskSpec.oce_with(EXP),
@@ -409,7 +411,7 @@ class TestPositiveHomogeneityFlag:
         assert LossFunction.identity().positively_homogeneous
         assert not PWL_OFF_ZERO.positively_homogeneous
         assert not EXP.positively_homogeneous
-        assert not LossFunction.power(1.0, 1.0).positively_homogeneous
+        assert LossFunction.power(1.0, 1.0).positively_homogeneous
 
     def test_profile_flag(self):
         assert step_profile(0.4).vanishes_on_domain
