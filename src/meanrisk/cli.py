@@ -7,6 +7,7 @@ e.g. pricing against a market that already admits the forbidden arbitrage),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -20,7 +21,10 @@ from .pricing import price_bounds
 from .simplex import LPError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` fills a
+    fresh Namespace on every call and leaves the parser unchanged."""
     ap = argparse.ArgumentParser(prog="meanrisk",
                                  description="mean-risk portfolio analytics "
                                              "on finite probability spaces")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -81,10 +82,11 @@ def continuous_identity_check(X: RandVar, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Standard normal helpers (self-contained: stdlib erfc + bisection quantile)
+# Standard normal helpers (self-contained: stdlib erfc and AS241 quantile)
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = NormalDist()
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -98,19 +100,10 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_quantile(u: float) -> float:
-    """Inverse cdf by bisection on [-40, 40]; accurate to about 1e-12."""
+    """Inverse cdf (Wichura's AS241 through ``statistics.NormalDist``)."""
     if not 0.0 < u < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    return _STANDARD_NORMAL.inv_cdf(u)
 
 
 def normal_quantile_grid(count: int) -> np.ndarray:

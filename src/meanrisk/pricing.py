@@ -10,7 +10,10 @@ prices are E[Z Y / (1+r)] with Z ranging over
                      with M.
 
 Each interval is computed over the closure of the relevant set (linear
-programs attain their optima there); endpoint attainment within the strict
+programs attain their optima there).  Both endpoints come from one
+``simplex.solve_lp_range`` call: the upper bound's LP continues from the
+lower bound's optimal tableau with its cost row negated, so it pays neither
+a second standard form nor phase 1.  Endpoint attainment within the strict
 set is decided by slack maximisation and reported through openness flags.
 """
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .dual import (SLACK_TOL, DualSetSpec, _martingale_rows,
                    martingale_feasibility, set_polytope)
 from .market import Market, RandVar
 from .measures import RiskSpec
-from .simplex import OPTIMAL, LPError, solve_lp
+from .simplex import OPTIMAL, LPError, solve_lp, solve_lp_range
 
 KINDS = ("NO_ARB", "NO_RHO_ARB", "NO_STRONG_RHO_ARB")
 REPLICATION_TOL = 1e-10
@@ -57,19 +60,6 @@ def augment_market(m: Market, payoff: RandVar, price: float) -> Market:
         raise ValueError("the quoted price must be positive")
     new_excess = payoff.values / price - 1.0 - m.r
     return Market(m.space, m.r, np.hstack([m.excess, new_excess[:, None]]))
-
-
-def _bound(m: Market, pt, price_vec: np.ndarray, maximize: bool) -> tuple[float, np.ndarray]:
-    c = np.zeros(pt.nvars)
-    c[:pt.n] = price_vec
-    mg_A, mg_b = _martingale_rows(m, pt.nvars)
-    res = solve_lp(c, A_ub=pt.A_ub, b_ub=pt.b_ub,
-                   A_eq=np.vstack([pt.A_eq, mg_A]),
-                   b_eq=np.concatenate([pt.b_eq, mg_b]),
-                   maximize=maximize)
-    if res.status != OPTIMAL:
-        raise LPError(f"price-bound LP ended with status {res.status}")
-    return float(res.value), res.x[:pt.n]
 
 
 def _attained(m: Market, spec_set, price_vec: np.ndarray, bound: float,
@@ -153,8 +143,16 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
         label = "closed dual set intersected with M"
         need_positive = False
 
-    lower, _ = _bound(m, pt, price_vec, maximize=False)
-    upper, _ = _bound(m, pt, price_vec, maximize=True)
+    c = np.zeros(pt.nvars)
+    c[:pt.n] = price_vec
+    mg_A, mg_b = _martingale_rows(m, pt.nvars)
+    legs = solve_lp_range(c, A_ub=pt.A_ub, b_ub=pt.b_ub,
+                          A_eq=np.vstack([pt.A_eq, mg_A]),
+                          b_eq=np.concatenate([pt.b_eq, mg_b]))
+    for res in legs:
+        if res.status != OPTIMAL:
+            raise LPError(f"price-bound LP ended with status {res.status}")
+    lower, upper = (res.value for res in legs)
     lo_att = _attained(m, att_set, price_vec, lower, need_positive)
     up_att = _attained(m, att_set, price_vec, upper, need_positive)
     return PriceInterval(lower, upper, kind, lo_att, up_att, label)

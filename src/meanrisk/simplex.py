@@ -24,6 +24,11 @@ its slack in the basis; only equality rows and rows with a negative
 right-hand side get a phase-1 artificial.  Each equality row is scaled to
 a largest entry of one, so phase 1's absolute tolerances hold for rows of
 any scale.
+
+``solve_lp_range`` gives both min c.x and max c.x over one polytope from a
+single tableau: after the min leg's phase 2 the cost row is negated (rhs
+entry included), which prices -c at an optimal basis of c, so the max leg
+starts phase 2 from there with no second standard form and no phase 1.
 """
 from __future__ import annotations
 
@@ -137,14 +142,15 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
     raise LPError("simplex iteration budget exhausted")
 
 
-def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                    slack: np.ndarray, max_iter: int) -> LPResult:
-    """min c.x  s.t.  A x = b, x >= 0.
+def _phase1(c: np.ndarray, A: np.ndarray, b: np.ndarray, slack: np.ndarray,
+            max_iter: int) -> tuple[np.ndarray, np.ndarray, int] | LPResult:
+    """Phase 1 of  min c.x  s.t.  A x = b, x >= 0.
 
     ``slack[i]`` is the column of row i's slack (+1 in that row only), or -1
     for an equality row.  Artificial variables are not stored as columns:
     once one leaves the basis it never re-enters, so basis index n + i just
-    marks row i as still held by its artificial.
+    marks row i as still held by its artificial.  Returns the tableau, its
+    feasible basis and the pivots made, or an INFEASIBLE LPResult.
     """
     m, n = A.shape
     # Rows 0..m-1: constraints; row m: phase-2 costs; row m + 1: phase-1
@@ -162,7 +168,7 @@ def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
     T[:m][neg] *= -1.0
     basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
     artificial = basis >= n
-    pivots = phase1 = 0
+    pivots = 0
 
     if artificial.any():
         T[m + 1] = -T[:m][artificial].sum(axis=0)
@@ -183,34 +189,45 @@ def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
                 basis[i] = j
                 _pivot(T, i, j)
                 pivots += 1
-        phase1 = pivots
         if keep.all():
             T = T[:m + 1]
         else:
             T = T[np.flatnonzero(keep)]
             basis = basis[keep[:m]]
-            m = basis.size
+    return T, basis, pivots
 
-    status, phase2 = _iterate(T, basis, m, m, n, max_iter, False)
+
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, pivots: int,
+            phase1: int, max_iter: int) -> LPResult:
+    """Phase 2 from the feasible ``basis`` of T, whose row basis.size holds
+    the reduced costs of c.  ``pivots`` (``phase1`` of them in phase 1) were
+    made before; T and basis end at the final basis."""
+    m = basis.size
+    status, phase2 = _iterate(T, basis, m, m, c.size, max_iter, False)
     pivots += phase2
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, pivots=pivots, phase1_pivots=phase1)
-    x = np.zeros(n)
+    x = np.zeros(c.size)
     x[basis] = T[:m, -1]
     return LPResult(OPTIMAL, x, float(c @ x), pivots, phase1)
 
 
-def solve_lp(c,
-             A_ub=None, b_ub=None,
-             A_eq=None, b_eq=None,
-             lower=None, upper=None,
-             maximize: bool = False,
-             max_iter: int | None = None) -> LPResult:
-    """Solve a general-form LP.  Default bounds are x >= 0.
+def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
+                    slack: np.ndarray, max_iter: int) -> LPResult:
+    """min c.x  s.t.  A x = b, x >= 0, in the layout of ``_phase1``."""
+    start = _phase1(c, A, b, slack, max_iter)
+    if isinstance(start, LPResult):
+        return start
+    T, basis, pivots = start
+    return _phase2(T, basis, c, pivots, pivots, max_iter)
 
-    Bounds may contain +/-inf entries; free and upper-bounded variables are
-    shifted/split to reach standard form.  ``LPResult.x`` is reported in the
-    original variables.
+
+def _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
+    """The standard form of a general-form LP and the map back.
+
+    Returns (c_std, A_std, b_std, slack, unmap), where ``unmap(res)`` turns a
+    standard-form LPResult into one in the original variables, or None when
+    some lower bound exceeds its upper bound.
     """
     c = np.asarray(c, dtype=float)
     nvar = c.size
@@ -219,7 +236,7 @@ def solve_lp(c,
     hi = np.full(nvar, np.inf) if upper is None else np.broadcast_to(
         np.asarray(upper, dtype=float), (nvar,))
     if np.any(lo > hi):
-        return LPResult(INFEASIBLE)
+        return None
 
     A_ub = np.zeros((0, nvar)) if A_ub is None else np.atleast_2d(
         np.asarray(A_ub, dtype=float))
@@ -258,13 +275,69 @@ def solve_lp(c,
     c_std[:ny] = -c[src] * sign if maximize else c[src] * sign
     slack = np.concatenate([ny + np.arange(mu), np.full(n_eq, -1)])
 
-    if max_iter is None:
-        max_iter = 2000 + 200 * (A_std.shape[0] + A_std.shape[1])
-    res = _solve_standard(c_std, A_std, b_std, slack, max_iter)
-    if res.status != OPTIMAL:
-        return LPResult(res.status, pivots=res.pivots,
-                        phase1_pivots=res.phase1_pivots)
+    def unmap(res: LPResult) -> LPResult:
+        if res.status != OPTIMAL:
+            return res
+        x = offset + np.bincount(src, weights=sign * res.x[:ny],
+                                 minlength=nvar)
+        return LPResult(OPTIMAL, x, float(c @ x), res.pivots,
+                        res.phase1_pivots)
+    return c_std, A_std, b_std, slack, unmap
 
-    x = offset + np.bincount(src, weights=sign * res.x[:ny], minlength=nvar)
-    value = float(c @ x)
-    return LPResult(OPTIMAL, x, value, res.pivots, res.phase1_pivots)
+
+def _budget(A_std: np.ndarray) -> int:
+    return 2000 + 200 * (A_std.shape[0] + A_std.shape[1])
+
+
+def solve_lp(c,
+             A_ub=None, b_ub=None,
+             A_eq=None, b_eq=None,
+             lower=None, upper=None,
+             maximize: bool = False,
+             max_iter: int | None = None) -> LPResult:
+    """Solve a general-form LP.  Default bounds are x >= 0.
+
+    Bounds may contain +/-inf entries; free and upper-bounded variables are
+    shifted/split to reach standard form.  ``LPResult.x`` is reported in the
+    original variables.
+    """
+    form = _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize)
+    if form is None:
+        return LPResult(INFEASIBLE)
+    c_std, A_std, b_std, slack, unmap = form
+    if max_iter is None:
+        max_iter = _budget(A_std)
+    return unmap(_solve_standard(c_std, A_std, b_std, slack, max_iter))
+
+
+def solve_lp_range(c,
+                   A_ub=None, b_ub=None,
+                   A_eq=None, b_eq=None,
+                   lower=None, upper=None,
+                   max_iter: int | None = None) -> tuple[LPResult, LPResult]:
+    """(min, max) of c.x over one polytope, in the general form of solve_lp.
+
+    The max leg continues from the min leg's optimal tableau with its cost
+    row negated: every reduced cost of c is >= 0 there, so those of -c are
+    their negatives and the basis is a feasible phase-2 start.  It needs
+    neither a second standard form nor phase 1 (its ``phase1_pivots`` is 0).
+    An infeasible min leg makes both infeasible; after an unbounded one the
+    max leg is solved cold.
+    """
+    form = _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, False)
+    if form is None:
+        return LPResult(INFEASIBLE), LPResult(INFEASIBLE)
+    c_std, A_std, b_std, slack, unmap = form
+    if max_iter is None:
+        max_iter = _budget(A_std)
+    start = _phase1(c_std, A_std, b_std, slack, max_iter)
+    if isinstance(start, LPResult):
+        return start, LPResult(INFEASIBLE)
+    T, basis, pivots = start
+    low = _phase2(T, basis, c_std, pivots, pivots, max_iter)
+    if low.status == UNBOUNDED:
+        high = _solve_standard(-c_std, A_std, b_std, slack, max_iter)
+    else:
+        T[basis.size] *= -1.0
+        high = _phase2(T, basis, -c_std, 0, 0, max_iter)
+    return unmap(low), unmap(high)

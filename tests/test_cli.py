@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from meanrisk import LPError, Market
+from meanrisk import LPError, Market, cli
 from meanrisk.cli import main
 from meanrisk.fixtures import IRREGULAR_SPOT_VALUES
 from meanrisk.io import (emit_market, parse_loss, parse_market, parse_measure,
@@ -13,6 +13,16 @@ space.probs = 0.25 0.25 0.5
 market.r = 0.01
 asset.1.excess = 0.3 -0.2 0.1      # excess returns per atom
 asset.2.excess = -0.1 0.25 -0.2
+"""
+
+# the market-file example of the README: four atoms, so the payoff
+# "2 0.5 1 0.8" is not replicable from cash and the two assets
+README_MARKET_TEXT = """
+space.probs = 0.25 0.25 0.25 0.25
+market.r = 0.01
+asset.1.excess = 0.3 -0.2 0.1 -0.1      # excess returns per atom
+asset.2.price = 1.0
+asset.2.payoffs = 1.2 0.9 1.05 1.0
 """
 
 
@@ -208,3 +218,49 @@ class TestCommands:
         first = capsys.readouterr().out
         main(["arbitrage", "--market", market_file, "--measure", "es:0.4"])
         assert capsys.readouterr().out == first
+
+
+class TestParserReuse:
+    def test_cached_parser_matches_a_fresh_one(self, market_file, tmp_path,
+                                               capsys):
+        readme = tmp_path / "readme.txt"
+        readme.write_text(README_MARKET_TEXT, encoding="utf-8")
+        out = tmp_path / "bounds.csv"
+        calls = [
+            ["--out", str(out), "price-bounds", "--market", str(readme),
+             "--payoff", "2 0.5 1 0.8", "--measure", "es:0.5"],
+            ["arbitrage", "--market", market_file, "--measure", "es:0.4"],
+            ["frontier", "--market", market_file],
+            ["eval", "--market", market_file, "--measure", "lses:0.5",
+             "--portfolio", "1 0"],
+            ["classify", "--measure", "lses:1"],
+        ]
+
+        def run(argv):
+            if out.exists():
+                out.unlink()
+            code = main(argv)
+            captured = capsys.readouterr()
+            text = out.read_text() if out.exists() else None
+            return code, captured.out, captured.err, text
+
+        cli._build_parser.cache_clear()
+        cached = [run(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert cached == fresh
+        assert [call[0] for call in cached] == [0, 0, 2, 0, 0]
+        _, stdout, stderr, text = cached[0]
+        assert (stdout, stderr) == ("", "")
+        assert text.startswith("kind,lower,upper,lower_attained,"
+                               "upper_attained\nNO_RHO_ARB,0.891089108910")
+        # --out of the first call does not leak into the second
+        _, stdout, _, text = cached[1]
+        assert stdout.startswith("quantity,value\n") and text is None
+        _, stdout, stderr, _ = cached[2]
+        assert stdout == "" and stderr.startswith("usage: meanrisk frontier")
+        assert stderr.endswith("meanrisk frontier: error: the following "
+                               "arguments are required: --measure\n")

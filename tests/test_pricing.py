@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from conftest import random_market
-from meanrisk import (Market, RandVar, RiskSpec, augment_market,
-                      detect_arbitrage, price_bounds)
-from meanrisk.pricing import is_replicable
+from meanrisk import (LossFunction, LPError, Market, PriceInterval, RandVar,
+                      RiskSpec, augment_market, detect_arbitrage, price_bounds,
+                      pricing, solve_lp, step_profile)
+from meanrisk.pricing import KINDS, is_replicable
 
 TRINOMIAL = Market.from_excess([0.25, 0.25, 0.5], 0.0,
                                [[0.4], [-0.2], [0.1]])
@@ -123,3 +124,46 @@ class TestAugmentationConsistency:
         m_ok = augment_market(TRINOMIAL, PAYOFF,
                               0.5 * (outer.lower + outer.upper))
         assert check_classical_arbitrage(m_ok) is None
+
+
+def _outcome(m, y, spec, kind):
+    try:
+        return price_bounds(m, y, spec, kind)
+    except (ValueError, LPError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedTableau:
+    """Both bounds from one tableau agree with two cold LPs."""
+
+    def test_matches_two_lp_reference(self, monkeypatch):
+        measures = (RiskSpec.es_at(0.35), RiskSpec.lses_at(0.5),
+                    RiskSpec.adjusted(step_profile(0.4)),
+                    RiskSpec.oce_with(LossFunction.pwl((0.5, 2.0), (0.0,))))
+        cases = []
+        for seed in range(60):
+            local = np.random.default_rng(seed)
+            n = int(local.integers(3, 9))
+            m = random_market(local, n=n, d=int(local.integers(1, n - 1)),
+                              r=float(local.uniform(0.0, 0.05)))
+            y = RandVar(m.space, local.normal(1.0, 0.5, n))
+            cases.append((m, y, None, "NO_ARB"))
+            cases += [(m, y, spec, kind) for spec in measures
+                      for kind in KINDS[1:]]
+        got = [_outcome(*case) for case in cases]
+        monkeypatch.setattr(pricing, "solve_lp_range", lambda c, **rows: (
+            solve_lp(c, **rows), solve_lp(c, maximize=True, **rows)))
+        intervals = 0
+        for case, mine in zip(cases, got):
+            ref = _outcome(*case)
+            if not isinstance(ref, PriceInterval):
+                assert mine == ref, case[3]
+                continue
+            assert isinstance(mine, PriceInterval), (mine, case[3])
+            for a, b in ((mine.lower, ref.lower), (mine.upper, ref.upper)):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+            assert ((mine.kind, mine.lower_attained, mine.upper_attained,
+                     mine.set_label) == (ref.kind, ref.lower_attained,
+                                         ref.upper_attained, ref.set_label))
+            intervals += 1
+        assert intervals >= 100

@@ -375,3 +375,65 @@ class TestSmallScale:
         # LSES's b scales with the returns
         self.check(monkeypatch, 34, RiskSpec.lses_at(0.5),
                    RiskSpec.lses_at(0.5e-7))
+
+
+def _random_polytope(rng):
+    """Bounded by construction: box bounds, or +-5 rows on free columns.
+    Equality rows include a redundant combination of the others; 30% of
+    the instances draw their rhs at random and are mostly infeasible."""
+    nvar = int(rng.integers(2, 8))
+    lower, upper = _random_bounds(rng, nvar)
+    unbox = ~(np.isfinite(lower) & np.isfinite(upper))
+    A_ub = np.vstack([rng.normal(0, 1, (int(rng.integers(0, 5)), nvar)),
+                      np.eye(nvar)[unbox], -np.eye(nvar)[unbox]])
+    A_eq = rng.normal(0, 1, (int(rng.integers(1, 4)), nvar))
+    A_eq = np.vstack([A_eq, rng.normal(0, 1, A_eq.shape[0]) @ A_eq])
+    x0 = np.clip(rng.normal(0, 1, nvar), np.maximum(lower, -4.0),
+                 np.minimum(upper, 4.0))
+    b_ub = A_ub @ x0 + np.where(rng.random(A_ub.shape[0]) < 0.4, 0.0,
+                                rng.uniform(0, 1, A_ub.shape[0]))
+    b_ub[A_ub.shape[0] - 2 * unbox.sum():] = 5.0
+    b_eq = A_eq @ x0
+    if rng.random() < 0.3:
+        b_eq = b_eq + rng.normal(0, 1, b_eq.size)
+    return dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower,
+                upper=upper), rng.normal(0, 1, nvar)
+
+
+def test_range_matches_two_cold_solves(rng):
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    phase1 = 0
+    for _ in range(300):
+        rows, c = _random_polytope(rng)
+        low, high = simplex.solve_lp_range(c, **rows)
+        ref_low = solve_lp(c, **rows)
+        ref_high = solve_lp(c, maximize=True, **rows)
+        assert (low.status, high.status) == (ref_low.status, ref_high.status)
+        assert high.phase1_pivots == 0
+        seen[low.status] += 1
+        if low.status != OPTIMAL:
+            continue
+        phase1 += low.phase1_pivots > 0
+        for got, want in ((low, ref_low), (high, ref_high)):
+            assert got.value == pytest.approx(want.value, rel=1e-9,
+                                              abs=1e-12)
+            assert got.value == float(c @ got.x)
+            assert_feasible(got, c, **rows)
+    assert min(seen.values()) >= 30 and phase1 >= 30, (seen, phase1)
+
+
+def test_range_unbounded_and_empty_legs():
+    # min unbounded: the max leg is solved cold
+    low, high = simplex.solve_lp_range([1.0], A_ub=[[1.0]], b_ub=[5.0],
+                                       lower=[-np.inf])
+    assert low.status == UNBOUNDED
+    assert high.status == OPTIMAL and high.value == pytest.approx(5.0)
+    # max unbounded from the min leg's tableau
+    low, high = simplex.solve_lp_range([1.0, 0.0], A_eq=[[1.0, -1.0]],
+                                       b_eq=[0.0])
+    assert (low.status, low.value, high.status) == (OPTIMAL, 0.0, UNBOUNDED)
+    assert high.phase1_pivots == 0
+    for kwargs in ({"A_eq": [[1.0, 1.0], [1.0, 1.0]], "b_eq": [1.0, 2.0]},
+                   {"lower": [2.0, 0.0], "upper": [1.0, 1.0]}):
+        low, high = simplex.solve_lp_range([1.0, 2.0], **kwargs)
+        assert low.status == high.status == INFEASIBLE, kwargs
