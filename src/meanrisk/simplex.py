@@ -27,8 +27,10 @@ any scale.
 
 ``solve_lp_range`` gives both min c.x and max c.x over one polytope from a
 single tableau: after the min leg's phase 2 the cost row is negated (rhs
-entry included), which prices -c at an optimal basis of c, so the max leg
-starts phase 2 from there with no second standard form and no phase 1.
+entry included).  Reduced costs are linear in c, so the negated row prices
+-c at whatever feasible basis the min leg stopped on, optimal or not, and
+the max leg runs phase 2 from there with no second standard form and no
+phase 1.
 """
 from __future__ import annotations
 
@@ -197,29 +199,19 @@ def _phase1(c: np.ndarray, A: np.ndarray, b: np.ndarray, slack: np.ndarray,
     return T, basis, pivots
 
 
-def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, pivots: int,
-            phase1: int, max_iter: int) -> LPResult:
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, phase1: int,
+            max_iter: int) -> LPResult:
     """Phase 2 from the feasible ``basis`` of T, whose row basis.size holds
-    the reduced costs of c.  ``pivots`` (``phase1`` of them in phase 1) were
-    made before; T and basis end at the final basis."""
+    the reduced costs of c.  ``phase1`` pivots were made before; T and basis
+    end at the final basis."""
     m = basis.size
     status, phase2 = _iterate(T, basis, m, m, c.size, max_iter, False)
-    pivots += phase2
+    pivots = phase1 + phase2
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, pivots=pivots, phase1_pivots=phase1)
     x = np.zeros(c.size)
     x[basis] = T[:m, -1]
     return LPResult(OPTIMAL, x, float(c @ x), pivots, phase1)
-
-
-def _solve_standard(c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                    slack: np.ndarray, max_iter: int) -> LPResult:
-    """min c.x  s.t.  A x = b, x >= 0, in the layout of ``_phase1``."""
-    start = _phase1(c, A, b, slack, max_iter)
-    if isinstance(start, LPResult):
-        return start
-    T, basis, pivots = start
-    return _phase2(T, basis, c, pivots, pivots, max_iter)
 
 
 def _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
@@ -307,7 +299,11 @@ def solve_lp(c,
     c_std, A_std, b_std, slack, unmap = form
     if max_iter is None:
         max_iter = _budget(A_std)
-    return unmap(_solve_standard(c_std, A_std, b_std, slack, max_iter))
+    start = _phase1(c_std, A_std, b_std, slack, max_iter)
+    if isinstance(start, LPResult):
+        return start
+    T, basis, pivots = start
+    return unmap(_phase2(T, basis, c_std, pivots, max_iter))
 
 
 def solve_lp_range(c,
@@ -317,12 +313,13 @@ def solve_lp_range(c,
                    max_iter: int | None = None) -> tuple[LPResult, LPResult]:
     """(min, max) of c.x over one polytope, in the general form of solve_lp.
 
-    The max leg continues from the min leg's optimal tableau with its cost
-    row negated: every reduced cost of c is >= 0 there, so those of -c are
-    their negatives and the basis is a feasible phase-2 start.  It needs
-    neither a second standard form nor phase 1 (its ``phase1_pivots`` is 0).
-    An infeasible min leg makes both infeasible; after an unbounded one the
-    max leg is solved cold.
+    The max leg continues from the min leg's final tableau with its cost
+    row negated.  Reduced costs are linear in c, so the negated row prices
+    -c at that basis, and phase 2 needs only its primal feasibility, which
+    holds whether the min leg ended optimal or unbounded (an unbounded exit
+    makes no pivot).  The max leg needs neither a second standard form nor
+    phase 1 (its ``phase1_pivots`` is 0).  An infeasible min leg makes both
+    infeasible.
     """
     form = _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, False)
     if form is None:
@@ -334,10 +331,7 @@ def solve_lp_range(c,
     if isinstance(start, LPResult):
         return start, LPResult(INFEASIBLE)
     T, basis, pivots = start
-    low = _phase2(T, basis, c_std, pivots, pivots, max_iter)
-    if low.status == UNBOUNDED:
-        high = _solve_standard(-c_std, A_std, b_std, slack, max_iter)
-    else:
-        T[basis.size] *= -1.0
-        high = _phase2(T, basis, -c_std, 0, 0, max_iter)
+    low = _phase2(T, basis, c_std, pivots, max_iter)
+    T[basis.size] *= -1.0
+    high = _phase2(T, basis, -c_std, 0, max_iter)
     return unmap(low), unmap(high)

@@ -270,19 +270,18 @@ def _loop_standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
 def test_standard_form_matches_column_loop(rng, monkeypatch):
     # same arithmetic as the per-column loop, so results are bit-identical
     seen = []
-    inner = simplex._solve_standard
-
-    def spy(*args):
-        seen.append((args, inner(*args)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(simplex, "_solve_standard", spy)
+    for name in ("_phase1", "_phase2"):
+        def spy(*args, inner=getattr(simplex, name)):
+            seen.append((args, inner(*args)))
+            return seen[-1][1]
+        monkeypatch.setattr(simplex, name, spy)
     for _ in range(200):
         inst = _random_instance(rng)
         c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize = inst
         res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                        lower=lower, upper=upper, maximize=maximize)
-        (args, std), = seen
+        args, std = seen[0][0], seen[-1][1]
+        assert len(seen) == 1 + isinstance(seen[0][1], tuple)
         seen.clear()
         c_std, A, b, slack, to_x = _loop_standard_form(*inst)
         for got, want in zip(args[:4], (c_std, A, b, slack)):
@@ -422,12 +421,43 @@ def test_range_matches_two_cold_solves(rng):
     assert min(seen.values()) >= 30 and phase1 >= 30, (seen, phase1)
 
 
+def test_range_after_unbounded_min_matches_cold_max(rng):
+    # Free columns bounded above only, and c > 0: max c.x is bounded while
+    # min c.x is mostly not, so the max leg starts from the basis of an
+    # unbounded exit.
+    seen = {}
+    for _ in range(200):
+        nvar = int(rng.integers(2, 8))
+        A_ub = np.vstack([rng.normal(0, 1, (int(rng.integers(0, 3)), nvar)),
+                          np.eye(nvar)])
+        A_eq = rng.normal(0, 1, (int(rng.integers(0, nvar)), nvar))
+        A_eq = np.vstack([A_eq, rng.normal(0, 1, A_eq.shape[0]) @ A_eq])
+        x0 = rng.normal(0, 1, nvar)
+        rows = dict(A_ub=A_ub, b_ub=A_ub @ x0 + rng.uniform(0, 1, len(A_ub)),
+                    A_eq=A_eq, b_eq=A_eq @ x0, lower=-np.inf)
+        c = np.abs(rng.normal(0, 1, nvar)) + 0.1
+        low, high = simplex.solve_lp_range(c, **rows)
+        ref_low = solve_lp(c, **rows)
+        ref_high = solve_lp(c, maximize=True, **rows)
+        assert (low.status, high.status) == (ref_low.status, ref_high.status)
+        assert high.phase1_pivots == 0
+        key = (low.status, high.status)
+        seen[key] = seen.get(key, 0) + 1
+        for got, want in ((low, ref_low), (high, ref_high)):
+            if got.status == OPTIMAL:
+                assert got.value == pytest.approx(want.value, rel=1e-9,
+                                                  abs=1e-12)
+                assert_feasible(got, c, **rows)
+    assert seen.get((UNBOUNDED, OPTIMAL), 0) >= 80, seen
+
+
 def test_range_unbounded_and_empty_legs():
-    # min unbounded: the max leg is solved cold
+    # min unbounded: the max leg starts from the basis the min leg left
     low, high = simplex.solve_lp_range([1.0], A_ub=[[1.0]], b_ub=[5.0],
                                        lower=[-np.inf])
     assert low.status == UNBOUNDED
     assert high.status == OPTIMAL and high.value == pytest.approx(5.0)
+    assert high.phase1_pivots == 0
     # max unbounded from the min leg's tableau
     low, high = simplex.solve_lp_range([1.0, 0.0], A_eq=[[1.0, -1.0]],
                                        b_eq=[0.0])
