@@ -32,6 +32,14 @@ band.  The maximal return at risk <= rho* is one LP that maximises g.pi
 with the risk objective moved into a row; the families without an LP
 bisect over slices for it, the one search over slices left.
 
+A boundary sweep of a family that is not positively homogeneous solves one
+slice per grid node.  The slice offset x0 = excess particular(nu) is linear
+in nu, so for an LP family consecutive nodes solve one LP whose rhs alone
+changes: each node's slice LP starts from the previous node's optimal basis,
+which stays dual feasible, and a few dual simplex pivots finish it.  Every
+other LP here (homogeneous sweeps, bands, recession and mean-risk LPs)
+starts cold.
+
 The recession measure rho^inf is a family of its own, so recession
 frontiers run the builders above: es at beta for adjusted ES, wc for lses,
 and for ew/sr/oce the hinge LP of the asymptotic loss
@@ -42,6 +50,7 @@ feasibility programs they are checked against.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,6 +69,12 @@ from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult,
 SIGN_TOL = 1e-7          # sign classification of rho_inf_1 and ball minima
 OBJ_TOL = 1e-8           # cutting-plane convergence on objective values
 
+# The basis chain of the running non-homogeneous sweep (see _Param.chain).
+# optimal_boundary reaches each node through the public rho_nu(spec, m, nu),
+# so the chain rides a context variable rather than an argument.
+_sweep_chain: ContextVar[list | None] = ContextVar("_sweep_chain",
+                                                   default=None)
+
 
 # ---------------------------------------------------------------------------
 # Portfolio parametrisations
@@ -77,6 +92,8 @@ class _Param:
     b_ub: np.ndarray
     to_portfolio: object           # theta -> pi
     budget: float | None = None    # set: max E[X] s.t. risk <= budget
+    chain: list | None = None      # [basis]: the LP starts from basis and
+                                   # leaves its own optimal basis (or None)
 
 
 def _slice_param(m: Market, nu: float) -> _Param:
@@ -137,7 +154,10 @@ def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
     res = solve_lp(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
                    lower=np.concatenate([par.lower, lower]),
                    upper=np.concatenate([par.upper, upper]),
-                   maximize=par.budget is not None)
+                   maximize=par.budget is not None,
+                   start=None if par.chain is None else par.chain[0])
+    if par.chain is not None:
+        par.chain[0] = res.basis
     if res.status != OPTIMAL:
         return res, None
     if shift:
@@ -452,7 +472,9 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
         raise ValueError("value-at-risk slice minimisation is not supported")
     if fam == "eloss":
         return -nu, par.to_portfolio(np.zeros(par.C.shape[1]))
-    solved = _lp_min(spec, p, par)
+    chain = _sweep_chain.get()
+    solved = _lp_min(spec, p, par if chain is None
+                     else replace(par, chain=chain))
     if solved is None:
         return _smooth_min(spec, m, par, nu)
     res, t = solved
@@ -620,7 +642,11 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     A positively homogeneous family has rho_nu = nu rho_1 with minimiser
     nu pi_1 for nu > 0, so its sweep solves the slices at nu = 0 and 1 only
     (a -inf or failed unit slice carries to every nu > 0).  Other families
-    solve one slice per grid node.
+    solve one slice per grid node, in increasing nu; an LP family chains
+    them: each slice LP starts from the previous node's optimal basis (the
+    rhs alone moves with nu), and a failed or -inf node restarts the chain
+    cold.  The two slices of a homogeneous sweep stay cold: nu = 0 to 1 is
+    no small rhs change.
 
     In the positive regime a convex family that is not homogeneous takes
     its boundary minimiser from one solve over the portfolios with
@@ -634,12 +660,14 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
         raise ValueError("need nu_max > 0 and steps >= 2")
     grid = np.linspace(0.0, nu_max, steps)
     errors: list[str] = []
+    chain = [None]
 
     def solve_point(nu):
         try:
             return rho_nu(spec, m, float(nu))
         except LPError as exc:           # recorded, not fatal
             errors.append(f"nu={nu:g}: {exc}")
+            chain[0] = None
             return math.nan, None
 
     if spec.positively_homogeneous:
@@ -650,7 +678,11 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
             (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
             for nu in grid[1:]]
     else:
-        results = [solve_point(nu) for nu in grid]
+        token = _sweep_chain.set(chain)
+        try:
+            results = [solve_point(nu) for nu in grid]
+        finally:
+            _sweep_chain.reset(token)
     values = np.array([v for v, _ in results])
     portfolios = [piv for _, piv in results]
 

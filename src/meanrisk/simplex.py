@@ -31,6 +31,19 @@ entry included).  Reduced costs are linear in c, so the negated row prices
 -c at whatever feasible basis the min leg stopped on, optimal or not, and
 the max leg runs phase 2 from there with no second standard form and no
 phase 1.
+
+An optimal ``LPResult`` carries its standard-form ``basis`` (None when
+phase 1 dropped a redundant row), and ``solve_lp(..., start=basis)``
+starts from it.  The start is factored once (B^-1 [A | b] from
+``np.linalg.inv``); when every reduced cost of c is at least
+-``_RCOST_TOL`` there, the basis is dual feasible, and the dual simplex
+(Lemke 1954) pivots until every rhs is at least -``_PHASE1_TOL``, after
+which phase 2 finishes as in a cold solve.  An LP that differs from the
+start's only in its rhs thus needs a few dual pivots and no phase 1.  A
+mis-shaped or singular start, a dual infeasible one, a dual pivot row with
+no negative entry (the LP may be infeasible), a non-optimal phase 2 or an
+exhausted budget falls back to the cold solve, so infeasible and unbounded
+verdicts come from the cold path only.
 """
 from __future__ import annotations
 
@@ -50,6 +63,8 @@ _PHASE1_TOL = 1e-8  # residual infeasibility treated as zero
 _RATIO_TIE = 1e-12  # ratios within this of the minimum tie; smaller steps
                     # count as degenerate
 _DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland takes over
+_COND_MAX = 1e12     # a start basis with max|B| max|B^-1| above this is
+                     # treated as singular
 
 
 class LPError(RuntimeError):
@@ -61,8 +76,10 @@ class LPResult:
     status: str
     x: np.ndarray | None = None
     value: float | None = None
-    pivots: int = 0     # phase-1 plus phase-2 pivots
+    pivots: int = 0     # phase-1, dual and phase-2 pivots
     phase1_pivots: int = 0
+    dual_pivots: int = 0
+    basis: np.ndarray | None = None  # standard-form basis, when optimal
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -211,7 +228,72 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, phase1: int,
         return LPResult(UNBOUNDED, pivots=pivots, phase1_pivots=phase1)
     x = np.zeros(c.size)
     x[basis] = T[:m, -1]
-    return LPResult(OPTIMAL, x, float(c @ x), pivots, phase1)
+    return LPResult(OPTIMAL, x, float(c @ x), pivots, phase1,
+                    basis=basis.copy())
+
+
+def _dual_iterate(T: np.ndarray, basis: np.ndarray, m: int, ncols: int,
+                  max_iter: int) -> tuple[str | None, int]:
+    """Dual simplex pivots on T, whose row m holds nonnegative reduced
+    costs, until every rhs is at least -_PHASE1_TOL.  The most negative rhs
+    leaves; among the columns whose entry in that row is below -_PIVOT_TOL
+    the least ratio reduced cost / -entry enters, the lowest index winning
+    ties.  Returns the status and the pivots made: INFEASIBLE when the
+    leaving row has no such entry, None when the budget runs out."""
+    rhs = T[:m, -1]
+    reduced = T[m, :ncols]
+    for pivots in range(max_iter):
+        leaving = int(np.argmin(rhs))
+        if rhs[leaving] >= -_PHASE1_TOL:
+            return OPTIMAL, pivots
+        row = T[leaving, :ncols]
+        cols = np.flatnonzero(row < -_PIVOT_TOL)
+        if cols.size == 0:
+            return INFEASIBLE, pivots
+        ratios = reduced[cols] / -row[cols]
+        entering = int(cols[np.argmax(ratios <= ratios.min() + _RATIO_TIE)])
+        basis[leaving] = entering
+        _pivot(T, leaving, entering)
+    return None, max_iter
+
+
+def _warm_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, start,
+                max_iter: int) -> LPResult | None:
+    """min c.x s.t. A x = b, x >= 0 from the basis ``start`` by dual simplex
+    pivots and phase 2; None when the cold path must decide (see the module
+    docstring)."""
+    m, n = A.shape
+    start = np.asarray(start)
+    if (m == 0 or start.shape != (m,) or start.min() < 0
+            or start.max() >= n):
+        return None
+    B = A[:, start]
+    try:
+        inverse = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    # a rough condition number; a repeated column lands here too
+    if np.abs(B).max() * np.abs(inverse).max() > _COND_MAX:
+        return None
+    T = np.empty((m + 1, n + 1))
+    T[:m, :n] = inverse @ A
+    T[:m, n] = inverse @ b
+    T[m] = np.append(c, 0.0) - c[start] @ T[:m]
+    if T[m, :n].min() < -_RCOST_TOL:
+        return None                     # not dual feasible for c
+    basis = start.copy()
+    status, dual = _dual_iterate(T, basis, m, n, max_iter)
+    if status != OPTIMAL:
+        return None
+    try:
+        res = _phase2(T, basis, c, 0, max_iter)
+    except LPError:
+        return None
+    if res.status != OPTIMAL:
+        return None
+    res.pivots += dual
+    res.dual_pivots = dual
+    return res
 
 
 def _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
@@ -272,8 +354,10 @@ def _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
             return res
         x = offset + np.bincount(src, weights=sign * res.x[:ny],
                                  minlength=nvar)
+        full = res.basis.size == A_std.shape[0]   # no row dropped
         return LPResult(OPTIMAL, x, float(c @ x), res.pivots,
-                        res.phase1_pivots)
+                        res.phase1_pivots, res.dual_pivots,
+                        res.basis if full else None)
     return c_std, A_std, b_std, slack, unmap
 
 
@@ -286,12 +370,16 @@ def solve_lp(c,
              A_eq=None, b_eq=None,
              lower=None, upper=None,
              maximize: bool = False,
-             max_iter: int | None = None) -> LPResult:
+             max_iter: int | None = None,
+             start: np.ndarray | None = None) -> LPResult:
     """Solve a general-form LP.  Default bounds are x >= 0.
 
     Bounds may contain +/-inf entries; free and upper-bounded variables are
     shifted/split to reach standard form.  ``LPResult.x`` is reported in the
-    original variables.
+    original variables.  ``start`` is the ``basis`` of an optimal result of
+    an LP with the same shape, typically the same LP with another rhs; the
+    solve then begins with dual simplex pivots from it (see the module
+    docstring).
     """
     form = _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize)
     if form is None:
@@ -299,10 +387,14 @@ def solve_lp(c,
     c_std, A_std, b_std, slack, unmap = form
     if max_iter is None:
         max_iter = _budget(A_std)
-    start = _phase1(c_std, A_std, b_std, slack, max_iter)
-    if isinstance(start, LPResult):
-        return start
-    T, basis, pivots = start
+    if start is not None:
+        warm = _warm_solve(c_std, A_std, b_std, start, max_iter)
+        if warm is not None:
+            return unmap(warm)
+    feasible = _phase1(c_std, A_std, b_std, slack, max_iter)
+    if isinstance(feasible, LPResult):
+        return feasible
+    T, basis, pivots = feasible
     return unmap(_phase2(T, basis, c_std, pivots, max_iter))
 
 

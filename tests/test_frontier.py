@@ -549,6 +549,52 @@ class TestHomogeneousBoundary:
             assert fr.regime == "POSITIVE"
 
 
+def chained_specs():
+    """LP families that are not positively homogeneous: their sweeps chain
+    the slice LPs."""
+    kinked = LossFunction.pwl((0.5, 1.0, 2.0), (0.0, 0.5))
+    return [RiskSpec.lses_at(0.5),
+            RiskSpec.adjusted(lses_profile(0.5)),     # g = 0.5 (1/x - 1)
+            RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
+                                             (1.0, 0.0)])),
+            RiskSpec.oce_with(kinked), RiskSpec.ew_with(kinked)]
+
+
+class TestChainedSweep:
+    def test_matches_per_node_slices_in_fewer_pivots(self, monkeypatch):
+        lps = solved_lps(monkeypatch)
+        sweep = cold = dual = 0
+        for n in (4, 12, 40):
+            for seed in range(3):
+                m = random_market(np.random.default_rng(900 + seed), n=n,
+                                  d=3, arbitrage_free=True)
+                for spec in chained_specs():
+                    tag = (spec.label(), n, seed)
+                    del lps[:]
+                    fr = optimal_boundary(spec, m, 0.2, 11)
+                    nodes = lps[:fr.nu_grid.size]    # one LP per node
+                    assert fr.errors == [], tag
+                    assert all(r.phase1_pivots == 0 for r in nodes), tag
+                    sweep += sum(r.pivots for r in nodes)
+                    dual += sum(r.dual_pivots for r in nodes)
+                    del lps[:]
+                    for nu, value, pi in zip(fr.nu_grid, fr.rho_values,
+                                             fr.optimal_portfolios):
+                        want, _ = rho_nu(spec, m, float(nu))
+                        assert value == pytest.approx(
+                            want, rel=1e-10, abs=1e-12), tag
+                        # a slice optimum need not be unique (rho_nu = -nu
+                        # on a segment of portfolios), so the portfolio is
+                        # checked for optimality rather than equality
+                        X = excess_return(m, pi)
+                        assert X.mean() == pytest.approx(
+                            nu, rel=1e-10, abs=1e-12), tag
+                        assert evaluate(spec, X) == pytest.approx(
+                            want, rel=1e-10, abs=1e-12), tag
+                    cold += sum(r.pivots for r in lps)
+        assert dual > 0 and sweep < cold / 2, (sweep, cold, dual)
+
+
 class TestEfficientFrontier:
     def test_binomial_es_cases(self):
         fr = optimal_boundary(RiskSpec.es_at(0.5), BINOMIAL, 1.0, 5)

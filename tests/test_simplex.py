@@ -467,3 +467,79 @@ def test_range_unbounded_and_empty_legs():
                    {"lower": [2.0, 0.0], "upper": [1.0, 1.0]}):
         low, high = simplex.solve_lp_range([1.0, 2.0], **kwargs)
         assert low.status == high.status == INFEASIBLE, kwargs
+
+
+def _same_solve(got, want):
+    return (got.status == want.status and got.pivots == want.pivots
+            and got.phase1_pivots == want.phase1_pivots
+            and got.dual_pivots == want.dual_pivots
+            and (got.x is None or np.array_equal(got.x, want.x)))
+
+
+def _full_rank_polytope(rng):
+    """_random_polytope with fewer equality rows than variables and none
+    redundant, so phase 1 drops no row and an optimal result keeps its
+    basis."""
+    rows, c = _random_polytope(rng)
+    keep = min(rows["A_eq"].shape[0] - 1, c.size - 1)
+    rows["A_eq"], rows["b_eq"] = rows["A_eq"][:keep], rows["b_eq"][:keep]
+    return rows, c
+
+
+def test_warm_start_after_rhs_change_matches_cold(rng):
+    # a start differs from the LP it starts only in b
+    seen = {"dual": 0, INFEASIBLE: 0, "phase1": 0}
+    for _ in range(400):
+        rows, c = _full_rank_polytope(rng)
+        base = solve_lp(c, **rows)
+        if base.status != OPTIMAL:
+            continue
+        assert base.basis.size == (
+            rows["A_ub"].shape[0] + rows["A_eq"].shape[0]
+            + int(np.sum(np.isfinite(rows["lower"])
+                         & np.isfinite(rows["upper"]))))
+        scale = rng.choice([0.05, 0.5, 3.0])
+        moved = dict(rows,
+                     b_ub=rows["b_ub"] + rng.normal(0, scale,
+                                                    rows["b_ub"].size),
+                     b_eq=rows["b_eq"] + rng.normal(0, scale,
+                                                    rows["b_eq"].size))
+        warm = solve_lp(c, start=base.basis, **moved)
+        cold = solve_lp(c, **moved)
+        assert warm.status == cold.status
+        if warm.status == INFEASIBLE:
+            seen[INFEASIBLE] += 1
+            continue
+        assert warm.phase1_pivots == 0
+        assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+        assert_feasible(warm, c, **moved)
+        seen["dual"] += warm.dual_pivots > 0
+        seen["phase1"] += cold.phase1_pivots > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_bad_start_falls_back_to_cold(rng):
+    kinds = {"short": 0, "repeated": 0, "dual infeasible": 0}
+    for _ in range(200):
+        rows, c = _full_rank_polytope(rng)
+        base = solve_lp(c, **rows)
+        if base.status != OPTIMAL or base.basis.size < 2:
+            continue
+        repeated = base.basis.copy()
+        repeated[0] = repeated[1]
+        starts = {"short": base.basis[:-1], "repeated": repeated}
+        for kind, start in starts.items():
+            assert _same_solve(solve_lp(c, start=start, **rows), base), kind
+            kinds[kind] += 1
+        # the optimal basis for c prices -c with negative reduced costs
+        cold = solve_lp(c, maximize=True, **rows)
+        warm = solve_lp(c, maximize=True, start=base.basis, **rows)
+        if np.any(base.x != cold.x):
+            assert _same_solve(warm, cold)
+            kinds["dual infeasible"] += 1
+    assert min(kinds.values()) >= 30, kinds
+    # distinct columns that are linearly dependent: B is singular
+    rows = dict(A_ub=[[1.0, 1.0], [2.0, 2.0]], b_ub=[1.0, 3.0])
+    cold = solve_lp([-1.0, -2.0], **rows)
+    warm = solve_lp([-1.0, -2.0], start=np.array([0, 1]), **rows)
+    assert cold.status == OPTIMAL and _same_solve(warm, cold)
