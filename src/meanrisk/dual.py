@@ -329,6 +329,18 @@ def _martingale_rows(m: Market, nvars: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.zeros(m.d)
 
 
+def _strict_slack(pt: SetPolytope) -> SetPolytope:
+    """pt with a last column, the slack, added to its strict rows (pt itself
+    when it has none)."""
+    if not pt.strict_rows:
+        return pt
+    A_ub = np.hstack([pt.A_ub, np.zeros((pt.A_ub.shape[0], 1))])
+    A_ub[pt.strict_rows, -1] = 1.0
+    A_eq = np.hstack([pt.A_eq, np.zeros((pt.A_eq.shape[0], 1))])
+    return SetPolytope(pt.n, pt.nvars + 1, A_ub, pt.b_ub, A_eq, pt.b_eq,
+                       pt.strict_rows)
+
+
 def martingale_feasibility(m: Market, ds: DualSetSpec | None = None
                            ) -> Density | None:
     """A density in M intersected with the (closed form of the) dual set.
@@ -336,26 +348,15 @@ def martingale_feasibility(m: Market, ds: DualSetSpec | None = None
     Strict sup-norm bounds are decided by maximising the bound slack; every
     other case is a plain feasibility program.
     """
-    pt = set_polytope(ds, m.space)
+    pt = _strict_slack(set_polytope(ds, m.space))
+    strict = bool(pt.strict_rows)
     mg_A, mg_b = _martingale_rows(m, pt.nvars)
-    A_eq = np.vstack([pt.A_eq, mg_A])
-    b_eq = np.concatenate([pt.b_eq, mg_b])
-    if pt.strict_rows:
-        q = pt.nvars
-        A_ub = np.hstack([pt.A_ub, np.zeros((pt.A_ub.shape[0], 1))])
-        for r in pt.strict_rows:
-            A_ub[r, q] = 1.0
-        c = np.zeros(q + 1)
-        c[q] = 1.0
-        res = solve_lp(c, A_ub=A_ub, b_ub=pt.b_ub,
-                       A_eq=np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]),
-                       b_eq=b_eq, maximize=True)
-        if res.status != OPTIMAL or res.x[q] <= SLACK_TOL:
-            return None
-        return Density(m.space, res.x[:pt.n])
-    res = solve_lp(np.zeros(pt.nvars), A_ub=pt.A_ub, b_ub=pt.b_ub,
-                   A_eq=A_eq, b_eq=b_eq)
-    if res.status != OPTIMAL:
+    c = np.zeros(pt.nvars)
+    c[-1] = strict                      # the slack, when maximised
+    res = solve_lp(c, A_ub=pt.A_ub, b_ub=pt.b_ub,
+                   A_eq=np.vstack([pt.A_eq, mg_A]),
+                   b_eq=np.concatenate([pt.b_eq, mg_b]), maximize=strict)
+    if res.status != OPTIMAL or (strict and res.x[-1] <= SLACK_TOL):
         return None
     return Density(m.space, res.x[:pt.n])
 

@@ -25,12 +25,15 @@ right-hand side get a phase-1 artificial.  Each equality row is scaled to
 a largest entry of one, so phase 1's absolute tolerances hold for rows of
 any scale.
 
-``solve_lp_range`` gives both min c.x and max c.x over one polytope from a
-single tableau: after the min leg's phase 2 the cost row is negated (rhs
-entry included).  Reduced costs are linear in c, so the negated row prices
--c at whatever feasible basis the min leg stopped on, optimal or not, and
-the max leg runs phase 2 from there with no second standard form and no
-phase 1.
+``solve_lp_sequence`` minimises several objectives over one polytope with
+one standard form and one phase 1: each later objective is priced at the
+basis the previous one ended at (primal feasible, as an unbounded exit
+makes no pivot) and runs phase 2 alone.  An objective may carry a
+tie-break: at an optimal basis c.x = c* + sum_j d_j x_j over the nonbasic
+columns (Bertsimas & Tsitsiklis 1997, section 3), so the optimal face is
+the feasible set with x_j = 0 wherever d_j > ``_RCOST_TOL``, and phase 2
+of the tie-break on a copy of the tableau that never lets those columns
+enter minimises it there.
 
 An optimal ``LPResult`` carries its standard-form ``basis`` (None when
 phase 1 dropped a redundant row), and ``solve_lp(..., start=basis)``
@@ -47,7 +50,7 @@ verdicts come from the cold path only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -296,15 +299,15 @@ def _warm_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, start,
     return res
 
 
-def _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
-    """The standard form of a general-form LP and the map back.
+def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
+    """The standard form of a general-form polytope over ``nvar`` variables
+    and the maps to and from it.
 
-    Returns (c_std, A_std, b_std, slack, unmap), where ``unmap(res)`` turns a
-    standard-form LPResult into one in the original variables, or None when
-    some lower bound exceeds its upper bound.
+    Returns (A_std, b_std, slack, cost, unmap), where ``cost(c)`` is the
+    standard-form cost vector of c.x and ``unmap(res, c)`` turns a
+    standard-form LPResult into one in the original variables, valued at
+    c.x; or None when some lower bound exceeds its upper bound.
     """
-    c = np.asarray(c, dtype=float)
-    nvar = c.size
     lo = np.full(nvar, 0.0) if lower is None else np.broadcast_to(
         np.asarray(lower, dtype=float), (nvar,))
     hi = np.full(nvar, np.inf) if upper is None else np.broadcast_to(
@@ -345,11 +348,14 @@ def _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
     A_std[mu:, :ny] = A_eq[:, src] * sign
     b_std = np.concatenate([b_ub - A_ub @ offset, hi[boxed] - lo[boxed],
                             b_eq - A_eq @ offset])
-    c_std = np.zeros(ny + mu)
-    c_std[:ny] = -c[src] * sign if maximize else c[src] * sign
     slack = np.concatenate([ny + np.arange(mu), np.full(n_eq, -1)])
 
-    def unmap(res: LPResult) -> LPResult:
+    def cost(c) -> np.ndarray:
+        c_std = np.zeros(ny + mu)
+        c_std[:ny] = np.asarray(c, dtype=float)[src] * sign
+        return c_std
+
+    def unmap(res: LPResult, c: np.ndarray) -> LPResult:
         if res.status != OPTIMAL:
             return res
         x = offset + np.bincount(src, weights=sign * res.x[:ny],
@@ -358,7 +364,7 @@ def _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
         return LPResult(OPTIMAL, x, float(c @ x), res.pivots,
                         res.phase1_pivots, res.dual_pivots,
                         res.basis if full else None)
-    return c_std, A_std, b_std, slack, unmap
+    return A_std, b_std, slack, cost, unmap
 
 
 def _budget(A_std: np.ndarray) -> int:
@@ -381,49 +387,75 @@ def solve_lp(c,
     solve then begins with dual simplex pivots from it (see the module
     docstring).
     """
-    form = _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize)
+    c = np.asarray(c, dtype=float)
+    form = _standard_form(c.size, A_ub, b_ub, A_eq, b_eq, lower, upper)
     if form is None:
         return LPResult(INFEASIBLE)
-    c_std, A_std, b_std, slack, unmap = form
+    A_std, b_std, slack, cost, unmap = form
+    c_std = cost(-c if maximize else c)
     if max_iter is None:
         max_iter = _budget(A_std)
     if start is not None:
         warm = _warm_solve(c_std, A_std, b_std, start, max_iter)
         if warm is not None:
-            return unmap(warm)
+            return unmap(warm, c)
     feasible = _phase1(c_std, A_std, b_std, slack, max_iter)
     if isinstance(feasible, LPResult):
         return feasible
     T, basis, pivots = feasible
-    return unmap(_phase2(T, basis, c_std, pivots, max_iter))
+    return unmap(_phase2(T, basis, c_std, pivots, max_iter), c)
 
 
-def solve_lp_range(c,
-                   A_ub=None, b_ub=None,
-                   A_eq=None, b_eq=None,
-                   lower=None, upper=None,
-                   max_iter: int | None = None) -> tuple[LPResult, LPResult]:
-    """(min, max) of c.x over one polytope, in the general form of solve_lp.
+def _price(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
+    """Write the reduced costs of c at ``basis`` into T's cost row (row
+    basis.size; its rhs entry is minus the objective value)."""
+    m = basis.size
+    T[m] = np.append(c, 0.0)
+    T[m] -= c[basis] @ T[:m]
 
-    The max leg continues from the min leg's final tableau with its cost
-    row negated.  Reduced costs are linear in c, so the negated row prices
-    -c at that basis, and phase 2 needs only its primal feasibility, which
-    holds whether the min leg ended optimal or unbounded (an unbounded exit
-    makes no pivot).  The max leg needs neither a second standard form nor
-    phase 1 (its ``phase1_pivots`` is 0).  An infeasible min leg makes both
-    infeasible.
+
+def _face_min(T: np.ndarray, basis: np.ndarray, tie: np.ndarray,
+              max_iter: int) -> LPResult:
+    """min tie.x over the optimal face of T's cost row: phase 2 on a copy of
+    T where the columns pricing above _RCOST_TOL price +inf (never enter)."""
+    m = basis.size
+    face = T[:m + 1].copy()
+    _price(face, basis, tie)
+    face[m, :-1][T[m, :-1] > _RCOST_TOL] = np.inf
+    return _phase2(face, basis.copy(), tie, 0, max_iter)
+
+
+def solve_lp_sequence(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+                      lower=None, upper=None) -> list[LPResult]:
+    """min c.x over one polytope, given as in solve_lp, for each objective
+    in turn (see the module docstring); results after the first have
+    ``phase1_pivots`` 0, and an empty polytope makes every one infeasible.
+    A pair ``(c, tie)`` also minimises tie.x over c's optimal face: its
+    result keeps c's optimum as ``value``, adds the face's pivots and has
+    the tie-break point as ``x`` (unbounded, x None, if tie is unbounded).
     """
-    form = _standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, False)
+    legs = [(np.asarray(c, dtype=float), tie) for c, tie in
+            (o if isinstance(o, tuple) else (o, None) for o in objectives)]
+    form = _standard_form(legs[0][0].size, A_ub, b_ub, A_eq, b_eq, lower,
+                          upper)
     if form is None:
-        return LPResult(INFEASIBLE), LPResult(INFEASIBLE)
-    c_std, A_std, b_std, slack, unmap = form
-    if max_iter is None:
-        max_iter = _budget(A_std)
-    start = _phase1(c_std, A_std, b_std, slack, max_iter)
+        return [LPResult(INFEASIBLE) for _ in legs]
+    A_std, b_std, slack, cost, unmap = form
+    max_iter = _budget(A_std)
+    costs = [cost(c) for c, _ in legs]
+    start = _phase1(costs[0], A_std, b_std, slack, max_iter)
     if isinstance(start, LPResult):
-        return start, LPResult(INFEASIBLE)
+        return [start] + [LPResult(INFEASIBLE) for _ in legs[1:]]
     T, basis, pivots = start
-    low = _phase2(T, basis, c_std, pivots, max_iter)
-    T[basis.size] *= -1.0
-    high = _phase2(T, basis, -c_std, 0, max_iter)
-    return unmap(low), unmap(high)
+    results = []
+    for (c, tie), c_std in zip(legs, costs):
+        if results:
+            _price(T, basis, c_std)
+        res = unmap(_phase2(T, basis, c_std, pivots, max_iter), c)
+        pivots = 0
+        if tie is not None and res.status == OPTIMAL:
+            face = unmap(_face_min(T, basis, cost(tie), max_iter), c)
+            res = replace(res, status=face.status, x=face.x, basis=face.basis,
+                          pivots=res.pivots + face.pivots)
+        results.append(res)
+    return results

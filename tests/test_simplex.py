@@ -400,11 +400,12 @@ def _random_polytope(rng):
 
 
 def test_range_matches_two_cold_solves(rng):
+    # [c, -c]: min c.x, then max c.x as min -c.x from the min leg's basis
     seen = {OPTIMAL: 0, INFEASIBLE: 0}
     phase1 = 0
     for _ in range(300):
         rows, c = _random_polytope(rng)
-        low, high = simplex.solve_lp_range(c, **rows)
+        low, high = simplex.solve_lp_sequence([c, -c], **rows)
         ref_low = solve_lp(c, **rows)
         ref_high = solve_lp(c, maximize=True, **rows)
         assert (low.status, high.status) == (ref_low.status, ref_high.status)
@@ -413,10 +414,10 @@ def test_range_matches_two_cold_solves(rng):
         if low.status != OPTIMAL:
             continue
         phase1 += low.phase1_pivots > 0
-        for got, want in ((low, ref_low), (high, ref_high)):
-            assert got.value == pytest.approx(want.value, rel=1e-9,
+        for got, want, sign in ((low, ref_low, 1.0), (high, ref_high, -1.0)):
+            assert got.value == pytest.approx(sign * want.value, rel=1e-9,
                                               abs=1e-12)
-            assert got.value == float(c @ got.x)
+            assert got.value == float(sign * c @ got.x)
             assert_feasible(got, c, **rows)
     assert min(seen.values()) >= 30 and phase1 >= 30, (seen, phase1)
 
@@ -436,37 +437,91 @@ def test_range_after_unbounded_min_matches_cold_max(rng):
         rows = dict(A_ub=A_ub, b_ub=A_ub @ x0 + rng.uniform(0, 1, len(A_ub)),
                     A_eq=A_eq, b_eq=A_eq @ x0, lower=-np.inf)
         c = np.abs(rng.normal(0, 1, nvar)) + 0.1
-        low, high = simplex.solve_lp_range(c, **rows)
+        low, high = simplex.solve_lp_sequence([c, -c], **rows)
         ref_low = solve_lp(c, **rows)
         ref_high = solve_lp(c, maximize=True, **rows)
         assert (low.status, high.status) == (ref_low.status, ref_high.status)
         assert high.phase1_pivots == 0
         key = (low.status, high.status)
         seen[key] = seen.get(key, 0) + 1
-        for got, want in ((low, ref_low), (high, ref_high)):
+        for got, want, sign in ((low, ref_low, 1.0), (high, ref_high, -1.0)):
             if got.status == OPTIMAL:
-                assert got.value == pytest.approx(want.value, rel=1e-9,
-                                                  abs=1e-12)
+                assert got.value == pytest.approx(sign * want.value,
+                                                  rel=1e-9, abs=1e-12)
                 assert_feasible(got, c, **rows)
     assert seen.get((UNBOUNDED, OPTIMAL), 0) >= 80, seen
 
 
 def test_range_unbounded_and_empty_legs():
     # min unbounded: the max leg starts from the basis the min leg left
-    low, high = simplex.solve_lp_range([1.0], A_ub=[[1.0]], b_ub=[5.0],
-                                       lower=[-np.inf])
+    low, high = simplex.solve_lp_sequence([[1.0], [-1.0]], A_ub=[[1.0]],
+                                          b_ub=[5.0], lower=[-np.inf])
     assert low.status == UNBOUNDED
-    assert high.status == OPTIMAL and high.value == pytest.approx(5.0)
+    assert high.status == OPTIMAL and high.value == pytest.approx(-5.0)
     assert high.phase1_pivots == 0
     # max unbounded from the min leg's tableau
-    low, high = simplex.solve_lp_range([1.0, 0.0], A_eq=[[1.0, -1.0]],
-                                       b_eq=[0.0])
+    low, high = simplex.solve_lp_sequence([[1.0, 0.0], [-1.0, 0.0]],
+                                          A_eq=[[1.0, -1.0]], b_eq=[0.0])
     assert (low.status, low.value, high.status) == (OPTIMAL, 0.0, UNBOUNDED)
     assert high.phase1_pivots == 0
+    # a tie-break unbounded on the face makes its leg unbounded
+    low, high = simplex.solve_lp_sequence(
+        [([1.0, 0.0], [0.0, -1.0]), [0.0, 1.0]], A_ub=[[1.0, -1.0]],
+        b_ub=[0.0])
+    assert (low.status, high.status, high.value) == (UNBOUNDED, OPTIMAL, 0.0)
+    # every leg of an empty polytope is infeasible, tie-breaks included
     for kwargs in ({"A_eq": [[1.0, 1.0], [1.0, 1.0]], "b_eq": [1.0, 2.0]},
                    {"lower": [2.0, 0.0], "upper": [1.0, 1.0]}):
-        low, high = simplex.solve_lp_range([1.0, 2.0], **kwargs)
-        assert low.status == high.status == INFEASIBLE, kwargs
+        legs = simplex.solve_lp_sequence(
+            [[1.0, 2.0], ([-1.0, 0.0], [0.0, 1.0]), [0.0, -1.0]], **kwargs)
+        assert [res.status for res in legs] == [INFEASIBLE] * 3, kwargs
+
+
+def _degenerate_objective(rng, rows):
+    """c = A_eq^T lam, or that plus nu A_ub[i] with nu < 0: c.x is constant
+    on the equality rows, so the whole polytope, or the face on which row i
+    is tightest, is optimal."""
+    A_ub, A_eq = rows["A_ub"], rows["A_eq"]
+    c = rng.normal(0, 1, A_eq.shape[0]) @ A_eq
+    if A_ub.shape[0] and rng.random() < 0.5:
+        c = c - rng.uniform(0.2, 2.0) * A_ub[rng.integers(A_ub.shape[0])]
+    return c
+
+
+def test_tie_break_on_the_optimal_face(rng):
+    # A pair (c, tie) minimises tie over c's optimal face.  Reference: min
+    # c.x cold, then min tie.x with the row c.x <= c* added.  The next
+    # objective starts from c's optimal tableau and matches a cold solve.
+    seen = {"degenerate": 0, "moved": 0, INFEASIBLE: 0}
+    for _ in range(600):
+        rows, _ = _random_polytope(rng)
+        c = _degenerate_objective(rng, rows)
+        tie, after = rng.normal(0, 1, (2, c.size))
+        face, nxt = simplex.solve_lp_sequence([(c, tie), after], **rows)
+        best = solve_lp(c, **rows)
+        ref_next = solve_lp(after, **rows)
+        assert (face.status, nxt.status) == (best.status, ref_next.status)
+        if best.status == INFEASIBLE:
+            seen[INFEASIBLE] += 1
+            continue
+        assert face.status == OPTIMAL, face.status
+        on_face = dict(rows, A_ub=np.vstack([rows["A_ub"], c]),
+                       b_ub=np.append(rows["b_ub"], best.value))
+        ref = solve_lp(tie, **on_face)
+        widest = solve_lp(tie, maximize=True, **on_face)
+        assert ref.status == widest.status == OPTIMAL
+        scale = 1.0 + np.abs(c) @ np.abs(face.x)
+        assert face.value == pytest.approx(best.value, rel=1e-9, abs=1e-9)
+        assert abs(float(c @ face.x) - best.value) <= 1e-9 * scale
+        assert float(tie @ face.x) == pytest.approx(ref.value, rel=1e-9,
+                                                    abs=1e-9)
+        assert_feasible(face, c, **rows)
+        assert nxt.phase1_pivots == 0
+        assert nxt.value == pytest.approx(ref_next.value, rel=1e-9,
+                                          abs=1e-12)
+        seen["degenerate"] += widest.value > ref.value + 1e-6
+        seen["moved"] += float(tie @ face.x) < float(tie @ best.x) - 1e-6
+    assert seen["degenerate"] >= 200 and min(seen.values()) >= 30, seen
 
 
 def _same_solve(got, want):
