@@ -23,9 +23,6 @@ import numpy as np
 from .market import RandVar
 from .measures import es, quantile_pieces, var
 
-_BISECT_ITERS = 200
-
-
 @dataclass(frozen=True)
 class LsesBreakdown:
     """Value plus the audit trail of the sweep."""
@@ -115,25 +112,23 @@ def normal_alpha_star(b_over_sigma: float) -> float:
     """Optimal level for a normal law: solves pdf(q(a)) + a q(a) = b/sigma.
 
     The left side is the tail-gap integral I_X(a) of a standard normal; it
-    increases from 0 to infinity on (0, 1), so bisection applies.  Returns
-    1.0 when no interior root exists below the bracket ceiling.
+    increases from 0 to infinity on (0, 1) with derivative a / pdf(q(a)),
+    and it is convex, so Newton steps from the right end of the bracket
+    fall monotonically to the root.  A step that would leave the bracket
+    halves the distance to its lower end instead.  Returns 1.0 when no
+    interior root exists below the bracket ceiling.
     """
     if b_over_sigma <= 0:
         raise ValueError("b/sigma must be positive")
-
-    def lhs(alpha: float) -> float:
-        z = normal_quantile(alpha)
-        return normal_pdf(z) + alpha * z
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    if lhs(hi) <= b_over_sigma:
+    lo, alpha = 1e-12, 1.0 - 1e-12
+    z = normal_quantile(alpha)
+    if normal_pdf(z) + alpha * z <= b_over_sigma:
         return 1.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) < b_over_sigma:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    while True:
+        pdf = normal_pdf(z)
+        step = (pdf + alpha * z - b_over_sigma) * pdf / alpha
+        nxt = alpha - step if alpha - step > lo else 0.5 * (lo + alpha)
+        if not nxt < alpha:     # at the root up to rounding
+            return alpha
+        alpha = nxt
+        z = normal_quantile(alpha)

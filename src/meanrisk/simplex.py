@@ -11,7 +11,13 @@ next nondegenerate pivot, which rules out cycling.  The ratio test breaks
 ties by the lowest basis index, so pivot sequences are bit-reproducible,
 which the dual-theorem cross checks in the test suite rely on.  Problem
 sizes are small (tens of variables, occasionally a few hundred), so a
-dense float64 tableau is adequate.
+dense float64 tableau is adequate.  A pivot divides the pivot row and
+makes one rank-1 update of the whole tableau, which is (m + 1) x (n + 1)
+after phase 1; pricing and the ratio test read one row and one column.  At
+these sizes a pivot's time is mostly the fixed cost of its twenty-odd
+numpy operations rather than arithmetic, so the kernel calls ndarray
+methods rather than the np.* wrappers around them and makes few
+temporaries.
 
 ``solve_lp`` accepts the general form
 
@@ -21,9 +27,11 @@ dense float64 tableau is adequate.
 and reduces it to standard form internally (nonnegative variables, equality
 rows).  An inequality row with a nonnegative right-hand side starts with
 its slack in the basis; only equality rows and rows with a negative
-right-hand side get a phase-1 artificial.  Each equality row is scaled to
-a largest entry of one, so phase 1's absolute tolerances hold for rows of
-any scale.
+right-hand side get a phase-1 artificial.  When no row needs one, phase 1
+makes no pivot and its tableau has only the m + 1 rows of phase 2; else a
+phase-1 cost row is added and dropped when phase 1 ends.  Each equality
+row is scaled to a largest entry of one, so phase 1's absolute tolerances
+hold for rows of any scale.
 
 ``solve_lp_sequence`` minimises several objectives over one polytope with
 one standard form and one phase 1: each later objective is priced at the
@@ -86,10 +94,11 @@ class LPResult:
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    prow = T[row]
+    prow /= prow[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * prow
 
 
 def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
@@ -102,14 +111,15 @@ def _ratio_test(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
     whose ratio is at most theta_max.  Every row then ends at or above
     -_HARRIS_TOL, and a row with an entry e < 1 at or above -_HARRIS_TOL * e,
     so rows of data near 1e-7 are held to their own scale."""
-    ratios = rhs[rows] / col[rows]
+    entries = col[rows]
+    ratios = rhs[rows] / entries
     best = ratios.min()
     ties = rows[ratios <= best + _RATIO_TIE]
-    leaving = int(ties[np.argmin(basis[ties])])
+    leaving = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
     if col[leaving] < _SMALL_PIVOT:
-        relax = _HARRIS_TOL * np.minimum(1.0, col[rows])
-        theta_max = ((rhs[rows] + relax) / col[rows]).min()
-        k = int(np.argmax(np.where(ratios <= theta_max, col[rows], 0.0)))
+        relax = _HARRIS_TOL * np.minimum(1.0, entries)
+        theta_max = ((rhs[rows] + relax) / entries).min()
+        k = int(np.where(ratios <= theta_max, entries, 0.0).argmax())
         leaving, best = int(rows[k]), ratios[k]
     return leaving, float(best)
 
@@ -123,8 +133,9 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
     negative reduced cost but no admissible pivot row is rounding noise (the
     phase-1 objective is bounded below), so it is skipped until the next
     pivot rather than reported unbounded, and the phase ends as soon as
-    no basis index is ncols or above (no artificial left).  With no columns
-    nothing can enter, so the basis is optimal as it stands.
+    no row is held by an artificial (basis index ncols or above; the loop
+    counts them).  With no columns nothing can enter, so the basis is
+    optimal as it stands.
     """
     if ncols == 0:
         return OPTIMAL, 0
@@ -132,24 +143,26 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
     rhs = T[:m, -1]
     skipped = []
     degenerate = pivots = 0
+    # rows held by an artificial; outside phase 1, -1 turns the test off
+    held = int((basis >= ncols).sum()) if phase1 else -1
     for _ in range(max_iter):
-        if phase1 and basis.max() < ncols:
+        if held == 0:
             return OPTIMAL, pivots  # every artificial has left the basis
         priced = reduced
         if skipped:
             priced = reduced.copy()
             priced[skipped] = 0.0
         if degenerate < _DEGENERATE_RUN:
-            entering = int(np.argmin(priced))
+            entering = int(priced.argmin())
             if priced[entering] >= -_RCOST_TOL:
                 return OPTIMAL, pivots
         else:
-            candidates = np.flatnonzero(priced < -_RCOST_TOL)
+            candidates = (priced < -_RCOST_TOL).nonzero()[0]
             if candidates.size == 0:
                 return OPTIMAL, pivots
             entering = int(candidates[0])
         col = T[:m, entering]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
+        rows = (col > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             if not phase1:
                 return UNBOUNDED, pivots
@@ -158,6 +171,8 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
         leaving, best = _ratio_test(col, rhs, basis, rows)
         degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
         skipped = []
+        if basis[leaving] >= ncols:
+            held -= 1
         basis[leaving] = entering
         _pivot(T, leaving, entering)
         pivots += 1
@@ -175,21 +190,22 @@ def _phase1(c: np.ndarray, A: np.ndarray, b: np.ndarray, slack: np.ndarray,
     feasible basis and the pivots made, or an INFEASIBLE LPResult.
     """
     m, n = A.shape
-    # Rows 0..m-1: constraints; row m: phase-2 costs; row m + 1: phase-1
-    # costs.  The rhs entry of a cost row is minus the objective value.
-    T = np.zeros((m + 2, n + 1))
+    neg = b < 0
+    basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
+    artificial = basis >= n
+    # Rows 0..m-1: constraints; row m: phase-2 costs; row m + 1, only when
+    # some row holds an artificial: phase-1 costs.  The rhs entry of a cost
+    # row is minus the objective value.
+    T = np.zeros((m + 1 + artificial.any(), n + 1))
     T[:m, :n] = A
     T[:m, -1] = b
     # Phase 1 judges the equality rows with absolute tolerances, so each is
     # scaled to a largest entry of one.
-    eq = np.flatnonzero(slack < 0)
+    eq = (slack < 0).nonzero()[0]
     size = np.abs(A[eq]).max(axis=1, initial=0.0)
     T[eq] /= np.where(size > 0.0, size, 1.0)[:, None]
     T[m, :n] = c
-    neg = b < 0
     T[:m][neg] *= -1.0
-    basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
-    artificial = basis >= n
     pivots = 0
 
     if artificial.any():
@@ -202,20 +218,18 @@ def _phase1(c: np.ndarray, A: np.ndarray, b: np.ndarray, slack: np.ndarray,
         # Drive leftover artificials out of the basis on their rows' largest
         # entries; drop redundant rows.
         keep = np.ones(m + 1, dtype=bool)
-        for i in np.flatnonzero(held):
+        for i in held.nonzero()[0]:
             size = np.abs(T[i, :n])
-            if not np.any(size > _PIVOT_TOL):
+            if not (size > _PIVOT_TOL).any():
                 keep[i] = False
             else:
-                j = int(np.argmax(size))
+                j = int(size.argmax())
                 basis[i] = j
                 _pivot(T, i, j)
                 pivots += 1
-        if keep.all():
-            T = T[:m + 1]
-        else:
-            T = T[np.flatnonzero(keep)]
-            basis = basis[keep[:m]]
+        T = T[:m + 1]
+        if not keep.all():
+            T, basis = T[keep], basis[keep[:m]]
     return T, basis, pivots
 
 
@@ -246,15 +260,15 @@ def _dual_iterate(T: np.ndarray, basis: np.ndarray, m: int, ncols: int,
     rhs = T[:m, -1]
     reduced = T[m, :ncols]
     for pivots in range(max_iter):
-        leaving = int(np.argmin(rhs))
+        leaving = int(rhs.argmin())
         if rhs[leaving] >= -_PHASE1_TOL:
             return OPTIMAL, pivots
         row = T[leaving, :ncols]
-        cols = np.flatnonzero(row < -_PIVOT_TOL)
+        cols = (row < -_PIVOT_TOL).nonzero()[0]
         if cols.size == 0:
             return INFEASIBLE, pivots
         ratios = reduced[cols] / -row[cols]
-        entering = int(cols[np.argmax(ratios <= ratios.min() + _RATIO_TIE)])
+        entering = int(cols[(ratios <= ratios.min() + _RATIO_TIE).argmax()])
         basis[leaving] = entering
         _pivot(T, leaving, entering)
     return None, max_iter
@@ -281,7 +295,7 @@ def _warm_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, start,
     T = np.empty((m + 1, n + 1))
     T[:m, :n] = inverse @ A
     T[:m, n] = inverse @ b
-    T[m] = np.append(c, 0.0) - c[start] @ T[:m]
+    _price(T, start, c)
     if T[m, :n].min() < -_RCOST_TOL:
         return None                     # not dual feasible for c
     basis = start.copy()
@@ -308,11 +322,10 @@ def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     standard-form LPResult into one in the original variables, valued at
     c.x; or None when some lower bound exceeds its upper bound.
     """
-    lo = np.full(nvar, 0.0) if lower is None else np.broadcast_to(
-        np.asarray(lower, dtype=float), (nvar,))
-    hi = np.full(nvar, np.inf) if upper is None else np.broadcast_to(
-        np.asarray(upper, dtype=float), (nvar,))
-    if np.any(lo > hi):
+    lo, hi = np.empty(nvar), np.empty(nvar)
+    lo[:] = 0.0 if lower is None else lower
+    hi[:] = np.inf if upper is None else upper
+    if (lo > hi).any():
         return None
 
     A_ub = np.zeros((0, nvar)) if A_ub is None else np.atleast_2d(
@@ -328,14 +341,15 @@ def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     # free variable gets two columns (+ then -), a variable bounded above
     # only is mirrored, and a two-sided bound adds the row y_k <= hi - lo.
     lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
-    free = ~lo_f & ~hi_f
-    src = np.repeat(np.arange(nvar), np.where(free, 2, 1))
-    first = np.cumsum(np.where(free, 2, 1)) - np.where(free, 2, 1)
+    free = ~(lo_f | hi_f)
+    width = 1 + free
+    src = np.arange(nvar).repeat(width)
+    first = width.cumsum() - width
     sign = np.ones(src.size)
     sign[first[~lo_f & hi_f]] = -1.0
     sign[first[free] + 1] = -1.0
     offset = np.where(lo_f, lo, np.where(hi_f, hi, 0.0))
-    boxed = np.flatnonzero(lo_f & hi_f)
+    boxed = (lo_f & hi_f).nonzero()[0]
 
     ny = src.size
     n_ub, n_eq, n_box = A_ub.shape[0], A_eq.shape[0], boxed.size
@@ -344,11 +358,12 @@ def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     A_std = np.zeros((mu + n_eq, ny + mu))
     A_std[:n_ub, :ny] = A_ub[:, src] * sign
     A_std[n_ub + np.arange(n_box), first[boxed]] = 1.0
-    A_std[np.arange(mu), ny + np.arange(mu)] = 1.0
+    A_std.ravel()[ny:mu * (ny + mu):ny + mu + 1] = 1.0   # slack identity
     A_std[mu:, :ny] = A_eq[:, src] * sign
     b_std = np.concatenate([b_ub - A_ub @ offset, hi[boxed] - lo[boxed],
                             b_eq - A_eq @ offset])
-    slack = np.concatenate([ny + np.arange(mu), np.full(n_eq, -1)])
+    slack = np.arange(ny, ny + mu + n_eq)
+    slack[mu:] = -1
 
     def cost(c) -> np.ndarray:
         c_std = np.zeros(ny + mu)

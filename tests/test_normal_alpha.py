@@ -1,0 +1,37 @@
+"""normal_alpha_star's Newton steps against the bisection they replaced."""
+import numpy as np
+
+from meanrisk import normal_alpha_star
+from meanrisk.lses import normal_pdf, normal_quantile
+
+
+def _bisected_alpha_star(b_over_sigma):
+    """The former solver: 200 bisection steps on (1e-12, 1 - 1e-12)."""
+    def lhs(alpha):
+        z = normal_quantile(alpha)
+        return normal_pdf(z) + alpha * z
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    if lhs(hi) <= b_over_sigma:
+        return 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if lhs(mid) < b_over_sigma:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_newton_matches_bisection():
+    grid = np.concatenate([np.geomspace(1e-6, 0.39, 300),
+                           np.linspace(0.01, 0.39, 100), [0.39894, 7.0, 50.0]])
+    for ratio in grid:
+        got = normal_alpha_star(ratio)
+        assert abs(got - _bisected_alpha_star(ratio)) <= 1e-12, ratio
+        if ratio < 0.4:     # at a root near 1 an ulp of alpha moves it
+            z = normal_quantile(got)
+            assert abs(normal_pdf(z) + got * z - ratio) <= 1e-14 * (
+                1.0 + ratio), ratio

@@ -1,4 +1,8 @@
 """LP kernel checks against closed forms and an independent solver."""
+import importlib.util
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -598,3 +602,325 @@ def test_bad_start_falls_back_to_cold(rng):
     cold = solve_lp([-1.0, -2.0], **rows)
     warm = solve_lp([-1.0, -2.0], start=np.array([0, 1]), **rows)
     assert cold.status == OPTIMAL and _same_solve(warm, cold)
+
+
+class _Frozen:
+    """The kernel before its numpy calls were trimmed, kept as the reference
+    for pivot paths: np.outer rank-1 updates, phase 1 ended by basis.max(),
+    an (m+2)-row phase-1 tableau even with no artificial, and the standard
+    form through broadcast_to and fancy-indexed slack columns.
+    _frozen_kernel patches these functions into a fresh copy of the simplex
+    module."""
+
+    def _pivot(T, row, col):
+        T[row] /= T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        T -= np.outer(factors, T[row])
+
+    def _ratio_test(col, rhs, basis, rows):
+        ratios = rhs[rows] / col[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + _RATIO_TIE]
+        leaving = int(ties[np.argmin(basis[ties])])
+        if col[leaving] < _SMALL_PIVOT:
+            relax = _HARRIS_TOL * np.minimum(1.0, col[rows])
+            theta_max = ((rhs[rows] + relax) / col[rows]).min()
+            k = int(np.argmax(np.where(ratios <= theta_max, col[rows], 0.0)))
+            leaving, best = int(rows[k]), ratios[k]
+        return leaving, float(best)
+
+    def _iterate(T, basis, m, cost, ncols, max_iter, phase1):
+        if ncols == 0:
+            return OPTIMAL, 0
+        reduced = T[cost, :ncols]
+        rhs = T[:m, -1]
+        skipped = []
+        degenerate = pivots = 0
+        for _ in range(max_iter):
+            if phase1 and basis.max() < ncols:
+                return OPTIMAL, pivots
+            priced = reduced
+            if skipped:
+                priced = reduced.copy()
+                priced[skipped] = 0.0
+            if degenerate < _DEGENERATE_RUN:
+                entering = int(np.argmin(priced))
+                if priced[entering] >= -_RCOST_TOL:
+                    return OPTIMAL, pivots
+            else:
+                candidates = np.flatnonzero(priced < -_RCOST_TOL)
+                if candidates.size == 0:
+                    return OPTIMAL, pivots
+                entering = int(candidates[0])
+            col = T[:m, entering]
+            rows = np.flatnonzero(col > _PIVOT_TOL)
+            if rows.size == 0:
+                if not phase1:
+                    return UNBOUNDED, pivots
+                skipped.append(entering)
+                continue
+            leaving, best = _ratio_test(col, rhs, basis, rows)
+            degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
+            skipped = []
+            basis[leaving] = entering
+            _pivot(T, leaving, entering)
+            pivots += 1
+        raise LPError("simplex iteration budget exhausted")
+
+    def _phase1(c, A, b, slack, max_iter):
+        m, n = A.shape
+        T = np.zeros((m + 2, n + 1))
+        T[:m, :n] = A
+        T[:m, -1] = b
+        eq = np.flatnonzero(slack < 0)
+        size = np.abs(A[eq]).max(axis=1, initial=0.0)
+        T[eq] /= np.where(size > 0.0, size, 1.0)[:, None]
+        T[m, :n] = c
+        neg = b < 0
+        T[:m][neg] *= -1.0
+        basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
+        artificial = basis >= n
+        pivots = 0
+        if artificial.any():
+            T[m + 1] = -T[:m][artificial].sum(axis=0)
+            _, pivots = _iterate(T, basis, m, m + 1, n, max_iter, True)
+            held = basis >= n
+            if T[:m, -1][held].sum() > _PHASE1_TOL:
+                return LPResult(INFEASIBLE, pivots=pivots,
+                                phase1_pivots=pivots)
+            keep = np.ones(m + 1, dtype=bool)
+            for i in np.flatnonzero(held):
+                size = np.abs(T[i, :n])
+                if not np.any(size > _PIVOT_TOL):
+                    keep[i] = False
+                else:
+                    j = int(np.argmax(size))
+                    basis[i] = j
+                    _pivot(T, i, j)
+                    pivots += 1
+            if keep.all():
+                T = T[:m + 1]
+            else:
+                T = T[np.flatnonzero(keep)]
+                basis = basis[keep[:m]]
+        return T, basis, pivots
+
+    def _dual_iterate(T, basis, m, ncols, max_iter):
+        rhs = T[:m, -1]
+        reduced = T[m, :ncols]
+        for pivots in range(max_iter):
+            leaving = int(np.argmin(rhs))
+            if rhs[leaving] >= -_PHASE1_TOL:
+                return OPTIMAL, pivots
+            row = T[leaving, :ncols]
+            cols = np.flatnonzero(row < -_PIVOT_TOL)
+            if cols.size == 0:
+                return INFEASIBLE, pivots
+            ratios = reduced[cols] / -row[cols]
+            entering = int(cols[np.argmax(ratios <= ratios.min()
+                                          + _RATIO_TIE)])
+            basis[leaving] = entering
+            _pivot(T, leaving, entering)
+        return None, max_iter
+
+    def _warm_solve(c, A, b, start, max_iter):
+        m, n = A.shape
+        start = np.asarray(start)
+        if (m == 0 or start.shape != (m,) or start.min() < 0
+                or start.max() >= n):
+            return None
+        B = A[:, start]
+        try:
+            inverse = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            return None
+        if np.abs(B).max() * np.abs(inverse).max() > _COND_MAX:
+            return None
+        T = np.empty((m + 1, n + 1))
+        T[:m, :n] = inverse @ A
+        T[:m, n] = inverse @ b
+        T[m] = np.append(c, 0.0) - c[start] @ T[:m]
+        if T[m, :n].min() < -_RCOST_TOL:
+            return None
+        basis = start.copy()
+        status, dual = _dual_iterate(T, basis, m, n, max_iter)
+        if status != OPTIMAL:
+            return None
+        try:
+            res = _phase2(T, basis, c, 0, max_iter)
+        except LPError:
+            return None
+        if res.status != OPTIMAL:
+            return None
+        res.pivots += dual
+        res.dual_pivots = dual
+        return res
+
+    def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
+        lo = np.full(nvar, 0.0) if lower is None else np.broadcast_to(
+            np.asarray(lower, dtype=float), (nvar,))
+        hi = np.full(nvar, np.inf) if upper is None else np.broadcast_to(
+            np.asarray(upper, dtype=float), (nvar,))
+        if np.any(lo > hi):
+            return None
+        A_ub = np.zeros((0, nvar)) if A_ub is None else np.atleast_2d(
+            np.asarray(A_ub, dtype=float))
+        b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(
+            np.asarray(b_ub, dtype=float))
+        A_eq = np.zeros((0, nvar)) if A_eq is None else np.atleast_2d(
+            np.asarray(A_eq, dtype=float))
+        b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(
+            np.asarray(b_eq, dtype=float))
+        lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
+        free = ~lo_f & ~hi_f
+        src = np.repeat(np.arange(nvar), np.where(free, 2, 1))
+        first = np.cumsum(np.where(free, 2, 1)) - np.where(free, 2, 1)
+        sign = np.ones(src.size)
+        sign[first[~lo_f & hi_f]] = -1.0
+        sign[first[free] + 1] = -1.0
+        offset = np.where(lo_f, lo, np.where(hi_f, hi, 0.0))
+        boxed = np.flatnonzero(lo_f & hi_f)
+        ny = src.size
+        n_ub, n_eq, n_box = A_ub.shape[0], A_eq.shape[0], boxed.size
+        mu = n_ub + n_box
+        A_std = np.zeros((mu + n_eq, ny + mu))
+        A_std[:n_ub, :ny] = A_ub[:, src] * sign
+        A_std[n_ub + np.arange(n_box), first[boxed]] = 1.0
+        A_std[np.arange(mu), ny + np.arange(mu)] = 1.0
+        A_std[mu:, :ny] = A_eq[:, src] * sign
+        b_std = np.concatenate([b_ub - A_ub @ offset, hi[boxed] - lo[boxed],
+                                b_eq - A_eq @ offset])
+        slack = np.concatenate([ny + np.arange(mu), np.full(n_eq, -1)])
+
+        def cost(c):
+            c_std = np.zeros(ny + mu)
+            c_std[:ny] = np.asarray(c, dtype=float)[src] * sign
+            return c_std
+
+        def unmap(res, c):
+            if res.status != OPTIMAL:
+                return res
+            x = offset + np.bincount(src, weights=sign * res.x[:ny],
+                                     minlength=nvar)
+            full = res.basis.size == A_std.shape[0]
+            return LPResult(OPTIMAL, x, float(c @ x), res.pivots,
+                            res.phase1_pivots, res.dual_pivots,
+                            res.basis if full else None)
+        return A_std, b_std, slack, cost, unmap
+
+
+def _frozen_kernel(monkeypatch):
+    """A fresh copy of the simplex module running _Frozen's functions.  Each
+    is rebuilt over the copy's namespace, so the frozen functions call one
+    another and the copy's unchanged ones (_phase2, _price, ...)."""
+    spec = importlib.util.spec_from_file_location("frozen_simplex",
+                                                  simplex.__file__)
+    ref = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, ref)   # for @dataclass
+    spec.loader.exec_module(ref)
+    for name, fn in vars(_Frozen).items():
+        if callable(fn):
+            setattr(ref, name, types.FunctionType(fn.__code__, vars(ref),
+                                                  name))
+    return ref
+
+
+def _tiny_rows(rng, *polytopes):
+    """Half the time, scale a few rows (entries and rhs) of each polytope,
+    alike, by 1e-8..1e-6: the polytope is the same, but its pivots are
+    tiny, so Harris' re-pick runs."""
+    if rng.random() < 0.5:
+        for A, b in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
+            rows = polytopes[0][A]
+            if rows is not None and len(rows):
+                scale = np.where(rng.random(len(rows)) < 0.4,
+                                 10.0 ** rng.uniform(-8, -6, len(rows)), 1.0)
+                for poly in polytopes:
+                    poly[A], poly[b] = poly[A] * scale[:, None], poly[b] * scale
+    return polytopes[0]
+
+
+def test_kernel_matches_frozen_reference(rng, monkeypatch):
+    # Every pivot path of the kernel is bit-identical to the frozen one:
+    # status, pivot counts, basis and the bytes of x, on cold solves, warm
+    # starts and sequences with tie-break legs.
+    ref = _frozen_kernel(monkeypatch)
+    seen = {"repick": 0, "tie": 0, "warm": 0, "dropped": 0, "beale": 0}
+    frozen_ratio_test = ref._ratio_test
+
+    def counted(col, rhs, basis, rows):
+        ratios = rhs[rows] / col[rows]
+        ties = rows[ratios <= ratios.min() + simplex._RATIO_TIE]
+        seen["tie"] += ties.size > 1
+        first = ties[np.argmin(basis[ties])]
+        seen["repick"] += col[first] < simplex._SMALL_PIVOT
+        return frozen_ratio_test(col, rhs, basis, rows)
+    ref._ratio_test = counted
+
+    def same(got, want):
+        assert got.status == want.status
+        assert (got.pivots, got.phase1_pivots, got.dual_pivots) == (
+            want.pivots, want.phase1_pivots, want.dual_pivots)
+        assert got.value == want.value
+        for a, b in ((got.basis, want.basis), (got.x, want.x)):
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes()
+
+    def both(name, *args, **kwargs):
+        got = getattr(simplex, name)(*args, **kwargs)
+        want = getattr(ref, name)(*args, **kwargs)
+        for g, w in zip(*(r if isinstance(r, list) else [r]
+                          for r in (got, want))):
+            same(g, w)
+        return got
+
+    beale = dict(A_ub=[[0.25, -60, -0.04, 9], [0.5, -90, -0.02, 3],
+                       [0.0, 0.0, 1.0, 0.0]], b_ub=[0, 0, 1])
+    res = both("solve_lp", [-0.75, 150, -0.02, 6], **beale)
+    seen["beale"] += res.pivots > simplex._DEGENERATE_RUN
+    for i in range(600):
+        if i % 3 == 0:
+            c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize = \
+                _random_instance(rng)
+            rows = _tiny_rows(rng, dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                                        b_eq=b_eq, lower=lower, upper=upper))
+            both("solve_lp", c, maximize=maximize, **rows)
+        elif i % 3 == 1:
+            rows, c = _random_polytope(rng)
+            rows = _tiny_rows(rng, rows)
+            tie, after = rng.normal(0, 1, (2, c.size))
+            legs = both("solve_lp_sequence",
+                        [(_degenerate_objective(rng, rows), tie), -c, after],
+                        **rows)
+            seen["dropped"] += (legs[1].status == OPTIMAL
+                                and legs[1].basis is None)
+        else:
+            rows, c = _full_rank_polytope(rng)
+            moved = dict(rows, **{key: rows[key] + rng.normal(
+                0, 0.5, rows[key].size) for key in ("b_ub", "b_eq")})
+            _tiny_rows(rng, rows, moved)
+            base = both("solve_lp", c, **rows)
+            if base.status != OPTIMAL:
+                continue
+            warm = both("solve_lp", c, start=base.basis, **moved)
+            seen["warm"] += warm.dual_pivots > 0
+    assert seen.pop("beale") == 1 and min(seen.values()) >= 30, seen
+
+
+def test_phase1_without_artificials_has_no_phase1_row():
+    # x <= 1 on three variables: every row starts on its slack, so the
+    # tableau holds the constraints and the phase-2 cost row only
+    A_std, b_std, slack, cost, _ = simplex._standard_form(
+        3, None, None, None, None, None, [1.0, 1.0, 1.0])
+    T, basis, pivots = simplex._phase1(cost([-1.0, 0.5, -2.0]), A_std,
+                                       b_std, slack, 100)
+    m = A_std.shape[0]
+    assert (m, T.shape) == (3, (m + 1, A_std.shape[1] + 1))
+    assert np.array_equal(basis, slack) and pivots == 0
+    # with an equality row phase 1 runs and its cost row is dropped after
+    A_std, b_std, slack, cost, _ = simplex._standard_form(
+        3, None, None, [[1.0, 1.0, 1.0]], [2.0], None, [1.0, 1.0, 1.0])
+    T, basis, pivots = simplex._phase1(cost([-1.0, 0.5, -2.0]), A_std,
+                                       b_std, slack, 100)
+    assert T.shape[0] == A_std.shape[0] + 1 and pivots > 0
