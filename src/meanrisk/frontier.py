@@ -34,11 +34,11 @@ bisect over slices for it, the one search over slices left.
 
 A boundary sweep of a family that is not positively homogeneous solves one
 slice per grid node.  The slice offset x0 = excess particular(nu) is linear
-in nu, so for an LP family consecutive nodes solve one LP whose rhs alone
-changes: each node's slice LP starts from the previous node's optimal basis,
-which stays dual feasible, and a few dual simplex pivots finish it.  Every
-other LP here (homogeneous sweeps, bands, recession and mean-risk LPs)
-starts cold.
+in nu, so for an LP family the node LPs differ in their rhs alone: the
+family LPs take x0 with one column per node (lift and shift per node), and
+``solve_lp_path`` solves them on one tableau, each node after the first by
+a few dual simplex pivots from the last node's optimal basis.  Every other
+LP here (homogeneous sweeps, bands, recession, mean-risk) is solved alone.
 
 The recession measure rho^inf is a family of its own, so recession
 frontiers run the builders above: es at beta for adjusted ES, wc for lses,
@@ -50,7 +50,6 @@ feasibility programs they are checked against.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,16 +63,10 @@ from .market import (ArbitrageWitness, Market, RandVar,
                      portfolio_slice)
 from .measures import RiskSpec, _entropic, adjusted_es_argmax, evaluate
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult,
-                      solve_lp)
+                      solve_lp, solve_lp_path)
 
 SIGN_TOL = 1e-7          # sign classification of rho_inf_1 and ball minima
 OBJ_TOL = 1e-8           # cutting-plane convergence on objective values
-
-# The basis chain of the running non-homogeneous sweep (see _Param.chain).
-# optimal_boundary reaches each node through the public rho_nu(spec, m, nu),
-# so the chain rides a context variable rather than an argument.
-_sweep_chain: ContextVar[list | None] = ContextVar("_sweep_chain",
-                                                   default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -84,26 +77,28 @@ _sweep_chain: ContextVar[list | None] = ContextVar("_sweep_chain",
 class _Param:
     """X = x0 + C theta over a variable vector theta with optional rows."""
 
-    x0: np.ndarray
+    x0: np.ndarray                 # (n,), or (n, nodes) in a sweep
     C: np.ndarray                  # (n, q)
     lower: np.ndarray
     upper: np.ndarray
     A_ub: np.ndarray
     b_ub: np.ndarray
-    to_portfolio: object           # theta -> pi
+    to_portfolio: object           # theta (, node j) -> pi
     budget: float | None = None    # set: max E[X] s.t. risk <= budget
-    chain: list | None = None      # [basis]: the LP starts from basis and
-                                   # leaves its own optimal basis (or None)
 
 
-def _slice_param(m: Market, nu: float) -> _Param:
-    sl = portfolio_slice(m, nu)
-    B = sl.null_basis
+def _slice_param(m: Market, nu) -> _Param:
+    """The slice E[X_pi] = nu; for an array of nu, x0 has one column per
+    node and to_portfolio(theta, j) is node j's portfolio."""
+    grid = isinstance(nu, np.ndarray)
+    slices = [portfolio_slice(m, v) for v in (nu if grid else [nu])]
+    P = [sl.particular for sl in slices]
+    B = slices[0].null_basis
     q = B.shape[1]
-    return _Param(m.excess @ sl.particular, m.excess @ B,
-                  np.full(q, -np.inf), np.full(q, np.inf),
+    return _Param(m.excess @ (np.column_stack(P) if grid else P[0]),
+                  m.excess @ B, np.full(q, -np.inf), np.full(q, np.inf),
                   np.zeros((0, q)), np.zeros(0),
-                  lambda t: sl.particular + (B @ t if q else 0.0))
+                  lambda t, j=0: P[j] + (B @ t if q else 0.0))
 
 
 def _pi_param(m: Market, lo: float, hi: float = math.inf,
@@ -140,7 +135,9 @@ def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
     on the auxiliaries).  Under par's risk budget the objective becomes the
     row c.v + shift <= budget, and the LP maximises E[X] instead.
 
-    Returns (LPResult, theta), with theta None unless the LP is optimal.
+    Returns (LPResult, theta), with theta None unless the LP is optimal.  A
+    sweep's rhs blocks and shift may carry a node axis; it returns one such
+    pair per node, all from one ``solve_lp_path``.
     """
     q = par.C.shape[1]
     extra = c.size - q
@@ -151,24 +148,35 @@ def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
         rhs.append([par.budget - shift])
         c = np.concatenate([p @ par.C, np.zeros(extra)])
         shift = float(p @ par.x0)
-    res = solve_lp(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                   lower=np.concatenate([par.lower, lower]),
-                   upper=np.concatenate([par.upper, upper]),
-                   maximize=par.budget is not None,
-                   start=None if par.chain is None else par.chain[0])
-    if par.chain is not None:
-        par.chain[0] = res.basis
+    kwargs = dict(lower=np.concatenate([par.lower, lower]),
+                  upper=np.concatenate([par.upper, upper]))
+    if par.x0.ndim == 1:
+        return _shifted(solve_lp(c, A_ub=np.vstack(rows),
+                                 b_ub=np.concatenate(rhs),
+                                 maximize=par.budget is not None, **kwargs),
+                        shift, q)
+    # a block without the node axis is the same at every node
+    nodes = par.x0.shape[1]
+    B_ub = np.concatenate([np.broadcast_to(np.asarray(r, dtype=float).T,
+                                           (nodes, len(r))).T for r in rhs])
+    return [_shifted(res, s, q) for res, s in zip(
+        solve_lp_path(c, np.vstack(rows), B_ub, **kwargs),
+        np.broadcast_to(shift, nodes))]
+
+
+def _shifted(res: LPResult, shift, q: int):
+    """(res valued at c.v + shift, theta), theta None unless optimal."""
     if res.status != OPTIMAL:
         return res, None
     if shift:
-        res.value += shift
+        res.value += float(shift)
     return res, res.x[:q]
 
 
-def _lift(par: _Param, kink: float = 0.0) -> float:
+def _lift(par: _Param, kink: float = 0.0):
     """The shift s >= 0 that makes v = 0 meet every row u_i >= -X_i - m - b
-    with b >= kink once m = m' + s: max(0, -min(x0) - kink)."""
-    return max(0.0, -float((par.x0 + kink).min()))
+    with b >= kink once m = m' + s: max(0, -min(x0) - kink), per node."""
+    return np.maximum(0.0, -(par.x0 + kink).min(axis=0))
 
 
 def _hinge_rows(par: _Param, nv: int, m: int | None, u: int | None,
@@ -294,7 +302,7 @@ def _pwl_family_min(par: _Param, p: np.ndarray, fam: str, slopes,
     if m is not None:
         loss_row[m] = -s0
     loss_row[w0:] = np.outer(jumps, p).ravel()
-    const = c0 - s0 * (float(p @ par.x0) + lift)
+    const = c0 - s0 * (p @ par.x0 + lift)
     if fam == "sr":
         c = np.zeros(nv)
         c[m] = 1.0
@@ -472,19 +480,22 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
         raise ValueError("value-at-risk slice minimisation is not supported")
     if fam == "eloss":
         return -nu, par.to_portfolio(np.zeros(par.C.shape[1]))
-    chain = _sweep_chain.get()
-    solved = _lp_min(spec, p, par if chain is None
-                     else replace(par, chain=chain))
+    solved = _lp_min(spec, p, par)
     if solved is None:
         return _smooth_min(spec, m, par, nu)
-    res, t = solved
+    return _slice_answer(spec, m, par, *solved)
+
+
+def _slice_answer(spec: RiskSpec, m: Market, par: _Param, res: LPResult, t,
+                  node: int = 0):
+    """rho_nu's answer from the LP of slice ``node`` of par."""
     if res.status == UNBOUNDED:
         # a direction along which the recession risk is negative, if any
         value, pi = recession_ball_min(spec, m)
         return -math.inf, pi if _ball_descends(value, m) else None
     if res.status != OPTIMAL:
         raise LPError(f"slice LP ended with status {res.status}")
-    return float(res.value), par.to_portfolio(t)
+    return float(res.value), par.to_portfolio(t, node)
 
 
 def _smooth_min(spec: RiskSpec, m: Market, par: _Param,
@@ -642,11 +653,11 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     A positively homogeneous family has rho_nu = nu rho_1 with minimiser
     nu pi_1 for nu > 0, so its sweep solves the slices at nu = 0 and 1 only
     (a -inf or failed unit slice carries to every nu > 0).  Other families
-    solve one slice per grid node, in increasing nu; an LP family chains
-    them: each slice LP starts from the previous node's optimal basis (the
-    rhs alone moves with nu), and a failed or -inf node restarts the chain
-    cold.  The two slices of a homogeneous sweep stay cold: nu = 0 to 1 is
-    no small rhs change.
+    solve one slice per grid node: an LP family all of them on one tableau
+    (``solve_lp_path``: the rhs alone moves with nu), the others one
+    ``rho_nu`` each.  Grid values within 1e-12 max_j |X_{pi_j}|_inf (over
+    the nodes' portfolios) of the least tie, so that rounding cannot move
+    nu_min along a flat boundary: the lowest nu among them is the argmin.
 
     In the positive regime a convex family that is not homogeneous takes
     its boundary minimiser from one solve over the portfolios with
@@ -660,14 +671,14 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
         raise ValueError("need nu_max > 0 and steps >= 2")
     grid = np.linspace(0.0, nu_max, steps)
     errors: list[str] = []
-    chain = [None]
 
-    def solve_point(nu):
+    def solve_point(nu, node=None):
         try:
-            return rho_nu(spec, m, float(nu))
+            if node is None:
+                return rho_nu(spec, m, float(nu))
+            return _slice_answer(spec, m, *node)
         except LPError as exc:           # recorded, not fatal
             errors.append(f"nu={nu:g}: {exc}")
-            chain[0] = None
             return math.nan, None
 
     if spec.positively_homogeneous:
@@ -678,11 +689,15 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
             (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
             for nu in grid[1:]]
     else:
-        token = _sweep_chain.set(chain)
+        # an LP family solves every node on one path; without an LP, or
+        # when the path fails, each node runs rho_nu
+        par = _slice_param(m, grid)
         try:
-            results = [solve_point(nu) for nu in grid]
-        finally:
-            _sweep_chain.reset(token)
+            lps = _lp_min(spec, m.space.probs, par) if par.C.shape[1] else None
+        except LPError:
+            lps = None
+        results = [solve_point(nu, None if lps is None else (par, *lps[j], j))
+                   for j, nu in enumerate(grid)]
     values = np.array([v for v, _ in results])
     portfolios = [piv for _, piv in results]
 
@@ -699,7 +714,9 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     if np.all(np.isnan(values)):
         return FrontierResult(grid, values, portfolios, math.nan, math.nan,
                               rho_inf_1, regime, errors)
-    k = int(np.nanargmin(values))
+    scale = max((float(np.abs(m.excess @ pi).max()) for pi in portfolios
+                 if pi is not None), default=0.0)
+    k = int((values <= np.nanmin(values) + 1e-12 * scale).argmax())
     nu_min, rho_min = float(grid[k]), float(values[k])
     if (spec.convex and regime == REGIME_POSITIVE
             and not spec.positively_homogeneous):

@@ -108,6 +108,15 @@ def normal_quantile_grid(count: int) -> np.ndarray:
     return np.array([normal_quantile((i + 0.5) / count) for i in range(count)])
 
 
+_ALPHA_FLOOR = 1e-300   # pdf(q(a)) and a q(a) stay normal floats above it
+
+
+def _tail_gap(alpha: float) -> float:
+    """I_X(alpha) = pdf(q(alpha)) + alpha q(alpha) of a standard normal."""
+    z = normal_quantile(alpha)
+    return normal_pdf(z) + alpha * z
+
+
 def normal_alpha_star(b_over_sigma: float) -> float:
     """Optimal level for a normal law: solves pdf(q(a)) + a q(a) = b/sigma.
 
@@ -116,17 +125,21 @@ def normal_alpha_star(b_over_sigma: float) -> float:
     and it is convex, so Newton steps from the right end of the bracket
     fall monotonically to the root.  A step that would leave the bracket
     halves the distance to its lower end instead.  Returns 1.0 when no
-    interior root exists below the bracket ceiling.
+    interior root exists below the bracket ceiling; raises ValueError when
+    the root lies below the floor 1e-300 (b/sigma below I(1e-300), about
+    2.7e-302), where pdf(q(a)) and a q(a) underflow.
     """
     if b_over_sigma <= 0:
         raise ValueError("b/sigma must be positive")
-    lo, alpha = 1e-12, 1.0 - 1e-12
-    z = normal_quantile(alpha)
-    if normal_pdf(z) + alpha * z <= b_over_sigma:
+    lo, alpha = _ALPHA_FLOOR, 1.0 - 1e-12
+    if _tail_gap(alpha) <= b_over_sigma:
         return 1.0
+    if _tail_gap(lo) > b_over_sigma:
+        raise ValueError("b/sigma is below the range of the normal quantile")
+    z = normal_quantile(alpha)
     while True:
         pdf = normal_pdf(z)
-        step = (pdf + alpha * z - b_over_sigma) * pdf / alpha
+        step = (pdf + alpha * z - b_over_sigma) * (pdf / alpha)
         nxt = alpha - step if alpha - step > lo else 0.5 * (lo + alpha)
         if not nxt < alpha:     # at the root up to rounding
             return alpha

@@ -43,18 +43,15 @@ the feasible set with x_j = 0 wherever d_j > ``_RCOST_TOL``, and phase 2
 of the tie-break on a copy of the tableau that never lets those columns
 enter minimises it there.
 
-An optimal ``LPResult`` carries its standard-form ``basis`` (None when
-phase 1 dropped a redundant row), and ``solve_lp(..., start=basis)``
-starts from it.  The start is factored once (B^-1 [A | b] from
-``np.linalg.inv``); when every reduced cost of c is at least
--``_RCOST_TOL`` there, the basis is dual feasible, and the dual simplex
-(Lemke 1954) pivots until every rhs is at least -``_PHASE1_TOL``, after
-which phase 2 finishes as in a cold solve.  An LP that differs from the
-start's only in its rhs thus needs a few dual pivots and no phase 1.  A
-mis-shaped or singular start, a dual infeasible one, a dual pivot row with
-no negative entry (the LP may be infeasible), a non-optimal phase 2 or an
-exhausted budget falls back to the cold solve, so infeasible and unbounded
-verdicts come from the cold path only.
+``solve_lp_path`` solves one polytope for several right-hand sides of its
+inequality rows, as a boundary sweep needs.  Its tableau [A | b_{k-1} ...
+b_1 | b_0] carries them all, so each pivot keeps every B^-1 b_j current;
+only the last column, the rhs, steers a pivot, so column 0 is bit-identical
+to ``solve_lp`` on it.  Then that column is dropped and its optimal basis,
+dual feasible as c never changes, starts the next: dual simplex pivots
+(Lemke 1954), then phase 2.  Where that fails, and after a column that was
+not optimal, the column restarts cold, so infeasible and unbounded
+verdicts come from a cold solve only.
 """
 from __future__ import annotations
 
@@ -74,8 +71,6 @@ _PHASE1_TOL = 1e-8  # residual infeasibility treated as zero
 _RATIO_TIE = 1e-12  # ratios within this of the minimum tie; smaller steps
                     # count as degenerate
 _DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland takes over
-_COND_MAX = 1e12     # a start basis with max|B| max|B^-1| above this is
-                     # treated as singular
 
 
 class LPError(RuntimeError):
@@ -183,6 +178,7 @@ def _phase1(c: np.ndarray, A: np.ndarray, b: np.ndarray, slack: np.ndarray,
             max_iter: int) -> tuple[np.ndarray, np.ndarray, int] | LPResult:
     """Phase 1 of  min c.x  s.t.  A x = b, x >= 0.
 
+    b may have several columns: the last is solved, the others ride along.
     ``slack[i]`` is the column of row i's slack (+1 in that row only), or -1
     for an equality row.  Artificial variables are not stored as columns:
     once one leaves the basis it never re-enters, so basis index n + i just
@@ -190,15 +186,17 @@ def _phase1(c: np.ndarray, A: np.ndarray, b: np.ndarray, slack: np.ndarray,
     feasible basis and the pivots made, or an INFEASIBLE LPResult.
     """
     m, n = A.shape
-    neg = b < 0
+    if b.ndim == 1:
+        b = b[:, None]
+    neg = b[:, -1] < 0
     basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
     artificial = basis >= n
     # Rows 0..m-1: constraints; row m: phase-2 costs; row m + 1, only when
     # some row holds an artificial: phase-1 costs.  The rhs entry of a cost
     # row is minus the objective value.
-    T = np.zeros((m + 1 + artificial.any(), n + 1))
+    T = np.zeros((m + 1 + artificial.any(), n + b.shape[1]))
     T[:m, :n] = A
-    T[:m, -1] = b
+    T[:m, n:] = b
     # Phase 1 judges the equality rows with absolute tolerances, so each is
     # scaled to a largest entry of one.
     eq = (slack < 0).nonzero()[0]
@@ -250,18 +248,19 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, phase1: int,
 
 
 def _dual_iterate(T: np.ndarray, basis: np.ndarray, m: int, ncols: int,
-                  max_iter: int) -> tuple[str | None, int]:
+                  max_iter: int, scale: np.ndarray) -> tuple[str | None, int]:
     """Dual simplex pivots on T, whose row m holds nonnegative reduced
-    costs, until every rhs is at least -_PHASE1_TOL.  The most negative rhs
-    leaves; among the columns whose entry in that row is below -_PIVOT_TOL
-    the least ratio reduced cost / -entry enters, the lowest index winning
-    ties.  Returns the status and the pivots made: INFEASIBLE when the
-    leaving row has no such entry, None when the budget runs out."""
+    costs, until every basic x_j >= -_PHASE1_TOL scale[j].  The least x_j /
+    scale[j] leaves; of the columns whose entry in its row is below
+    -_PIVOT_TOL the least ratio reduced cost / -entry enters, the lowest
+    index winning ties.  Returns the status and the pivots made: INFEASIBLE
+    when the leaving row has no such entry, None when the budget runs out."""
     rhs = T[:m, -1]
     reduced = T[m, :ncols]
     for pivots in range(max_iter):
-        leaving = int(rhs.argmin())
-        if rhs[leaving] >= -_PHASE1_TOL:
+        short = rhs / scale[basis]
+        leaving = int(short.argmin())
+        if short[leaving] >= -_PHASE1_TOL:
             return OPTIMAL, pivots
         row = T[leaving, :ncols]
         cols = (row < -_PIVOT_TOL).nonzero()[0]
@@ -272,45 +271,6 @@ def _dual_iterate(T: np.ndarray, basis: np.ndarray, m: int, ncols: int,
         basis[leaving] = entering
         _pivot(T, leaving, entering)
     return None, max_iter
-
-
-def _warm_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray, start,
-                max_iter: int) -> LPResult | None:
-    """min c.x s.t. A x = b, x >= 0 from the basis ``start`` by dual simplex
-    pivots and phase 2; None when the cold path must decide (see the module
-    docstring)."""
-    m, n = A.shape
-    start = np.asarray(start)
-    if (m == 0 or start.shape != (m,) or start.min() < 0
-            or start.max() >= n):
-        return None
-    B = A[:, start]
-    try:
-        inverse = np.linalg.inv(B)
-    except np.linalg.LinAlgError:
-        return None
-    # a rough condition number; a repeated column lands here too
-    if np.abs(B).max() * np.abs(inverse).max() > _COND_MAX:
-        return None
-    T = np.empty((m + 1, n + 1))
-    T[:m, :n] = inverse @ A
-    T[:m, n] = inverse @ b
-    _price(T, start, c)
-    if T[m, :n].min() < -_RCOST_TOL:
-        return None                     # not dual feasible for c
-    basis = start.copy()
-    status, dual = _dual_iterate(T, basis, m, n, max_iter)
-    if status != OPTIMAL:
-        return None
-    try:
-        res = _phase2(T, basis, c, 0, max_iter)
-    except LPError:
-        return None
-    if res.status != OPTIMAL:
-        return None
-    res.pivots += dual
-    res.dual_pivots = dual
-    return res
 
 
 def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
@@ -331,7 +291,7 @@ def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     A_ub = np.zeros((0, nvar)) if A_ub is None else np.atleast_2d(
         np.asarray(A_ub, dtype=float))
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(
-        np.asarray(b_ub, dtype=float))
+        np.asarray(b_ub, dtype=float))   # (n_ub,) or one column per rhs
     A_eq = np.zeros((0, nvar)) if A_eq is None else np.atleast_2d(
         np.asarray(A_eq, dtype=float))
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(
@@ -354,14 +314,20 @@ def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     ny = src.size
     n_ub, n_eq, n_box = A_ub.shape[0], A_eq.shape[0], boxed.size
     mu = n_ub + n_box
+    plain = lo_f.all()          # no column split or mirrored: S = I
     # Slacks turn inequality rows into equalities.
     A_std = np.zeros((mu + n_eq, ny + mu))
-    A_std[:n_ub, :ny] = A_ub[:, src] * sign
-    A_std[n_ub + np.arange(n_box), first[boxed]] = 1.0
+    A_std[:n_ub, :ny] = A_ub if plain else A_ub[:, src] * sign
     A_std.ravel()[ny:mu * (ny + mu):ny + mu + 1] = 1.0   # slack identity
-    A_std[mu:, :ny] = A_eq[:, src] * sign
-    b_std = np.concatenate([b_ub - A_ub @ offset, hi[boxed] - lo[boxed],
-                            b_eq - A_eq @ offset])
+    # b_std.T puts the rhs columns first, so that fixed rows broadcast
+    b_std = np.empty((mu + n_eq,) + b_ub.shape[1:])
+    b_std.T[..., :n_ub] = b_ub.T - A_ub @ offset
+    if n_box:
+        A_std[n_ub + np.arange(n_box), first[boxed]] = 1.0
+        b_std.T[..., n_ub:mu] = hi[boxed] - lo[boxed]
+    if n_eq:
+        A_std[mu:, :ny] = A_eq if plain else A_eq[:, src] * sign
+        b_std.T[..., mu:] = b_eq - A_eq @ offset
     slack = np.arange(ny, ny + mu + n_eq)
     slack[mu:] = -1
 
@@ -391,16 +357,12 @@ def solve_lp(c,
              A_eq=None, b_eq=None,
              lower=None, upper=None,
              maximize: bool = False,
-             max_iter: int | None = None,
-             start: np.ndarray | None = None) -> LPResult:
+             max_iter: int | None = None) -> LPResult:
     """Solve a general-form LP.  Default bounds are x >= 0.
 
     Bounds may contain +/-inf entries; free and upper-bounded variables are
     shifted/split to reach standard form.  ``LPResult.x`` is reported in the
-    original variables.  ``start`` is the ``basis`` of an optimal result of
-    an LP with the same shape, typically the same LP with another rhs; the
-    solve then begins with dual simplex pivots from it (see the module
-    docstring).
+    original variables.
     """
     c = np.asarray(c, dtype=float)
     form = _standard_form(c.size, A_ub, b_ub, A_eq, b_eq, lower, upper)
@@ -410,10 +372,6 @@ def solve_lp(c,
     c_std = cost(-c if maximize else c)
     if max_iter is None:
         max_iter = _budget(A_std)
-    if start is not None:
-        warm = _warm_solve(c_std, A_std, b_std, start, max_iter)
-        if warm is not None:
-            return unmap(warm, c)
     feasible = _phase1(c_std, A_std, b_std, slack, max_iter)
     if isinstance(feasible, LPResult):
         return feasible
@@ -473,4 +431,44 @@ def solve_lp_sequence(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
             res = replace(res, status=face.status, x=face.x, basis=face.basis,
                           pivots=res.pivots + face.pivots)
         results.append(res)
+    return results
+
+
+def solve_lp_path(c, A_ub, B_ub, A_eq=None, b_eq=None, lower=None,
+                  upper=None) -> list[LPResult]:
+    """min c.x s.t. A_ub x <= B_ub[:, j] and the rest as in solve_lp, for
+    each column j of B_ub in turn (see the module docstring); a column
+    continued from the last one's basis counts its ``dual_pivots``."""
+    c = np.asarray(c, dtype=float)
+    B_ub = np.asarray(B_ub, dtype=float)
+    form = _standard_form(c.size, A_ub, B_ub[:, ::-1], A_eq, b_eq, lower,
+                          upper)
+    if form is None:
+        return [LPResult(INFEASIBLE) for _ in range(B_ub.shape[1])]
+    A_std, b_std, slack, cost, unmap = form
+    c_std = cost(c)
+    max_iter = _budget(A_std)
+    rows = (slack >= 0).nonzero()[0]        # a slack is its row's surplus,
+    scale = np.ones(c_std.size)             # held to the row's own scale
+    scale[slack[rows]] = np.abs(A_std[rows, :c_std.size - rows.size]).max(
+        axis=1, initial=0.0).clip(_PIVOT_TOL, 1.0)
+    results, T = [], None
+    for j in range(b_std.shape[1], 0, -1):    # b_std[:, j - 1] is the rhs
+        res = None
+        if T is not None and basis.size:       # the last rhs was optimal
+            T = T[:, :-1]
+            status, dual = _dual_iterate(T, basis, basis.size, c_std.size,
+                                         max_iter, scale)
+            if status == OPTIMAL:
+                res = _phase2(T, basis, c_std, 0, max_iter)
+                res.pivots += dual
+                res.dual_pivots = dual
+        if res is None or res.status != OPTIMAL:
+            res = _phase1(c_std, A_std, b_std[:, :j], slack, max_iter)
+            if not isinstance(res, LPResult):
+                T, basis, pivots = res
+                res = _phase2(T, basis, c_std, pivots, max_iter)
+        if res.status != OPTIMAL:
+            T = None
+        results.append(unmap(res, c))
     return results

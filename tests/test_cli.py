@@ -148,7 +148,11 @@ class TestCommands:
         def failing(spec, m, nu):
             raise LPError("slice LP ended with status stalled")
 
+        def failing_path(*args, **kwargs):
+            raise LPError("slice LP ended with status stalled")
+
         monkeypatch.setattr(frontier, "rho_nu", failing)
+        monkeypatch.setattr(frontier, "solve_lp_path", failing_path)
         for measure, errors in (("es:0.4", 2), ("lses:0.3", 6)):
             code = main(["frontier", "--market", market_file, "--measure",
                          measure, "--nu-max", "0.5", "--steps", "6"])

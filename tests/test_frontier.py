@@ -50,6 +50,28 @@ def solved_lps(monkeypatch):
     return seen
 
 
+def solved_paths(monkeypatch):
+    """Spy on frontier.solve_lp_path; the returned list gets each call's
+    list of LPResults, one per rhs column."""
+    seen = []
+    inner = frontier.solve_lp_path
+
+    def spy(*args, **kwargs):
+        seen.append(inner(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(frontier, "solve_lp_path", spy)
+    return seen
+
+
+def failing_paths(monkeypatch):
+    """Make every frontier.solve_lp_path call raise LPError."""
+    def failing(*args, **kwargs):
+        raise LPError("slice LP ended with status stalled")
+
+    monkeypatch.setattr(frontier, "solve_lp_path", failing)
+
+
 def suite_specs():
     return [RiskSpec.es_at(0.3), RiskSpec.es_at(0.75),
             RiskSpec.lses_at(0.3),
@@ -168,22 +190,18 @@ class TestRhoNu:
             assert abs(seq[-1] - r1) <= 1e-5, spec.label()
 
     def test_shortfall_sweep_is_one_lp_per_slice(self, monkeypatch):
+        # the sweep's slice LPs are the columns of one path, each node's
+        # continued from the last by dual simplex pivots
         m = random_market(np.random.default_rng(8), n=20, d=3,
                           arbitrage_free=True)
-        lps = counting(monkeypatch, "solve_lp")
-        per_slice = []
-        inner = frontier.rho_nu
-
-        def rho_nu_counted(spec, market, nu):
-            before = len(lps)
-            out = inner(spec, market, nu)
-            per_slice.append(len(lps) - before)
-            return out
-
-        monkeypatch.setattr(frontier, "rho_nu", rho_nu_counted)
+        paths = solved_paths(monkeypatch)
+        slices = counting(monkeypatch, "rho_nu")
         fr = optimal_boundary(RiskSpec.lses_at(0.5), m, 0.2, 11)
-        assert fr.errors == [] and len(per_slice) >= 11
-        assert per_slice == [1] * len(per_slice)
+        (nodes,) = paths                   # one LP per node
+        assert fr.errors == [] and len(nodes) == fr.nu_grid.size >= 11
+        assert slices == []                # no node re-solved on its own
+        assert all(res.status == "optimal" for res in nodes)
+        assert sum(res.dual_pivots for res in nodes) > 0
 
     def test_es_slice_is_the_plain_shortfall_lp(self, monkeypatch):
         # variables (theta, m, u >= 0): min m + E[u]/alpha, u >= -X - m,
@@ -426,6 +444,22 @@ class TestOptimalBoundary:
             assert rho_nu(spec, m, fr.nu_min)[0] == pytest.approx(
                 fr.rho_min, abs=1e-9), seed
 
+    def test_rounding_ties_take_the_lowest_nu(self, monkeypatch):
+        # a boundary flat at 0 up to +-1e-15 (rounding) has its minimum at
+        # nu = 0, not at the node whose rounding happens to be least
+        m = random_market(np.random.default_rng(3), n=6, d=2,
+                          arbitrage_free=True)
+        noise = iter([0.0, 4e-16, -7e-16, 1e-15, -1e-15, 2e-16])
+
+        def flat(spec, market, nu):
+            return next(noise), portfolio_slice(market, nu).particular
+
+        monkeypatch.setattr(frontier, "rho_nu", flat)
+        fr = optimal_boundary(RiskSpec.ew_with(EXP), m, 0.2, 6)
+        assert fr.regime == "INFINITE" and fr.errors == []
+        assert np.all(np.abs(fr.rho_values) <= 1e-15)
+        assert fr.nu_min == 0.0 and fr.rho_min == 0.0
+
     def test_negative_regime_strictly_decreasing(self):
         fr = optimal_boundary(RiskSpec.es_at(0.8), BINOMIAL, 2.0, 9)
         assert fr.regime == "NEGATIVE"
@@ -540,6 +574,7 @@ class TestHomogeneousBoundary:
             raise LPError("slice LP ended with status stalled")
 
         monkeypatch.setattr(frontier, "rho_nu", failing)
+        failing_paths(monkeypatch)
         for spec, errors in ((RiskSpec.es_at(0.4), 2),
                              (RiskSpec.lses_at(0.3), 5)):
             fr = optimal_boundary(spec, TRINOMIAL, 1.0, 5)
@@ -550,8 +585,8 @@ class TestHomogeneousBoundary:
 
 
 def chained_specs():
-    """LP families that are not positively homogeneous: their sweeps chain
-    the slice LPs."""
+    """LP families that are not positively homogeneous: their sweeps solve
+    the slice LPs on one tableau."""
     kinked = LossFunction.pwl((0.5, 1.0, 2.0), (0.0, 0.5))
     return [RiskSpec.lses_at(0.5),
             RiskSpec.adjusted(lses_profile(0.5)),     # g = 0.5 (1/x - 1)
@@ -563,6 +598,7 @@ def chained_specs():
 class TestChainedSweep:
     def test_matches_per_node_slices_in_fewer_pivots(self, monkeypatch):
         lps = solved_lps(monkeypatch)
+        paths = solved_paths(monkeypatch)
         sweep = cold = dual = 0
         for n in (4, 12, 40):
             for seed in range(3):
@@ -570,9 +606,10 @@ class TestChainedSweep:
                                   d=3, arbitrage_free=True)
                 for spec in chained_specs():
                     tag = (spec.label(), n, seed)
-                    del lps[:]
+                    del paths[:]
                     fr = optimal_boundary(spec, m, 0.2, 11)
-                    nodes = lps[:fr.nu_grid.size]    # one LP per node
+                    (nodes,) = paths                 # one LP per node
+                    assert len(nodes) == fr.nu_grid.size, tag
                     assert fr.errors == [], tag
                     assert all(r.phase1_pivots == 0 for r in nodes), tag
                     sweep += sum(r.pivots for r in nodes)

@@ -1,5 +1,6 @@
 """normal_alpha_star's Newton steps against the bisection they replaced."""
 import numpy as np
+import pytest
 
 from meanrisk import normal_alpha_star
 from meanrisk.lses import normal_pdf, normal_quantile
@@ -35,3 +36,16 @@ def test_newton_matches_bisection():
             z = normal_quantile(got)
             assert abs(normal_pdf(z) + got * z - ratio) <= 1e-14 * (
                 1.0 + ratio), ratio
+
+
+def test_roots_far_below_one_in_a_trillion():
+    # the bracket's floor used to be 1e-12, so every b/sigma below about
+    # 1.4e-13 = I(1e-12) returned about 1e-12
+    ratios = np.geomspace(1e-100, 0.39, 400)
+    alphas = np.array([normal_alpha_star(ratio) for ratio in ratios])
+    for ratio, alpha in zip(ratios, alphas):
+        z = normal_quantile(alpha)
+        assert abs(normal_pdf(z) + alpha * z - ratio) <= 1e-9 * ratio, ratio
+    assert np.all(np.diff(alphas) > 0)
+    with pytest.raises(ValueError):
+        normal_alpha_star(1e-305)      # root below the quantile's range

@@ -528,13 +528,6 @@ def test_tie_break_on_the_optimal_face(rng):
     assert seen["degenerate"] >= 200 and min(seen.values()) >= 30, seen
 
 
-def _same_solve(got, want):
-    return (got.status == want.status and got.pivots == want.pivots
-            and got.phase1_pivots == want.phase1_pivots
-            and got.dual_pivots == want.dual_pivots
-            and (got.x is None or np.array_equal(got.x, want.x)))
-
-
 def _full_rank_polytope(rng):
     """_random_polytope with fewer equality rows than variables and none
     redundant, so phase 1 drops no row and an optimal result keeps its
@@ -545,63 +538,38 @@ def _full_rank_polytope(rng):
     return rows, c
 
 
-def test_warm_start_after_rhs_change_matches_cold(rng):
-    # a start differs from the LP it starts only in b
+def _moved_columns(rng, b, count, scale):
+    """b and count - 1 further columns, each the last moved by N(0, scale)."""
+    steps = rng.normal(0, scale, (b.size, count - 1))
+    return np.column_stack([b, b[:, None] + steps.cumsum(axis=1)])
+
+
+def test_path_matches_cold_solves(rng):
+    # each column of solve_lp_path matches a cold solve_lp on it
     seen = {"dual": 0, INFEASIBLE: 0, "phase1": 0}
     for _ in range(400):
         rows, c = _full_rank_polytope(rng)
-        base = solve_lp(c, **rows)
-        if base.status != OPTIMAL:
-            continue
-        assert base.basis.size == (
-            rows["A_ub"].shape[0] + rows["A_eq"].shape[0]
-            + int(np.sum(np.isfinite(rows["lower"])
-                         & np.isfinite(rows["upper"]))))
-        scale = rng.choice([0.05, 0.5, 3.0])
-        moved = dict(rows,
-                     b_ub=rows["b_ub"] + rng.normal(0, scale,
-                                                    rows["b_ub"].size),
-                     b_eq=rows["b_eq"] + rng.normal(0, scale,
-                                                    rows["b_eq"].size))
-        warm = solve_lp(c, start=base.basis, **moved)
-        cold = solve_lp(c, **moved)
-        assert warm.status == cold.status
-        if warm.status == INFEASIBLE:
-            seen[INFEASIBLE] += 1
-            continue
-        assert warm.phase1_pivots == 0
-        assert warm.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
-        assert_feasible(warm, c, **moved)
-        seen["dual"] += warm.dual_pivots > 0
-        seen["phase1"] += cold.phase1_pivots > 0
+        B_ub = _moved_columns(rng, rows["b_ub"], int(rng.integers(4, 7)),
+                              rng.choice([0.05, 0.5, 3.0]))
+        fixed = {key: rows[key] for key in ("A_eq", "b_eq", "lower", "upper")}
+        path = simplex.solve_lp_path(c, rows["A_ub"], B_ub, **fixed)
+        assert len(path) == B_ub.shape[1]
+        after_optimal = False
+        for res, b in zip(path, B_ub.T):
+            moved = dict(rows, b_ub=b)
+            cold = solve_lp(c, **moved)
+            assert res.status == cold.status
+            seen[INFEASIBLE] += res.status == INFEASIBLE
+            if res.status == OPTIMAL:
+                if after_optimal:
+                    assert res.phase1_pivots == 0
+                assert res.value == pytest.approx(cold.value, rel=1e-9,
+                                                  abs=1e-12)
+                assert_feasible(res, c, **moved)
+            seen["dual"] += res.dual_pivots > 0
+            seen["phase1"] += res.phase1_pivots > 0
+            after_optimal = res.status == OPTIMAL
     assert min(seen.values()) >= 20, seen
-
-
-def test_bad_start_falls_back_to_cold(rng):
-    kinds = {"short": 0, "repeated": 0, "dual infeasible": 0}
-    for _ in range(200):
-        rows, c = _full_rank_polytope(rng)
-        base = solve_lp(c, **rows)
-        if base.status != OPTIMAL or base.basis.size < 2:
-            continue
-        repeated = base.basis.copy()
-        repeated[0] = repeated[1]
-        starts = {"short": base.basis[:-1], "repeated": repeated}
-        for kind, start in starts.items():
-            assert _same_solve(solve_lp(c, start=start, **rows), base), kind
-            kinds[kind] += 1
-        # the optimal basis for c prices -c with negative reduced costs
-        cold = solve_lp(c, maximize=True, **rows)
-        warm = solve_lp(c, maximize=True, start=base.basis, **rows)
-        if np.any(base.x != cold.x):
-            assert _same_solve(warm, cold)
-            kinds["dual infeasible"] += 1
-    assert min(kinds.values()) >= 30, kinds
-    # distinct columns that are linearly dependent: B is singular
-    rows = dict(A_ub=[[1.0, 1.0], [2.0, 2.0]], b_ub=[1.0, 3.0])
-    cold = solve_lp([-1.0, -2.0], **rows)
-    warm = solve_lp([-1.0, -2.0], start=np.array([0, 1]), **rows)
-    assert cold.status == OPTIMAL and _same_solve(warm, cold)
 
 
 class _Frozen:
@@ -706,57 +674,6 @@ class _Frozen:
                 basis = basis[keep[:m]]
         return T, basis, pivots
 
-    def _dual_iterate(T, basis, m, ncols, max_iter):
-        rhs = T[:m, -1]
-        reduced = T[m, :ncols]
-        for pivots in range(max_iter):
-            leaving = int(np.argmin(rhs))
-            if rhs[leaving] >= -_PHASE1_TOL:
-                return OPTIMAL, pivots
-            row = T[leaving, :ncols]
-            cols = np.flatnonzero(row < -_PIVOT_TOL)
-            if cols.size == 0:
-                return INFEASIBLE, pivots
-            ratios = reduced[cols] / -row[cols]
-            entering = int(cols[np.argmax(ratios <= ratios.min()
-                                          + _RATIO_TIE)])
-            basis[leaving] = entering
-            _pivot(T, leaving, entering)
-        return None, max_iter
-
-    def _warm_solve(c, A, b, start, max_iter):
-        m, n = A.shape
-        start = np.asarray(start)
-        if (m == 0 or start.shape != (m,) or start.min() < 0
-                or start.max() >= n):
-            return None
-        B = A[:, start]
-        try:
-            inverse = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return None
-        if np.abs(B).max() * np.abs(inverse).max() > _COND_MAX:
-            return None
-        T = np.empty((m + 1, n + 1))
-        T[:m, :n] = inverse @ A
-        T[:m, n] = inverse @ b
-        T[m] = np.append(c, 0.0) - c[start] @ T[:m]
-        if T[m, :n].min() < -_RCOST_TOL:
-            return None
-        basis = start.copy()
-        status, dual = _dual_iterate(T, basis, m, n, max_iter)
-        if status != OPTIMAL:
-            return None
-        try:
-            res = _phase2(T, basis, c, 0, max_iter)
-        except LPError:
-            return None
-        if res.status != OPTIMAL:
-            return None
-        res.pivots += dual
-        res.dual_pivots = dual
-        return res
-
     def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
         lo = np.full(nvar, 0.0) if lower is None else np.broadcast_to(
             np.asarray(lower, dtype=float), (nvar,))
@@ -843,10 +760,11 @@ def _tiny_rows(rng, *polytopes):
 
 def test_kernel_matches_frozen_reference(rng, monkeypatch):
     # Every pivot path of the kernel is bit-identical to the frozen one:
-    # status, pivot counts, basis and the bytes of x, on cold solves, warm
-    # starts and sequences with tie-break legs.
+    # status, pivot counts, basis and the bytes of x, on cold solves,
+    # sequences with tie-break legs and the first column of a path, whose
+    # later columns match frozen cold solves.
     ref = _frozen_kernel(monkeypatch)
-    seen = {"repick": 0, "tie": 0, "warm": 0, "dropped": 0, "beale": 0}
+    seen = {"repick": 0, "tie": 0, "dual": 0, "dropped": 0, "beale": 0}
     frozen_ratio_test = ref._ratio_test
 
     def counted(col, rhs, basis, rows):
@@ -897,14 +815,22 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
                                 and legs[1].basis is None)
         else:
             rows, c = _full_rank_polytope(rng)
-            moved = dict(rows, **{key: rows[key] + rng.normal(
-                0, 0.5, rows[key].size) for key in ("b_ub", "b_eq")})
-            _tiny_rows(rng, rows, moved)
-            base = both("solve_lp", c, **rows)
-            if base.status != OPTIMAL:
-                continue
-            warm = both("solve_lp", c, start=base.basis, **moved)
-            seen["warm"] += warm.dual_pivots > 0
+            columns = [dict(rows, b_ub=b) for b in
+                       _moved_columns(rng, rows["b_ub"], 3, 0.5).T]
+            _tiny_rows(rng, *columns)
+            path = simplex.solve_lp_path(
+                c, columns[0]["A_ub"],
+                np.column_stack([col["b_ub"] for col in columns]),
+                **{key: columns[0][key] for key in ("A_eq", "b_eq", "lower",
+                                                    "upper")})
+            same(path[0], ref.solve_lp(c, **columns[0]))
+            for res, col in zip(path[1:], columns[1:]):
+                cold = ref.solve_lp(c, **col)
+                assert res.status == cold.status
+                if res.status == OPTIMAL:
+                    assert res.value == pytest.approx(cold.value, rel=1e-9,
+                                                      abs=1e-12)
+                seen["dual"] += res.dual_pivots > 0
     assert seen.pop("beale") == 1 and min(seen.values()) >= 30, seen
 
 
