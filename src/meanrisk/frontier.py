@@ -15,7 +15,7 @@ every solve exact where possible:
 * pwl loss families and c y^+
                         -> hinge LPs, one row per atom and kink
 * exp loss families     -> damped Newton over pi with the return as a
-                           KKT row
+                           KKT row, a sweep's nodes all in one batched solve
 * positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
   kinked at 0 only, adjusted ES with a profile vanishing on [beta, 1])
                         -> rho_nu = nu rho_1, so a boundary sweep solves the
@@ -321,41 +321,49 @@ def _pwl_family_min(par: _Param, p: np.ndarray, fam: str, slopes,
                          np.full(nv - q, np.inf))
 
 
-def _newton_min(m: Market, p: np.ndarray, log: bool, nu: float | None = None):
+def _newton_min(m: Market, p: np.ndarray, log: bool, nu=None):
     """(min, argmin) over the portfolios pi of log E[exp(-X_pi)] (log) or
     E[exp(-X_pi)] - 1, which share their minimiser, by damped Newton on the
     log form.  Unconstrained when nu is None; otherwise KKT steps keep
-    E[X_pi] = nu from the least-norm start nu g / |g|^2."""
+    E[X_pi] = nu from the least-norm start nu g / |g|^2.  An array of nu
+    gives the minima and a (d, nodes) array of minimisers, every round one
+    batched solve and line search over the nodes that have not stopped."""
     E, g, d = m.excess, m.mean_excess, m.d
-    pi = np.zeros(d) if nu is None else nu * g / float(g @ g)
+    Pi = np.outer(g, np.atleast_1d(0.0 if nu is None else nu)) / float(g @ g)
     k = d if nu is None else d + 1        # size of the Newton / KKT system
-    kkt = np.zeros((d + 1, d + 1))
-    kkt[:d, d] = kkt[d, :d] = g
+    kkt = np.block([[1e-12 * np.eye(d), g[:, None]], [g, 0.0]])[:k, :k]
+    EE = (E[:, :, None] * E[:, None, :]).reshape(-1, d * d)
 
-    f = _entropic(p, E @ pi)
+    f = _entropic(p, E @ Pi)
+    live = np.arange(Pi.shape[1])
     for _ in range(200):
-        expo = -(E @ pi)
-        w = p * np.exp(expo - expo.max())
-        w = w / w.sum()                    # normalised weights of exp(-X)
-        grad = -E.T @ w
-        kkt[:d, :d] = E.T @ (E * w[:, None]) - np.outer(grad, grad)
-        kkt[:d, :d] += 1e-12 * np.eye(d)
-        step = np.linalg.solve(kkt[:k, :k], np.append(-grad, 0.0)[:k])[:d]
-        decrement = -float(grad @ step)    # twice the predicted decrease
-        if decrement <= 1e-18:
-            break
-        lamb = 1.0
-        while lamb >= 1e-12:
-            trial = pi + lamb * step
+        expo = -(E @ Pi[:, live])
+        W = p[:, None] * np.exp(expo - expo.max(axis=0))
+        W /= W.sum(axis=0)                 # normalised weights of exp(-X)
+        G = -(E.T @ W).T                   # one gradient per row
+        A = np.repeat(kkt[None], live.size, axis=0)
+        A[:, :d, :d] += ((W.T @ EE).reshape(-1, d, d)
+                         - G[:, :, None] * G[:, None, :])
+        b = np.concatenate([-G, np.zeros((live.size, k - d))], axis=1)
+        steps = np.linalg.solve(A, b[:, :, None])[:, :d, 0]
+        decrement = -np.einsum("ij,ij->i", G, steps)  # twice the decrease
+        lamb, todo = 1.0, np.flatnonzero(decrement > 1e-18)  # rows searching
+        moved = np.zeros(live.size, dtype=bool)
+        while todo.size and lamb >= 1e-12:
+            nodes = live[todo]
+            trial = Pi[:, nodes] + lamb * steps[todo].T
             f_trial = _entropic(p, E @ trial)
-            if f_trial <= f - 0.25 * lamb * decrement:
-                break
+            ok = f_trial <= f[nodes] - 0.25 * lamb * decrement[todo]
+            Pi[:, nodes[ok]], f[nodes[ok]] = trial[:, ok], f_trial[ok]
+            moved[todo[ok]] = True
             # near the minimiser only the full step is worth trying
-            lamb = 0.5 * lamb if decrement > 1e-12 else 0.0
-        else:
+            todo = todo[~ok & (decrement[todo] > 1e-12)]
+            lamb *= 0.5
+        live = live[moved]                 # a node with no descent stops
+        if not live.size:
             break
-        pi, f = trial, f_trial
-    return (f if log else math.expm1(f)), pi
+    f = f if log else np.expm1(f)
+    return (f, Pi) if np.ndim(nu) else (float(f[0]), Pi[:, 0])
 
 
 def _tail_density(X: RandVar, alpha: float) -> np.ndarray:
@@ -437,23 +445,26 @@ def _sup_es_oracle(par: _Param, space, spec: RiskSpec):
     return oracle
 
 
-def _lp_min(spec: RiskSpec, p: np.ndarray, par: _Param):
-    """(LPResult, theta) of the family's LP over par; None for the families
-    without one (exp losses, ew with c y^gamma for gamma > 1, general
-    adjusted-ES profiles)."""
+def _lp_min(spec: RiskSpec):
+    """The family's LP as a function of (par, p) that returns (LPResult,
+    theta) over par; None for the families without one (exp losses, ew
+    with c y^gamma for gamma > 1, general adjusted-ES profiles)."""
     fam = spec.family
     if fam in ("es", "lses", "adjes"):
         pieces = _shortfall_pieces(spec)
-        return None if pieces is None else _es_min(par, p, pieces)
+        return None if pieces is None else (
+            lambda par, p: _es_min(par, p, pieces))
     if fam == "wc" or (fam == "sr" and spec.loss.zero_on_negatives):
-        return _wc_min(par, p)
+        return _wc_min
     if fam in ("ew", "sr", "oce"):
         loss = spec.loss
         if loss.kind == "pwl":
-            return _pwl_family_min(par, p, fam, loss.slopes, loss.breakpoints)
+            return lambda par, p: _pwl_family_min(par, p, fam, loss.slopes,
+                                                  loss.breakpoints)
         if loss.kind == "power" and loss.exponent == 1.0:
             # c y^+ is the pwl loss with slopes (0, c) kinked at 0
-            return _pwl_family_min(par, p, fam, (0.0, loss.coef), (0.0,))
+            return lambda par, p: _pwl_family_min(par, p, fam,
+                                                  (0.0, loss.coef), (0.0,))
     return None
 
 
@@ -480,10 +491,10 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
         raise ValueError("value-at-risk slice minimisation is not supported")
     if fam == "eloss":
         return -nu, par.to_portfolio(np.zeros(par.C.shape[1]))
-    solved = _lp_min(spec, p, par)
-    if solved is None:
+    lp = _lp_min(spec)
+    if lp is None:
         return _smooth_min(spec, m, par, nu)
-    return _slice_answer(spec, m, par, *solved)
+    return _slice_answer(spec, m, par, *lp(par, p))
 
 
 def _slice_answer(spec: RiskSpec, m: Market, par: _Param, res: LPResult, t,
@@ -524,9 +535,9 @@ def _band_min(spec: RiskSpec, m: Market, lo: float, hi: float = math.inf):
     is the band's minimum.
     """
     par = _pi_param(m, lo, hi)
-    solved = _lp_min(spec, m.space.probs, par)
-    if solved is not None:
-        return solved
+    lp = _lp_min(spec)
+    if lp is not None:
+        return lp(par, m.space.probs)
     v, pi = _smooth_min(spec, m, par)
     nu = float(m.mean_excess @ pi)
     if spec.family != "adjes" and not lo <= nu <= hi:
@@ -654,10 +665,11 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     nu pi_1 for nu > 0, so its sweep solves the slices at nu = 0 and 1 only
     (a -inf or failed unit slice carries to every nu > 0).  Other families
     solve one slice per grid node: an LP family all of them on one tableau
-    (``solve_lp_path``: the rhs alone moves with nu), the others one
-    ``rho_nu`` each.  Grid values within 1e-12 max_j |X_{pi_j}|_inf (over
-    the nodes' portfolios) of the least tie, so that rounding cannot move
-    nu_min along a flat boundary: the lowest nu among them is the argmin.
+    (``solve_lp_path``: the rhs alone moves with nu), an exp loss all of
+    them in one batched Newton, the others one ``rho_nu`` each.  Grid
+    values within 1e-12 max_j |X_{pi_j}|_inf (over the nodes' portfolios)
+    of the least tie, so that rounding cannot move nu_min along a flat
+    boundary: the lowest nu among them is the argmin.
 
     In the positive regime a convex family that is not homogeneous takes
     its boundary minimiser from one solve over the portfolios with
@@ -688,16 +700,21 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
         results = [at_zero] + [
             (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
             for nu in grid[1:]]
+    elif m.d > 1 and getattr(spec.loss, "kind", "") == "exp":
+        values, pis = _newton_min(m, m.space.probs, spec.family != "ew", grid)
+        results = list(zip(values, pis.T))
     else:
-        # an LP family solves every node on one path; without an LP, or
-        # when the path fails, each node runs rho_nu
-        par = _slice_param(m, grid)
-        try:
-            lps = _lp_min(spec, m.space.probs, par) if par.C.shape[1] else None
-        except LPError:
-            lps = None
-        results = [solve_point(nu, None if lps is None else (par, *lps[j], j))
-                   for j, nu in enumerate(grid)]
+        # an LP family solves every node on one path; without an LP, on a
+        # one-asset market or when the path fails, each node runs rho_nu
+        lp, nodes = _lp_min(spec), [None] * steps
+        if m.d > 1 and lp is not None:
+            par = _slice_param(m, grid)
+            try:
+                nodes = [(par, *res, j)
+                         for j, res in enumerate(lp(par, m.space.probs))]
+            except LPError:
+                pass
+        results = [solve_point(nu, node) for nu, node in zip(grid, nodes)]
     values = np.array([v for v, _ in results])
     portfolios = [piv for _, piv in results]
 
@@ -877,9 +894,10 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
             rho_1, pi_1 = rho_nu(spec, m, 1.0)
             nu = level / rho_1
             return MeanRiskSolution("optimal", nu, nu * pi_1, nu)
-        solved = _lp_min(spec, m.space.probs, _pi_param(m, 0.0, budget=level))
-        if solved is not None:
-            return _lp_solution(m, *solved, max_return=True)
+        lp = _lp_min(spec)
+        if lp is not None:
+            return _lp_solution(m, *lp(_pi_param(m, 0.0, budget=level),
+                                       m.space.probs), max_return=True)
         # rho_nu -> inf as nu -> inf, so bisect the increasing branch; the
         # last doubling step within budget starts the bracket (the risk at
         # nu = 0 is at most rho(0) = 0 <= rho*)

@@ -109,6 +109,7 @@ def normal_quantile_grid(count: int) -> np.ndarray:
 
 
 _ALPHA_FLOOR = 1e-300   # pdf(q(a)) and a q(a) stay normal floats above it
+_ALPHA_CEILING = 1.0 - 1e-12
 
 
 def _tail_gap(alpha: float) -> float:
@@ -117,31 +118,35 @@ def _tail_gap(alpha: float) -> float:
     return normal_pdf(z) + alpha * z
 
 
+_GAP_FLOOR, _GAP_CEILING = _tail_gap(_ALPHA_FLOOR), _tail_gap(_ALPHA_CEILING)
+
+
 def normal_alpha_star(b_over_sigma: float) -> float:
     """Optimal level for a normal law: solves pdf(q(a)) + a q(a) = b/sigma.
 
     The left side is the tail-gap integral I_X(a) of a standard normal; it
-    increases from 0 to infinity on (0, 1) with derivative a / pdf(q(a)),
-    and it is convex, so Newton steps from the right end of the bracket
-    fall monotonically to the root.  A step that would leave the bracket
-    halves the distance to its lower end instead.  Returns 1.0 when no
-    interior root exists below the bracket ceiling; raises ValueError when
-    the root lies below the floor 1e-300 (b/sigma below I(1e-300), about
-    2.7e-302), where pdf(q(a)) and a q(a) underflow.
+    increases from 0 to infinity on (0, 1) with dI/d(log a) = a^2/pdf(q(a)).
+    Newton runs on log I in u = log a, where it is convex (and nearly linear
+    in the tail, I(a) ~ a/|q(a)|), so steps from a start above the root fall
+    monotonically to it: from a = 1/2, where I = pdf(0), or from the ceiling
+    1 - 1e-12.  Returns 1.0 when no interior root exists below the ceiling;
+    raises ValueError when the root lies below the floor 1e-300 (b/sigma
+    below I(1e-300), about 2.7e-302), where pdf(q(a)) and a q(a) underflow.
     """
     if b_over_sigma <= 0:
         raise ValueError("b/sigma must be positive")
-    lo, alpha = _ALPHA_FLOOR, 1.0 - 1e-12
-    if _tail_gap(alpha) <= b_over_sigma:
+    if b_over_sigma >= _GAP_CEILING:
         return 1.0
-    if _tail_gap(lo) > b_over_sigma:
+    if b_over_sigma < _GAP_FLOOR:
         raise ValueError("b/sigma is below the range of the normal quantile")
-    z = normal_quantile(alpha)
+    alpha = 0.5 if b_over_sigma < _INV_SQRT_2PI else _ALPHA_CEILING
     while True:
+        z = normal_quantile(alpha)
         pdf = normal_pdf(z)
-        step = (pdf + alpha * z - b_over_sigma) * (pdf / alpha)
-        nxt = alpha - step if alpha - step > lo else 0.5 * (lo + alpha)
+        gap = pdf + alpha * z
+        # u -= (log I - log b) / (d log I/du), with d log I/du = a^2/(pdf I)
+        step = math.log(gap / b_over_sigma) * (pdf / alpha) * (gap / alpha)
+        nxt = max(alpha * math.exp(-step), _ALPHA_FLOOR)
         if not nxt < alpha:     # at the root up to rounding
             return alpha
         alpha = nxt
-        z = normal_quantile(alpha)

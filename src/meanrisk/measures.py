@@ -106,8 +106,9 @@ def expected_weighted_loss(X: RandVar, loss: LossFunction) -> float:
     return float(X.space.probs @ loss.value(-X.values))
 
 
-def _entropic(p: np.ndarray, x: np.ndarray) -> float:
-    """log E[exp(-x)] under the probabilities p: the entropic risk of x.
+def _entropic(p: np.ndarray, x: np.ndarray):
+    """log E[exp(-x)] under the probabilities p: the entropic risk of x, or
+    of each column of an (n, K) array x.
 
     Computed as t + log1p(E[expm1(-x - t)]) with t = max(-x), which keeps
     the digits of a tiny spread of x that log(E[exp(-x - t)]) rounds away
@@ -115,11 +116,16 @@ def _entropic(p: np.ndarray, x: np.ndarray) -> float:
     rounding of E[expm1] instead, and the direct sum is exact to rounding.
     """
     y = -np.asarray(x, dtype=float)
-    t = float(y.max())
-    s = float(p @ np.expm1(y - t))
-    if s > -0.5:
-        return t + math.log1p(s)
-    return t + math.log(float(p @ np.exp(y - t)))
+    t = y.max(axis=0)
+    y -= t
+    s = p @ np.expm1(y)
+    if y.ndim == 1:
+        return float(t) + (math.log1p(s) if s > -0.5
+                           else math.log(float(p @ np.exp(y))))
+    out = np.log1p(s)
+    far = s <= -0.5
+    out[far] = np.log(p @ np.exp(y[:, far]))
+    return t + out
 
 
 def shortfall_risk(X: RandVar, loss: LossFunction) -> float:

@@ -449,12 +449,14 @@ class TestOptimalBoundary:
         # nu = 0, not at the node whose rounding happens to be least
         m = random_market(np.random.default_rng(3), n=6, d=2,
                           arbitrage_free=True)
-        noise = iter([0.0, 4e-16, -7e-16, 1e-15, -1e-15, 2e-16])
+        noise = np.array([0.0, 4e-16, -7e-16, 1e-15, -1e-15, 2e-16])
 
-        def flat(spec, market, nu):
-            return next(noise), portfolio_slice(market, nu).particular
+        def flat(market, p, log, nu):
+            # the sweep's one batched Newton call: every node at once
+            return noise, np.column_stack(
+                [portfolio_slice(market, v).particular for v in nu])
 
-        monkeypatch.setattr(frontier, "rho_nu", flat)
+        monkeypatch.setattr(frontier, "_newton_min", flat)
         fr = optimal_boundary(RiskSpec.ew_with(EXP), m, 0.2, 6)
         assert fr.regime == "INFINITE" and fr.errors == []
         assert np.all(np.abs(fr.rho_values) <= 1e-15)
@@ -630,6 +632,80 @@ class TestChainedSweep:
                             want, rel=1e-10, abs=1e-12), tag
                     cold += sum(r.pivots for r in lps)
         assert dual > 0 and sweep < cold / 2, (sweep, cold, dual)
+
+
+EXP_SPECS = (RiskSpec.oce_with(EXP), RiskSpec.sr_with(EXP),
+             RiskSpec.ew_with(EXP))
+
+
+class TestBatchedExpSweep:
+    """An exp-loss sweep solves every grid node in one stacked Newton."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 5]))
+    def test_nodes_match_scalar_rho_nu(self, seed, d):
+        rng = np.random.default_rng(seed)
+        m = random_market(rng, n=int(rng.integers(d + 2, d + 9)), d=d,
+                          arbitrage_free=True)
+        for spec in EXP_SPECS:
+            fr = optimal_boundary(spec, m, 0.3, 7)
+            assert fr.errors == [] and fr.nu_grid[0] == 0.0
+            for nu, value, pi in zip(fr.nu_grid, fr.rho_values,
+                                     fr.optimal_portfolios):
+                tag = (spec.label(), seed, d, nu)
+                cold, _ = rho_nu(spec, m, float(nu))
+                X = excess_return(m, pi)
+                scale = max(1.0, float(np.abs(X.values).max()))
+                assert abs(value - cold) <= 1e-12 * scale * (
+                    1.0 + abs(cold)), tag
+                g = m.mean_excess
+                assert abs(g @ pi - nu) <= 1e-12 * max(
+                    1.0, float(np.abs(g) @ np.abs(pi))), tag
+                if d == 1:                 # each slice is one portfolio
+                    assert value == evaluate(spec, X), tag
+
+    def test_one_newton_call_per_sweep(self, monkeypatch):
+        m = random_market(np.random.default_rng(12), n=8, d=3,
+                          arbitrage_free=True)
+        newton = []
+        inner = frontier._newton_min
+
+        def spy(market, p, log, nu=None):
+            newton.append(nu)
+            return inner(market, p, log, nu)
+
+        monkeypatch.setattr(frontier, "_newton_min", spy)
+        slices = counting(monkeypatch, "rho_nu")
+        fr = optimal_boundary(RiskSpec.ew_with(EXP), m, 0.2, 21)
+        assert fr.regime == "INFINITE" and fr.errors == []
+        (grid,) = newton
+        assert np.array_equal(grid, fr.nu_grid) and slices == []
+        # in the positive regime the band minimiser runs the one-node case,
+        # and once more through rho_nu when it leaves the band
+        del newton[:]
+        fr = optimal_boundary(RiskSpec.oce_with(EXP), m, 0.2, 21)
+        assert fr.regime == "POSITIVE" and len(slices) <= 1
+        assert [np.ndim(nu) for nu in newton] == [1] + [0] * (1 + len(slices))
+
+    def test_slices_built_only_for_lp_sweeps(self, monkeypatch):
+        # one portfolio_slice per node plus rho_inf_1's: a general profile
+        # builds its slices in rho_nu alone, an LP family in the grid
+        # parametrisation alone, and an exp loss none per node
+        m = random_market(np.random.default_rng(8), n=6, d=2,
+                          arbitrage_free=True)
+        general = RiskSpec.adjusted(general_profile(
+            lambda x: 0.3 * (1.0 / np.asarray(x) - 1.0), 0.0, True, 0.3))
+        slices = counting(monkeypatch, "portfolio_slice")
+        rho_calls = counting(monkeypatch, "rho_nu")
+        for spec, want in ((general, 22), (RiskSpec.lses_at(0.5), 22)):
+            del slices[:], rho_calls[:]
+            assert optimal_boundary(spec, m, 0.2, 21).errors == []
+            assert len(slices) == want, spec.label()
+        for spec in EXP_SPECS:
+            del slices[:], rho_calls[:]
+            assert optimal_boundary(spec, m, 0.2, 21).errors == []
+            assert len(rho_calls) <= 1, spec.label()   # a band edge
+            assert len(slices) == 1 + len(rho_calls), spec.label()
 
 
 class TestEfficientFrontier:
