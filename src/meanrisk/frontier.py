@@ -18,9 +18,11 @@ every solve exact where possible:
                            KKT row, a sweep's nodes all in one batched solve
 * positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
   kinked at 0 only, adjusted ES with a profile vanishing on [beta, 1])
-                        -> rho_nu = nu rho_1, so a boundary sweep solves the
-                           slices at nu = 0 and 1 only, and the mean-risk
-                           problems one slice each
+                        -> rho_nu = nu rho_1 and rho^inf = rho, so a
+                           boundary sweep is one LP, the unit slice, which
+                           is also the recession LP at nu = 1; sublinearity
+                           fixes rho_0 = 0; the mean-risk problems take one
+                           slice each
 
 The same solvers also run over all portfolios pi, with X = excess pi and
 the expected return g.pi as a row.  nu -> rho_nu is convex, so the boundary
@@ -38,7 +40,8 @@ in nu, so for an LP family the node LPs differ in their rhs alone: the
 family LPs take x0 with one column per node (lift and shift per node), and
 ``solve_lp_path`` solves them on one tableau, each node after the first by
 a few dual simplex pivots from the last node's optimal basis.  Every other
-LP here (homogeneous sweeps, bands, recession, mean-risk) is solved alone.
+LP here (a homogeneous sweep's unit slice, bands, recession, mean-risk) is
+solved alone.
 
 The recession measure rho^inf is a family of its own, so recession
 frontiers run the builders above: es at beta for adjusted ES, wc for lses,
@@ -354,8 +357,10 @@ def _newton_min(m: Market, p: np.ndarray, log: bool, nu=None):
             trial = Pi[:, nodes] + lamb * steps[todo].T
             f_trial = _entropic(p, E @ trial)
             ok = f_trial <= f[nodes] - 0.25 * lamb * decrement[todo]
+            # below half an ulp of f the test passes without progress: such
+            # a step is taken, but its node stops
+            moved[todo[ok & (f_trial < f[nodes])]] = True
             Pi[:, nodes[ok]], f[nodes[ok]] = trial[:, ok], f_trial[ok]
-            moved[todo[ok]] = True
             # near the minimiser only the full step is worth trying
             todo = todo[~ok & (decrement[todo] > 1e-12)]
             lamb *= 0.5
@@ -628,6 +633,32 @@ def _ball_descends(value: float, m: Market) -> bool:
     return value < -SIGN_TOL * scale
 
 
+def _unit_slice(spec: RiskSpec, m: Market):
+    """(rho_1, pi_1, rho_inf_1) of a positively homogeneous family from one
+    LP, or None where rho_nu's unit slice is not the recession LP.
+
+    rho^inf is the least positively homogeneous measure above rho, so
+    rho^inf = rho here, and the recession LP over the slice E[X_pi] = 1 is
+    rho_nu's own unit slice LP: es, wc, the pwl and c y^+ losses, and the
+    step profile (es at beta).  It is not where rho_nu runs no LP (one
+    asset, eloss) or another one (var; an adjusted-ES profile of several
+    pieces, or one reaching x = 0).  A -inf slice takes the descent
+    direction over the l1 ball as its portfolio, as in rho_nu.
+    """
+    fam = spec.family
+    if m.d == 1 or fam in ("var", "eloss"):
+        return None
+    if fam == "adjes":                    # the recession LP is es at beta
+        pieces, beta = _shortfall_pieces(spec), spec.profile.beta
+        if len(pieces) != 1 or beta == 0.0 or pieces[0][0] != beta:
+            return None
+    value, pi = _recession_min(spec, m, _slice_param(m, 1.0))
+    if value == -math.inf:
+        ball, pi = recession_ball_min(spec, m)
+        pi = pi if _ball_descends(ball, m) else None
+    return value, pi, value
+
+
 # ---------------------------------------------------------------------------
 # Boundary sweep and efficient frontier
 # ---------------------------------------------------------------------------
@@ -662,11 +693,16 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     """Sweep rho_nu over a uniform grid and classify the regime.
 
     A positively homogeneous family has rho_nu = nu rho_1 with minimiser
-    nu pi_1 for nu > 0, so its sweep solves the slices at nu = 0 and 1 only
-    (a -inf or failed unit slice carries to every nu > 0).  Other families
-    solve one slice per grid node: an LP family all of them on one tableau
-    (``solve_lp_path``: the rhs alone moves with nu), an exp loss all of
-    them in one batched Newton, the others one ``rho_nu`` each.  Grid
+    nu pi_1 for nu > 0 (a -inf or failed unit slice carries to every
+    nu > 0), and its sweep is one LP (``_unit_slice``): rho^inf = rho, so
+    the unit slice LP is also the recession LP that gives rho_inf_1, and
+    sublinearity fixes rho_0 = 0 at pi = 0 beside a finite rho_1 (-inf
+    beside -inf).  Where the unit slice is not that LP (one asset, eloss,
+    an adjusted-ES profile of several pieces) or it fails, ``rho_nu`` solves
+    the slices at nu = 0 and 1 and ``rho_inf_nu`` gives rho_inf_1.  Other
+    families solve one slice per grid node: an LP family all of them on one
+    tableau (``solve_lp_path``: the rhs alone moves with nu), an exp loss
+    all of them in one batched Newton, the others one ``rho_nu`` each.  Grid
     values within 1e-12 max_j |X_{pi_j}|_inf (over the nodes' portfolios)
     of the least tie, so that rounding cannot move nu_min along a flat
     boundary: the lowest nu among them is the argmin.
@@ -693,9 +729,19 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
             errors.append(f"nu={nu:g}: {exc}")
             return math.nan, None
 
+    rho_inf_1 = None
     if spec.positively_homogeneous:
-        at_zero = solve_point(0.0)
-        rho_1, pi_1 = solve_point(1.0)
+        try:
+            unit = _unit_slice(spec, m)
+        except LPError:                  # rho_nu records the failure
+            unit = None
+        if unit is None:
+            at_zero, (rho_1, pi_1) = solve_point(0.0), solve_point(1.0)
+        else:
+            # sublinearity: rho_0 = 0 beside a finite rho_1, else -inf
+            rho_1, pi_1, rho_inf_1 = unit
+            at_zero = ((0.0, np.zeros(m.d)) if math.isfinite(rho_1)
+                       else (rho_1, pi_1))
         scalable = math.isfinite(rho_1)
         results = [at_zero] + [
             (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
@@ -718,7 +764,8 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     values = np.array([v for v, _ in results])
     portfolios = [piv for _, piv in results]
 
-    rho_inf_1 = rho_inf_nu(spec, m, 1.0)
+    if rho_inf_1 is None:
+        rho_inf_1 = rho_inf_nu(spec, m, 1.0)
     if rho_inf_1 == math.inf:
         regime = REGIME_INFINITE
     elif rho_inf_1 > SIGN_TOL:
@@ -863,7 +910,9 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     family (negative or zero recession boundary slope).  With a positive
     slope, a positively homogeneous family's boundary is the increasing ray
     nu rho_1, so MIN_RISK is the slice at nu* and MAX_RETURN is
-    nu = rho* / rho_1 with portfolio nu pi_1: one slice LP each.  Any other
+    nu = rho* / rho_1 with portfolio nu pi_1.  rho^inf = rho for such a
+    family, so the one unit slice LP gives MAX_RETURN both its slope and
+    (rho_1, pi_1); MIN_RISK solves the recession LP and its slice.  Any other
     family answers MIN_RISK with one solve over the portfolios with
     E[X_pi] >= nu* (``_band_min``); an exp loss with a zero slope is
     unbounded, as E[exp(-X)] is strictly convex and never attains the
@@ -873,7 +922,9 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     """
     if level < 0:
         raise ValueError("the target level must be nonnegative")
-    rho_inf_1 = rho_inf_nu(spec, m, 1.0)
+    unit = (_unit_slice(spec, m)
+            if mode == "MAX_RETURN" and spec.positively_homogeneous else None)
+    rho_inf_1 = rho_inf_nu(spec, m, 1.0) if unit is None else unit[2]
     ray = spec.positively_homogeneous and rho_inf_1 > SIGN_TOL
     if mode == "MIN_RISK":
         if rho_inf_1 < -SIGN_TOL:
@@ -891,7 +942,7 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
             return MeanRiskSolution(
                 "unbounded", cause="rho-arbitrage: nonpositive recession slope")
         if ray:
-            rho_1, pi_1 = rho_nu(spec, m, 1.0)
+            rho_1, pi_1 = rho_nu(spec, m, 1.0) if unit is None else unit[:2]
             nu = level / rho_1
             return MeanRiskSolution("optimal", nu, nu * pi_1, nu)
         lp = _lp_min(spec)

@@ -152,6 +152,7 @@ class TestCommands:
             raise LPError("slice LP ended with status stalled")
 
         monkeypatch.setattr(frontier, "rho_nu", failing)
+        monkeypatch.setattr(frontier, "_unit_slice", failing_path)
         monkeypatch.setattr(frontier, "solve_lp_path", failing_path)
         for measure, errors in (("es:0.4", 2), ("lses:0.3", 6)):
             code = main(["frontier", "--market", market_file, "--measure",

@@ -469,6 +469,10 @@ class TestOptimalBoundary:
         assert fr.nu_min == math.inf and fr.rho_min == -math.inf
 
 
+def failing_unit(spec, m):
+    raise LPError("slice LP ended with status stalled")
+
+
 def homogeneous_specs():
     return [RiskSpec.es_at(0.3), RiskSpec.wc(),
             RiskSpec.adjusted(step_profile(0.4)),
@@ -548,13 +552,14 @@ class TestHomogeneousBoundary:
                 assert rho_nu(spec, m, nu)[0] == pytest.approx(
                     nu * rho_1, rel=1e-9, abs=1e-12)
 
-    def test_es_sweep_is_three_lps_and_no_threads(self, monkeypatch):
+    def test_es_sweep_is_one_lp_and_no_threads(self, monkeypatch):
+        # the unit slice LP is the recession LP, and node 0 is zero
         m = random_market(np.random.default_rng(5), n=20, d=3,
                           arbitrage_free=True)
         lps = counting(monkeypatch, "solve_lp")
         fr = optimal_boundary(RiskSpec.es_at(0.1), m, 0.2, 21)
         assert fr.regime == "POSITIVE" and fr.errors == []
-        assert len(lps) <= 3
+        assert len(lps) == 1
 
     def test_failed_unit_slice_recorded_once(self, monkeypatch):
         inner = frontier.rho_nu
@@ -565,6 +570,7 @@ class TestHomogeneousBoundary:
             return inner(spec, m, nu)
 
         monkeypatch.setattr(frontier, "rho_nu", failing)
+        monkeypatch.setattr(frontier, "_unit_slice", failing_unit)
         fr = optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 5)
         assert len(fr.errors) == 1 and fr.errors[0].startswith("nu=1:")
         assert math.isfinite(fr.rho_values[0])
@@ -576,6 +582,7 @@ class TestHomogeneousBoundary:
             raise LPError("slice LP ended with status stalled")
 
         monkeypatch.setattr(frontier, "rho_nu", failing)
+        monkeypatch.setattr(frontier, "_unit_slice", failing_unit)
         failing_paths(monkeypatch)
         for spec, errors in ((RiskSpec.es_at(0.4), 2),
                              (RiskSpec.lses_at(0.3), 5)):
@@ -584,6 +591,48 @@ class TestHomogeneousBoundary:
             assert math.isnan(fr.nu_min) and math.isnan(fr.rho_min)
             assert len(fr.errors) == errors
             assert fr.regime == "POSITIVE"
+
+
+def same_portfolio(pi, ref):
+    """Equal bit for bit, signed zeros included (None for a failed slice)."""
+    return (pi is None and ref is None) or (
+        pi is not None and ref is not None
+        and np.asarray(pi).tobytes() == np.asarray(ref).tobytes())
+
+
+ONE_LP_SPECS = (RiskSpec.es_at(0.3), RiskSpec.wc(), RiskSpec.oce_with(PWL),
+                RiskSpec.sr_with(PWL), RiskSpec.ew_with(PWL),
+                RiskSpec.adjusted(step_profile(0.4)),
+                RiskSpec.expected_loss(),
+                RiskSpec.oce_with(LossFunction.power(1.5, 1.0)))
+
+
+class TestOneLpHomogeneousSweep:
+    """A positively homogeneous sweep is its unit slice LP: rho^inf = rho,
+    and sublinearity fixes rho_0."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]))
+    def test_nodes_match_the_slices_bit_for_bit(self, seed, d):
+        rng = np.random.default_rng(seed)
+        m = random_market(rng, n=int(rng.integers(d + 1, d + 9)), d=d)
+        for spec in ONE_LP_SPECS:
+            tag = (spec.label(), seed, d)
+            fr = optimal_boundary(spec, m, 0.6, 5)
+            assert fr.errors == [], tag
+            zero, pi_0 = rho_nu(spec, m, 0.0)
+            assert fr.rho_values[:1].tobytes() == np.array(
+                [zero]).tobytes(), tag
+            assert same_portfolio(fr.optimal_portfolios[0], pi_0), tag
+            assert fr.rho_inf_1 == rho_inf_nu(spec, m, 1.0), tag
+            rho_1, pi_1 = rho_nu(spec, m, 1.0)
+            for nu, value, pi in zip(fr.nu_grid[1:], fr.rho_values[1:],
+                                     fr.optimal_portfolios[1:]):
+                if math.isfinite(rho_1):
+                    assert value == nu * rho_1, tag
+                    assert same_portfolio(pi, nu * pi_1), tag
+                else:
+                    assert value == rho_1 and same_portfolio(pi, pi_1), tag
 
 
 def chained_specs():
@@ -686,6 +735,24 @@ class TestBatchedExpSweep:
         fr = optimal_boundary(RiskSpec.oce_with(EXP), m, 0.2, 21)
         assert fr.regime == "POSITIVE" and len(slices) <= 1
         assert [np.ndim(nu) for nu in newton] == [1] + [0] * (1 + len(slices))
+
+    def test_newton_stops_without_progress(self, monkeypatch):
+        # below half an ulp of f the Armijo test holds for a step that
+        # does not lower f; such a node stops instead of running on to the
+        # round cap (200 batched solves per sweep on this market)
+        m = random_market(np.random.default_rng(1), n=13, d=2)
+        solves = []
+        inner = np.linalg.solve
+
+        def spy(*args):
+            solves.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for spec in EXP_SPECS:
+            del solves[:]
+            assert optimal_boundary(spec, m, 0.3, 21).errors == []
+            assert len(solves) < 200, spec.label()
 
     def test_slices_built_only_for_lp_sweeps(self, monkeypatch):
         # one portfolio_slice per node plus rho_inf_1's: a general profile
@@ -908,14 +975,17 @@ class TestMeanRisk:
             for spec in homogeneous_specs():
                 slope = rho_inf_nu(spec, m, 1.0)
                 for level in (0.0, 0.3, 2.0):
+                    units = counting(monkeypatch, "_unit_slice")
                     seen = counting(monkeypatch, "rho_nu")
                     sol = mean_rho_solve(spec, m, "MAX_RETURN", level)
                     monkeypatch.undo()
+                    assert len(units) == 1
                     if slope <= frontier.SIGN_TOL:
                         assert sol.status == "unbounded"
                         continue
                     solved += 1
-                    assert seen == [1.0]
+                    # a one-asset slice runs no LP: rho_nu evaluates it
+                    assert seen == ([1.0] if m.d == 1 else [])
                     assert sol.status == "optimal"
                     X = excess_return(m, sol.portfolio)
                     assert X.mean() == pytest.approx(sol.nu, rel=1e-9,
