@@ -151,20 +151,51 @@ class MartingaleSets:
 
 
 def _scaled_box_penalty(z, probs, loss: LossFunction) -> float:
-    """inf_{k > 0} (1/k) E[l*(k Z)] by golden section over the feasible k."""
-    a, b = loss.a_l, loss.b_l
-    zmin, zmax = float(np.min(z)), float(np.max(z))
-    lo = a / zmin if (a > 0 and zmin > 0) else 1e-8
-    hi = b / zmax if b != math.inf else max(lo * 1e6, 1e6)
-    if a > 0 and zmin <= 0:
+    """inf_{k > 0} (1/k) E[l*(k Z)], exactly.
+
+    exp: the minimiser is k = 1/E[Z], where the value is E[Z log Z] -
+    E[Z] log E[Z], summed as E[Z] E[l*(Z/E[Z])], whose terms are all
+    nonnegative.  pwl: with s = 1/k the objective is f(s) = E[max_j (A_j Z
+    + B_j s)] over the cuts of l*, convex and piecewise linear on the
+    interval a s <= Z <= b s (a = max(a_l, 0)).  Its minimum lies at the
+    left end, the right end (finite when a > 0) or where two cuts cross on
+    some atom, and f's slope beyond the last crossing is max_j B_j >= 0
+    (the anchor cut has B = 0), so a binary search for the sign change of
+    f' between the sorted candidates finds it.
+    """
+    z = np.asarray(z, dtype=float)
+    zmin = float(np.min(z))
+    if zmin < 0.0:
         return math.inf
+    if loss.kind == "exp":
+        m = float(probs @ z)
+        return m * float(probs @ loss.conjugate_value(z / m))
+    a, b = max(loss.a_l, 0.0), loss.b_l
+    lo, hi = float(np.max(z)) / b, (zmin / a if a > 0.0 else math.inf)
     if lo > hi:
         return math.inf
+    A, B = np.array(loss.conjugate_cuts()).T
+    dA, dB = A[None, :] - A[:, None], B[:, None] - B[None, :]
+    cross = np.outer(dA[dB > 0.0] / dB[dB > 0.0], z).ravel()
+    ends = [lo, hi] if math.isfinite(hi) else [lo]
+    cand = np.unique(np.concatenate([ends,
+                                     cross[(cross > lo) & (cross < hi)]]))
 
-    def val(k: float) -> float:
-        return float(probs @ loss.conjugate_value(k * z)) / k
+    def lines(s: float) -> np.ndarray:    # A_j z_i + B_j s, cut by atom
+        return A[:, None] * z + B[:, None] * s
 
-    return val(golden_min(val, lo, hi, 1e-12))
+    # the first candidate where f stops falling; f' = E[B_j at the top cut]
+    # at interval midpoints has an exact sign, where rounding blurs f at
+    # near-equal candidates
+    mids = (cand[:-1] + cand[1:]) / 2.0
+    i, j = 0, mids.size
+    while i < j:
+        mid = (i + j) // 2
+        if probs @ B[lines(mids[mid]).argmax(axis=0)] < 0.0:
+            i = mid + 1
+        else:
+            j = mid
+    return float(probs @ lines(cand[i]).max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +525,12 @@ def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
     Linear programs cover the box/sup-norm families: adjusted ES solves one
     LP in (z, M) per constant / affine-in-1/x profile piece, and loss
     sensitive ES is the one-piece profile b (1/x - 1).  Piecewise-linear
-    conjugates become exact cutting planes, and the OCE of c y^+ is the
+    conjugates become exact cutting planes, one per kink of l off 0: the
+    anchor cut (0, 0) is dropped, since l(0) = 0 gives l* >= 0, which the
+    epigraph bound t >= 0 already says, so a loss kinked at 0 only needs no
+    epigraph columns.  The shortfall dual runs in w = z - a s (a =
+    max(a_l, 0)), which folds the two bounds a s <= z_i <= b s into one
+    row per atom.  The OCE of c y^+ is the
     support value of the box [0, c], on which its penalty vanishes.  The
     exp loss gives the OCE and the shortfall risk the same dual value, at
     the Gibbs density Z = exp(-X) / E[exp(-X)].  The expected loss has the
@@ -598,18 +634,30 @@ def _adjes_general_scan(X: RandVar, profile: TargetProfile, cum: np.ndarray,
     return best
 
 
+def _kink_cuts(loss: LossFunction) -> list[tuple[float, float]]:
+    """The cuts of l* but the anchor (0, 0): one per kink of l off 0, so
+    none for a loss kinked at 0 only (l* = 0 on [a_l, b_l])."""
+    return [cut for cut in loss.conjugate_cuts() if cut != (0.0, 0.0)]
+
+
 def _penalized_cut_lp(X: RandVar, loss: LossFunction) -> float:
-    """Exact LP for OCE duals with piecewise-linear conjugates."""
+    """Exact LP for OCE duals with piecewise-linear conjugates:
+    max E[-Xz] - E[t] over a_l <= z_i <= b_l, E[z] = 1 and t_i >= A z_i + B
+    for each cut of l* but the anchor (0, 0), which t >= 0 implies (l(0) =
+    0 gives l* >= 0).  With no cut left the penalty vanishes on the box and
+    the LP has no t columns: n variables, n bound rows."""
     n = X.space.n
     p = X.space.probs
-    cuts = loss.conjugate_cuts()
-    # variables (z, t): maximize E[-Xz] - E[t], t_i >= A z_i + B per cut
-    c = np.concatenate([-p * X.values, -p])
-    A_ub = np.vstack([_atom_rows(n, 2 * n, {0: A, n: -1.0}) for A, _ in cuts])
-    b_ub = np.concatenate([np.full(n, -B) for _, B in cuts])
-    A_eq = np.concatenate([p, np.zeros(n)])[None, :]
-    lower = np.concatenate([np.full(n, max(loss.a_l, 0.0)), np.zeros(n)])
-    upper = np.concatenate([np.full(n, loss.b_l), np.full(n, np.inf)])
+    cuts = _kink_cuts(loss)
+    nt = n if cuts else 0                 # the epigraph columns t
+    nv = n + nt
+    c = np.concatenate([-p * X.values, -p[:nt]])
+    A_ub = np.vstack([np.zeros((0, nv))]
+                     + [_atom_rows(n, nv, {0: A, n: -1.0}) for A, _ in cuts])
+    b_ub = np.concatenate([np.zeros(0)] + [np.full(n, -B) for _, B in cuts])
+    A_eq = np.concatenate([p, np.zeros(nt)])[None, :]
+    lower = np.concatenate([np.full(n, max(loss.a_l, 0.0)), np.zeros(nt)])
+    upper = np.concatenate([np.full(n, loss.b_l), np.full(nt, np.inf)])
     res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
                    A_eq=A_eq, b_eq=[1.0], lower=lower, upper=upper,
                    maximize=True)
@@ -621,29 +669,28 @@ def _penalized_cut_lp(X: RandVar, loss: LossFunction) -> float:
 def _perspective_cut_lp(X: RandVar, loss: LossFunction) -> float:
     """Exact LP for shortfall-risk duals: sup E[-Xz] - s E[l*(z/s)].
 
-    Uses the scaled variables (z, s) where the true density is z and the
-    penalty is the perspective of E[l*]; the perspective of a piecewise
-    linear function is the pointwise max of the same cuts made positively
-    homogeneous in (z, s).
+    The penalty is the perspective of E[l*] in (z, s): the pointwise max of
+    the cuts of l* made positively homogeneous, t_i >= A z_i + B s, over
+    a s <= z_i <= b s with a = max(a_l, 0).  The anchor cut (0, 0) is
+    dropped, as t >= 0 implies it (l(0) = 0 gives l* >= 0).  The LP runs in
+    w = z - a s >= 0: the two bound rows per atom become w_i <= (b - a) s,
+    a cut row A w_i - t_i + (A a + B) s <= 0, the objective
+    E[-Xw] - a E[X] s - E[t] and E[z] = 1 the row E[w] + a s = 1.  Every
+    inequality row has rhs 0, so the slack basis is feasible for them, and
+    with a > 0 s enters on the density row: phase 1 ends in one pivot.
     """
     n = X.space.n
     p = X.space.probs
-    cuts = loss.conjugate_cuts()
-    # variables (z, t, s)
-    c = np.concatenate([-p * X.values, -p, [0.0]])
-    nv = 2 * n + 1
-    rows = [_atom_rows(n, nv, {0: A, n: -1.0}, {2 * n: B})
-            for A, B in cuts]             # t_i >= A z_i + B s
-    a, b = loss.a_l, loss.b_l
-    bounds = []                           # a s <= z_i <= b s
-    if b != math.inf:
-        bounds.append(_atom_rows(n, nv, {0: 1.0}, {2 * n: -b}))
-    if a > 0.0:
-        bounds.append(_atom_rows(n, nv, {0: -1.0}, {2 * n: a}))
-    if bounds:
-        rows.append(_interleave(*bounds))
-    A_ub = np.vstack(rows)
-    A_eq = np.concatenate([p, np.zeros(n + 1)])[None, :]
+    cuts = _kink_cuts(loss)
+    a, b = max(loss.a_l, 0.0), loss.b_l
+    nt = n if cuts else 0
+    nv = n + nt + 1                       # variables (w, t, s)
+    px = p * X.values
+    c = np.concatenate([-px, -p[:nt], [-a * px.sum()]])
+    A_ub = np.vstack([_atom_rows(n, nv, {0: A, n: -1.0}, {nv - 1: A * a + B})
+                      for A, B in cuts]
+                     + [_atom_rows(n, nv, {0: 1.0}, {nv - 1: a - b})])
+    A_eq = np.concatenate([p, np.zeros(nt), [a]])[None, :]
     res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
                    A_eq=A_eq, b_eq=[1.0], maximize=True)
     if res.status != OPTIMAL:

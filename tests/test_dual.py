@@ -20,6 +20,8 @@ from meanrisk.losses import GPiece, TargetProfile, table_profile, zero_profile
 from meanrisk.measures import adjusted_es, quantile_pieces
 from meanrisk.fixtures import hull_gap_profile, hull_gap_profile_hat
 from meanrisk.frontier import recession_ball_min
+from meanrisk.simplex import solve_lp
+from test_lp_rows import random_pwl
 
 HALF = FiniteSpace(np.array([0.5, 0.5]))
 X_PM1 = RandVar(HALF, np.array([-1.0, 1.0]))
@@ -77,6 +79,36 @@ class TestDualSets:
         # at Z = 1 the optimal multiplier lies in [a_l, b_l] and alpha(1) = 0
         assert ds.penalty(np.ones(2), HALF.probs) == pytest.approx(0.0,
                                                                    abs=1e-9)
+
+    def test_scaled_box_penalty_is_exact(self, rng):
+        # pwl: min over s of E[max_j (A_j Z + B_j s)] on a s <= Z <= b s is
+        # an LP in (s, t); exp: E[Z log Z] - E[Z] log E[Z] in closed form
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            p = rng.uniform(0.2, 1.0, n)
+            p /= p.sum()
+            z = np.exp(rng.uniform(0.0, 2.0) * rng.normal(size=n))
+            loss = random_pwl(rng)
+            value = DualSetSpec("scaled_box", a_l=loss.a_l, b_l=loss.b_l,
+                                loss=loss).penalty(z, p)
+            a, b = loss.a_l, loss.b_l
+            lo, hi = z.max() / b, (z.min() / a if a > 0.0 else np.inf)
+            if lo > hi:
+                assert value == math.inf
+                continue
+            rows = [np.hstack([np.full((n, 1), B), -np.eye(n)])
+                    for _, B in loss.conjugate_cuts()]
+            rhs = [-A * z for A, _ in loss.conjugate_cuts()]
+            res = solve_lp(np.concatenate([[0.0], p]), A_ub=np.vstack(rows),
+                           b_ub=np.concatenate(rhs),
+                           lower=np.concatenate([[lo], np.full(n, -np.inf)]),
+                           upper=np.concatenate([[hi], np.full(n, np.inf)]))
+            assert value == pytest.approx(res.value, rel=1e-12, abs=1e-15)
+            m = float(p @ z)
+            want = float(p @ (z * np.log(z))) - m * math.log(m)
+            assert DualSetSpec("scaled_box", a_l=0.0, b_l=math.inf,
+                               loss=EXP).penalty(z, p) == \
+                pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_closures(self):
         cd = closure_dual_set(RiskSpec.sr_with(PWL))

@@ -7,18 +7,24 @@ included), so pivots and answers do not change.
 The value references are the frontier LPs before the pwl hinge rows and the
 lifted start: the epigraph LP of the pwl families and the unlifted
 shortfall and minimax LPs, and the dual-box LP that solved the recession
-measure of ew/sr/oce before it took the hinge LP of the asymptotic loss.
-The new LPs must reach their values.
+measure of ew/sr/oce before it took the hinge LP of the asymptotic loss;
+and the pwl dual LPs of the OCE and the shortfall risk before they dropped
+the anchor cut of l* and ran in w = z - a s.  The new LPs must reach their
+values.
 """
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meanrisk.dual as dual
 import meanrisk.frontier as frontier
 from conftest import random_market, random_randvar, random_space
-from meanrisk import (DualSetSpec, LossFunction, RiskSpec,
-                      bounded_tail_profile, table_profile)
+from meanrisk import (DualSetSpec, FiniteSpace, LossFunction, RandVar,
+                      RiskSpec, bounded_tail_profile, dual_evaluate, evaluate,
+                      table_profile)
 from meanrisk.dual import interior_polytope, set_polytope
 from meanrisk.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -237,7 +243,66 @@ def dualbox_loop(par, p, kind, a, b):
     return dict(c=c, A_ub=A_ub, b_ub=b_ub, lower=lower, upper=upper)
 
 
+def kink_cuts(loss):
+    return [cut for cut in loss.conjugate_cuts() if cut != (0.0, 0.0)]
+
+
 def penalized_cut_loop(X, loss):
+    n, p = X.space.n, X.space.probs
+    cuts = kink_cuts(loss)
+    nt = n if cuts else 0
+    c = np.concatenate([-p * X.values, -p[:nt]])
+    rows, rhs = [], []
+    for (A, B) in cuts:
+        for i in range(n):
+            row = np.zeros(n + nt)
+            row[i] = A
+            row[n + i] = -1.0
+            rows.append(row)
+            rhs.append(-B)
+    return dict(c=c, A_ub=np.array(rows).reshape(len(rows), n + nt),
+                b_ub=np.array(rhs, dtype=float),
+                A_eq=np.concatenate([p, np.zeros(nt)])[None, :],
+                lower=np.concatenate([np.full(n, max(loss.a_l, 0.0)),
+                                      np.zeros(nt)]),
+                upper=np.concatenate([np.full(n, loss.b_l),
+                                      np.full(nt, np.inf)]))
+
+
+def perspective_cut_loop(X, loss):
+    """Rows in (w, t, s) with w = z - a s."""
+    n, p = X.space.n, X.space.probs
+    cuts = kink_cuts(loss)
+    a, b = max(loss.a_l, 0.0), loss.b_l
+    nt = n if cuts else 0
+    nv = n + nt + 1
+    px = p * X.values
+    c = np.concatenate([-px, -p[:nt], [-a * px.sum()]])
+    rows = []
+    for (A, B) in cuts:
+        for i in range(n):
+            row = np.zeros(nv)
+            row[i] = A
+            row[n + i] = -1.0
+            row[nv - 1] = A * a + B
+            rows.append(row)
+    for i in range(n):
+        row = np.zeros(nv)
+        row[i] = 1.0
+        row[nv - 1] = a - b
+        rows.append(row)
+    A_eq = np.concatenate([p, np.zeros(nt), [a]])[None, :]
+    return dict(c=c, A_ub=np.array(rows), b_ub=np.zeros(len(rows)),
+                A_eq=A_eq)
+
+
+# ---------------------------------------------------------------------------
+# Value references: the builders before the hinge rows and the lifted start
+# ---------------------------------------------------------------------------
+
+def penalized_cut_ref(X, loss):
+    """The OCE dual LP in (z, t) with one row per cut of l*, the anchor
+    (0, 0) included, solved."""
     n, p = X.space.n, X.space.probs
     c = np.concatenate([-p * X.values, -p])
     rows, rhs = [], []
@@ -248,18 +313,22 @@ def penalized_cut_loop(X, loss):
             row[n + i] = -1.0
             rows.append(row)
             rhs.append(-B)
-    return dict(c=c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                A_eq=np.concatenate([p, np.zeros(n)])[None, :],
-                lower=np.concatenate([np.full(n, max(loss.a_l, 0.0)),
-                                      np.zeros(n)]),
-                upper=np.concatenate([np.full(n, loss.b_l),
-                                      np.full(n, np.inf)]))
+    return solve_lp(c, A_ub=np.array(rows), b_ub=np.array(rhs),
+                    A_eq=np.concatenate([p, np.zeros(n)])[None, :],
+                    b_eq=[1.0],
+                    lower=np.concatenate([np.full(n, max(loss.a_l, 0.0)),
+                                          np.zeros(n)]),
+                    upper=np.concatenate([np.full(n, loss.b_l),
+                                          np.full(n, np.inf)]),
+                    maximize=True)
 
 
-def perspective_cut_loop(X, loss):
+def perspective_cut_ref(X, loss):
+    """The shortfall dual LP in (z, t, s): every cut of l*, the anchor
+    included, and the two bound rows a s <= z_i <= b s per atom, solved."""
     n, p = X.space.n, X.space.probs
     c = np.concatenate([-p * X.values, -p, [0.0]])
-    rows, rhs = [], []
+    rows = []
     for (A, B) in loss.conjugate_cuts():
         for i in range(n):
             row = np.zeros(2 * n + 1)
@@ -267,7 +336,6 @@ def perspective_cut_loop(X, loss):
             row[n + i] = -1.0
             row[2 * n] = B
             rows.append(row)
-            rhs.append(0.0)
     a, b = loss.a_l, loss.b_l
     for i in range(n):
         if b != math.inf:
@@ -275,20 +343,15 @@ def perspective_cut_loop(X, loss):
             row[i] = 1.0
             row[2 * n] = -b
             rows.append(row)
-            rhs.append(0.0)
         if a > 0.0:
             row = np.zeros(2 * n + 1)
             row[i] = -1.0
             row[2 * n] = a
             rows.append(row)
-            rhs.append(0.0)
-    return dict(c=c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                A_eq=np.concatenate([p, np.zeros(n + 1)])[None, :])
+    return solve_lp(c, A_ub=np.array(rows), b_ub=np.zeros(len(rows)),
+                    A_eq=np.concatenate([p, np.zeros(n + 1)])[None, :],
+                    b_eq=[1.0], maximize=True)
 
-
-# ---------------------------------------------------------------------------
-# Value references: the builders before the hinge rows and the lifted start
-# ---------------------------------------------------------------------------
 
 def pwl_lines(loss):
     """l(y) = max_k (A_k y + B_k): one supporting line per pwl piece."""
@@ -520,6 +583,29 @@ class TestRowBuilders:
                 for key, value in want.items():
                     assert same(got[key], value), (build.__name__, key)
 
+    def test_pwl_dual_lp_sizes(self, rng, monkeypatch):
+        # pwl(0.5,0,2) kinks at 0 only: l* = 0 on [0.5, 2] and no cut but
+        # the anchor, so neither LP has epigraph columns; the sr LP has one
+        # row w_i <= 1.5 s per atom and s enters on the density row
+        seen = []
+
+        def spy(c, **kwargs):
+            seen.append((dict(kwargs, c=c), solve_lp(c, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(dual, "solve_lp", spy)
+        n = 60
+        X = random_randvar(rng, n)
+        loss = LossFunction.pwl((0.5, 2.0), (0.0,))
+        dual_evaluate(RiskSpec.sr_with(loss), X)
+        ((got, res),) = seen
+        assert got["A_ub"].shape == (n, n + 1) and got["c"].size == n + 1
+        assert res.pivots <= 25 and res.phase1_pivots == 1
+        seen.clear()
+        dual_evaluate(RiskSpec.oce_with(loss), X)
+        ((got, _),) = seen
+        assert got["c"].size == n and got["A_ub"].shape == (0, n)
+
 
 def random_params(rng, m):
     """A slice, a band of returns, the l1 ball and a risk budget."""
@@ -620,3 +706,52 @@ class TestLiftedLps:
                 for res, _ in lps:
                     assert res.status == OPTIMAL
                     assert res.phase1_pivots == 0 < res.pivots
+
+
+@st.composite
+def pwl_losses(draw):
+    """A pwl loss with l(x) >= x: a_l = 0 or in (0, 1), 1-3 kinks, with or
+    without one at 0, the first at or left of 0; slopes at most 1 left of
+    0, 1 across it and at least 1 right of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a_l = draw(st.sampled_from([0.0, float(rng.uniform(0.05, 0.95))]))
+    kinks = draw(st.integers(1, 3))
+    at_zero = draw(st.booleans())
+    left = draw(st.integers(0 if at_zero else 1, kinks - at_zero))
+    right = kinks - at_zero - left
+    bps = sorted(set(-rng.uniform(0.05, 1.0, left))) + [0.0] * at_zero \
+        + sorted(set(rng.uniform(0.05, 1.0, right)))
+    slopes = [a_l]
+    for k, lo in enumerate(bps):
+        hi = bps[k + 1] if k + 1 < len(bps) else math.inf
+        if hi <= 0.0:
+            slopes.append(float(rng.uniform(slopes[-1], 1.0)))
+        elif lo >= 0.0:
+            slopes.append(max(slopes[-1], 1.0) + float(rng.uniform(0.0, 2.0)))
+        else:
+            slopes.append(1.0)
+    return LossFunction.pwl(slopes, bps)
+
+
+class TestPwlDualLps:
+    """The pwl dual LPs without the anchor cut, and the shortfall dual in
+    w = z - a s, reach the values of the (z, t, s) LPs with every cut."""
+
+    @given(pwl_losses(), st.integers(1, 40), st.integers(-3, 3),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_values_match_references(self, loss, n, k, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.2, 1.0, n)
+        X = RandVar(FiniteSpace(w / w.sum()), 10.0 ** k * rng.normal(size=n))
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(X.values))))
+        for build, ref, fam in (
+                (dual._penalized_cut_lp, penalized_cut_ref, "oce"),
+                (dual._perspective_cut_lp, perspective_cut_ref, "sr")):
+            want = ref(X, loss)
+            assert want.status == OPTIMAL
+            assert build(X, loss) == pytest.approx(want.value, rel=0.0,
+                                                   abs=tol), fam
+            spec = RiskSpec(fam, loss=loss)
+            assert dual_evaluate(spec, X) == pytest.approx(
+                evaluate(spec, X), abs=1e-7 * 10.0 ** max(k, 0)), fam
