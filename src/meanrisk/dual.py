@@ -10,15 +10,19 @@ space:
 * ``penalized``    alpha(Z) = E[l*(Z)] over the domain of l*
 * ``penalized_sup`` alpha(Z) depends on ||Z||_inf only (adjusted-ES family)
 
-Feasibility against the martingale sets M (absolutely continuous) and P
-(equivalent) is decided by linear programming; strict constraints are
-resolved by slack maximisation with threshold ``SLACK_TOL``, which is the
-numerical meaning of "Z > 0 a.s." on a finite space.
+Membership, the LP polytopes and the closed sets read every set as a box,
+sup-norm ball or scaled box (``_polytope_kind``); the closure
+(``closure_dual_set``) is derived from ``dual_set`` that way.  Feasibility
+against the martingale sets M (absolutely continuous) and P (equivalent) is
+decided by linear programming on one row assembly, a density polytope plus
+the rows E[Z (R^i - r)] = 0; strict constraints are resolved by slack
+maximisation with threshold ``SLACK_TOL``, which is the numerical meaning
+of "Z > 0 a.s." on a finite space.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,29 +99,22 @@ class DualSetSpec:
         z = np.asarray(z, dtype=float)
         if np.any(z < -tol):
             return False
-        if self.kind in ("box", "penalized"):
-            lo = self.lo if self.kind == "box" else self.loss.a_l
-            hi = self.hi if self.kind == "box" else self.loss.b_l
-            return bool(np.all(z >= lo - tol) and np.all(z <= hi + tol))
-        if self.kind == "supnorm":
-            if self.strict:
-                return bool(np.max(z) < self.hi - tol)
-            return bool(np.max(z) <= self.hi + tol)
-        if self.kind == "penalized_sup":
-            return True
-        if self.kind == "scaled_box":
-            a = self.a_l if self.a_l else 0.0
-            b = self.b_l if self.b_l is not None else math.inf
-            if a <= 0.0 and b == math.inf:
-                return True
+        ds = _polytope_kind(self)
+        if ds.kind == "scaled_box":
             zmax, zmin = float(np.max(z)), float(np.min(z))
-            if b == math.inf:
+            if ds.b_l == math.inf:
                 return zmin > tol
             # exists k with a <= k z <= b  <=>  a / zmin <= b / zmax
             if zmin <= tol:
-                return a <= tol
-            return a / zmin <= b / zmax + tol
-        raise ValueError(f"unknown dual set kind {self.kind!r}")  # pragma: no cover
+                return ds.a_l <= tol
+            return ds.a_l / zmin <= ds.b_l / zmax + tol
+        if ds.kind == "supnorm" and ds.strict:
+            return bool(np.max(z) < ds.hi - tol)
+        lo = ds.lo if ds.kind == "box" else 0.0
+        return bool(np.all(z >= lo - tol) and np.all(z <= ds.hi + tol))
+
+
+ALL_DENSITIES = DualSetSpec("box", 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,7 @@ class MartingaleSets:
         return martingale_feasibility(self.market, None)
 
     def element_of_p(self) -> "Density | None":
-        return interior_martingale_feasibility(
-            self.market, DualSetSpec("box", 0.0, math.inf))
+        return interior_martingale_feasibility(self.market, ALL_DENSITIES)
 
 
 def _scaled_box_penalty(z, probs, loss: LossFunction) -> float:
@@ -213,7 +209,7 @@ def dual_set(spec: RiskSpec) -> DualSetSpec:
     if fam == "es":
         return DualSetSpec("box", 0.0, 1.0 / spec.alpha)
     if fam == "wc":
-        return DualSetSpec("box", 0.0, math.inf)
+        return ALL_DENSITIES
     if fam == "eloss":
         return DualSetSpec("box", 1.0, 1.0)
     if fam == "lses":
@@ -228,34 +224,21 @@ def dual_set(spec: RiskSpec) -> DualSetSpec:
         return DualSetSpec("penalized", loss=spec.loss)
     loss = spec.loss
     if loss.zero_on_negatives:
-        return DualSetSpec("box", 0.0, math.inf)
+        return ALL_DENSITIES
     return DualSetSpec("scaled_box", a_l=loss.a_l, b_l=loss.b_l, loss=loss)
 
 
 def closure_dual_set(spec: RiskSpec) -> DualSetSpec:
-    """Effective domain of the lsc convex hull of the penalty."""
-    fam = spec.family
-    if fam not in _DUAL_FAMILIES:
-        raise ValueError(f"family {fam!r} has no supported dual representation")
-    if fam == "es":
-        return DualSetSpec("box", 0.0, 1.0 / spec.alpha)
-    if fam in ("wc", "lses"):
-        return DualSetSpec("box", 0.0, math.inf)
-    if fam == "eloss":
-        return DualSetSpec("box", 1.0, 1.0)
-    if fam == "adjes":
-        g = spec.profile
-        if g.beta == 0.0:
-            return DualSetSpec("box", 0.0, math.inf)
-        return DualSetSpec("supnorm", hi=1.0 / g.beta,
-                           strict=not g.bounded_on_domain, profile=g)
-    if fam == "oce":
-        loss = spec.loss
-        return DualSetSpec("box", loss.a_l, loss.b_l, loss=loss)
-    loss = spec.loss
-    if loss.zero_on_negatives or loss.a_l == 0.0 or loss.b_l == math.inf:
-        return DualSetSpec("box", 0.0, math.inf)
-    return DualSetSpec("scaled_box", a_l=loss.a_l, b_l=loss.b_l, loss=loss)
+    """Effective domain of the lsc convex hull of the penalty.
+
+    It is ``dual_set(spec)`` read as a polytope kind (a penalised set is
+    the box its penalty is finite on), except that a scaled box with a_l =
+    0 or b_l = inf closes to [0, inf): its scale k can run to 0 or to inf.
+    """
+    cd = _polytope_kind(dual_set(spec))
+    if cd.kind == "scaled_box" and (cd.a_l == 0.0 or cd.b_l == math.inf):
+        return ALL_DENSITIES
+    return cd
 
 
 # ---------------------------------------------------------------------------
@@ -298,66 +281,64 @@ def _interleave(*blocks) -> np.ndarray:
 
 
 def _polytope_kind(ds: DualSetSpec) -> DualSetSpec:
-    """Penalised sets as the boxes their penalties are finite on."""
+    """The set as a box, sup-norm ball or scaled box: a penalised set as the
+    box its penalty is finite on, a scaled box with its unset bounds filled
+    in (a_l = 0, b_l = inf), and as [0, inf) when a_l <= 0 and b_l = inf."""
     if ds.kind == "penalized":
         return DualSetSpec("box", ds.loss.a_l, ds.loss.b_l, loss=ds.loss)
     if ds.kind == "penalized_sup":
-        return DualSetSpec("box", 0.0, math.inf)
+        return ALL_DENSITIES
+    if ds.kind == "scaled_box":
+        if ds.a_l is None or ds.b_l is None:
+            ds = replace(ds, a_l=ds.a_l or 0.0,
+                         b_l=math.inf if ds.b_l is None else ds.b_l)
+        if ds.a_l <= 0.0 and ds.b_l == math.inf:
+            return ALL_DENSITIES
     return ds
+
+
+def _polytope(p: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
+              strict=()) -> SetPolytope:
+    """The given rows with E[z] = 1 over the first p.size columns."""
+    A_eq = np.zeros((1, A_ub.shape[1]))
+    A_eq[0, :p.size] = p
+    return SetPolytope(p.size, A_ub.shape[1], A_ub, b_ub, A_eq,
+                       np.array([1.0]), list(strict))
 
 
 def set_polytope(ds: DualSetSpec | None, space: FiniteSpace) -> SetPolytope:
     """Closed polyhedral description of a dual set over the given space."""
     n = space.n
-    p = space.probs
-    rows_ub, rhs_ub, strict = [], [], []
-    nvars = n
-    ds = _polytope_kind(DualSetSpec("box", 0.0, math.inf) if ds is None
-                        else ds)
-    kind = ds.kind
-
-    if kind in ("box", "supnorm"):
-        hi = ds.hi
-        lo = ds.lo if kind == "box" else 0.0
-        if hi != math.inf:
-            rows_ub.append(_atom_rows(n, n, {0: 1.0}))
-            rhs_ub.append(np.full(n, hi))
-            if ds.strict:
-                strict = list(range(n))
-        if lo > 0.0:
-            rows_ub.append(_atom_rows(n, n, {0: -1.0}))
-            rhs_ub.append(np.full(n, -lo))
-        A_eq = p[None, :]
-        b_eq = np.array([1.0])
-    elif kind == "scaled_box":
-        a = ds.a_l or 0.0
-        b = ds.b_l if ds.b_l is not None else math.inf
-        if a <= 0.0 and b == math.inf:
-            return set_polytope(DualSetSpec("box", 0.0, math.inf), space)
+    ds = _polytope_kind(ALL_DENSITIES if ds is None else ds)
+    if ds.kind == "scaled_box":
         nvars = n + 1  # auxiliary scale s with z in [a s, b s]
         blocks = []
-        if b != math.inf:
-            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: -b}))
-        if a > 0.0:
-            blocks.append(_atom_rows(n, nvars, {0: -1.0}, {n: a}))
-        rows_ub.append(_interleave(*blocks))
-        rhs_ub.append(np.zeros(n * len(blocks)))
-        A_eq = np.zeros((1, nvars))
-        A_eq[0, :n] = p
-        b_eq = np.array([1.0])
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported kind {kind!r}")
+        if ds.b_l != math.inf:
+            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: -ds.b_l}))
+        if ds.a_l > 0.0:
+            blocks.append(_atom_rows(n, nvars, {0: -1.0}, {n: ds.a_l}))
+        return _polytope(space.probs, _interleave(*blocks),
+                         np.zeros(n * len(blocks)))
+    lo = ds.lo if ds.kind == "box" else 0.0
+    rows, rhs, strict = [np.zeros((0, n))], [np.zeros(0)], []
+    if ds.hi != math.inf:
+        rows.append(_atom_rows(n, n, {0: 1.0}))
+        rhs.append(np.full(n, ds.hi))
+        if ds.strict:
+            strict = range(n)
+    if lo > 0.0:
+        rows.append(_atom_rows(n, n, {0: -1.0}))
+        rhs.append(np.full(n, -lo))
+    return _polytope(space.probs, np.vstack(rows), np.concatenate(rhs), strict)
 
-    A_ub = np.vstack(rows_ub) if rows_ub else np.zeros((0, nvars))
-    b_ub = np.concatenate(rhs_ub) if rhs_ub else np.zeros(0)
-    return SetPolytope(n, nvars, A_ub, b_ub, A_eq, b_eq, strict)
 
-
-def _martingale_rows(m: Market, nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """E[Z (R^i - r)] = 0 rows over the z part of the variable vector."""
-    rows = np.zeros((m.d, nvars))
-    rows[:, :m.space.n] = (m.excess * m.space.probs[:, None]).T
-    return rows, np.zeros(m.d)
+def _martingale_lp(m: Market, pt: SetPolytope) -> dict:
+    """``solve_lp`` keyword arguments for pt intersected with M: its rows
+    plus E[Z (R^i - r)] = 0 over the z part of the variable vector."""
+    mg = np.zeros((m.d, pt.nvars))
+    mg[:, :pt.n] = (m.excess * m.space.probs[:, None]).T
+    return dict(A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=np.vstack([pt.A_eq, mg]),
+                b_eq=np.concatenate([pt.b_eq, np.zeros(m.d)]))
 
 
 def _strict_slack(pt: SetPolytope) -> SetPolytope:
@@ -381,12 +362,9 @@ def martingale_feasibility(m: Market, ds: DualSetSpec | None = None
     """
     pt = _strict_slack(set_polytope(ds, m.space))
     strict = bool(pt.strict_rows)
-    mg_A, mg_b = _martingale_rows(m, pt.nvars)
     c = np.zeros(pt.nvars)
     c[-1] = strict                      # the slack, when maximised
-    res = solve_lp(c, A_ub=pt.A_ub, b_ub=pt.b_ub,
-                   A_eq=np.vstack([pt.A_eq, mg_A]),
-                   b_eq=np.concatenate([pt.b_eq, mg_b]), maximize=strict)
+    res = solve_lp(c, **_martingale_lp(m, pt), maximize=strict)
     if res.status != OPTIMAL or (strict and res.x[-1] <= SLACK_TOL):
         return None
     return Density(m.space, res.x[:pt.n])
@@ -394,58 +372,40 @@ def martingale_feasibility(m: Market, ds: DualSetSpec | None = None
 
 def interior_slack(m: Market, ds: DualSetSpec) -> tuple[float, Density | None]:
     """Maximal joint slack for Z in M with Z >= eps and strict-interior bounds."""
-    base = interior_polytope(ds, m.space)
-    q = base.nvars - 1  # slack is the last variable
-    mg_A, mg_b = _martingale_rows(m, base.nvars)
-    A_eq = np.vstack([base.A_eq, mg_A])
-    b_eq = np.concatenate([base.b_eq, mg_b])
-    c = np.zeros(base.nvars)
-    c[q] = 1.0
-    res = solve_lp(c, A_ub=base.A_ub, b_ub=base.b_ub, A_eq=A_eq, b_eq=b_eq,
-                   maximize=True)
+    pt = interior_polytope(ds, m.space)
+    c = np.zeros(pt.nvars)
+    c[-1] = 1.0                         # the slack is the last variable
+    res = solve_lp(c, **_martingale_lp(m, pt), maximize=True)
     if res.status != OPTIMAL:
         return -math.inf, None
-    eps = float(res.x[q])
-    if eps <= SLACK_TOL:
-        return eps, None
-    return eps, Density(m.space, res.x[:base.n])
+    eps = float(res.x[-1])
+    return eps, (Density(m.space, res.x[:pt.n]) if eps > SLACK_TOL else None)
 
 
 def interior_polytope(ds: DualSetSpec, space: FiniteSpace) -> SetPolytope:
     """Strict-interior form: z >= delta plus inward-shifted set bounds."""
     n = space.n
-    p = space.probs
     ds = _polytope_kind(ds)
-    kind = ds.kind
-
-    if kind in ("box", "supnorm"):
+    if ds.kind == "scaled_box":
+        nvars = n + 2                      # z, s, delta
+        # z_i >= delta
+        blocks = [_atom_rows(n, nvars, {0: -1.0}, {n + 1: 1.0})]
+        if ds.a_l > 0.0:                   # z_i >= a s + delta
+            blocks.append(_atom_rows(n, nvars, {0: -1.0},
+                                     {n: ds.a_l, n + 1: 1.0}))
+        if ds.b_l != math.inf:             # z_i <= b s - delta
+            blocks.append(_atom_rows(n, nvars, {0: 1.0},
+                                     {n: -ds.b_l, n + 1: 1.0}))
+        rhs = [np.zeros(n)] * len(blocks)
+    else:
         nvars = n + 1
-        lo = ds.lo if kind == "box" else 0.0
+        lo = ds.lo if ds.kind == "box" else 0.0
         blocks = [_atom_rows(n, nvars, {0: -1.0}, {n: 1.0})]
         rhs = [np.full(n, -max(lo, 0.0))]  # z_i - delta >= max(lo, 0)
         if ds.hi != math.inf:
             blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: 1.0}))
             rhs.append(np.full(n, ds.hi))  # z_i + delta <= hi
-    elif kind == "scaled_box":
-        a = ds.a_l or 0.0
-        b = ds.b_l if ds.b_l is not None else math.inf
-        if a <= 0.0 and b == math.inf:
-            return interior_polytope(DualSetSpec("box", 0.0, math.inf), space)
-        nvars = n + 2                      # z, s, delta
-        # z_i >= delta
-        blocks = [_atom_rows(n, nvars, {0: -1.0}, {n + 1: 1.0})]
-        if a > 0.0:                        # z_i >= a s + delta
-            blocks.append(_atom_rows(n, nvars, {0: -1.0}, {n: a, n + 1: 1.0}))
-        if b != math.inf:                  # z_i <= b s - delta
-            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: -b, n + 1: 1.0}))
-        rhs = [np.zeros(n)] * len(blocks)
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported kind {kind!r}")
-    A_eq = np.zeros((1, nvars))
-    A_eq[0, :n] = p
-    b_eq = np.array([1.0])
-    return SetPolytope(n, nvars, _interleave(*blocks), _interleave(*rhs),
-                       A_eq, b_eq, [])
+    return _polytope(space.probs, _interleave(*blocks), _interleave(*rhs))
 
 
 def interior_martingale_feasibility(m: Market, ds: DualSetSpec
@@ -459,16 +419,22 @@ def interior_martingale_feasibility(m: Market, ds: DualSetSpec
 # Support values and recession functions
 # ---------------------------------------------------------------------------
 
+def _lp_max(err: str, c, **lp) -> float:
+    """max c.x over the LP given as in ``solve_lp``; an LPError reading
+    ``err`` and the status unless it ends optimal."""
+    res = solve_lp(c, maximize=True, **lp)
+    if res.status != OPTIMAL:
+        raise LPError(f"{err} {res.status}")
+    return float(res.value)
+
+
 def support_value(ds: DualSetSpec | None, X: RandVar) -> float:
     """max E[-ZX] over the closed form of the dual set (an LP)."""
     pt = set_polytope(ds, X.space)
     c = np.zeros(pt.nvars)
     c[:pt.n] = -X.space.probs * X.values
-    res = solve_lp(c, A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=pt.A_eq, b_eq=pt.b_eq,
-                   maximize=True)
-    if res.status != OPTIMAL:
-        raise LPError(f"support-value LP ended with status {res.status}")
-    return float(res.value)
+    return _lp_max("support-value LP ended with status", c, A_ub=pt.A_ub,
+                   b_ub=pt.b_ub, A_eq=pt.A_eq, b_eq=pt.b_eq)
 
 
 def recession_value(spec: RiskSpec, X: RandVar) -> float:
@@ -481,13 +447,9 @@ def recession_value(spec: RiskSpec, X: RandVar) -> float:
     if fam == "adjes":
         beta = spec.profile.beta
         return es(X, beta) if beta > 0.0 else worst_case(X)
-    if fam == "oce":
-        return support_value(closure_dual_set(spec), X)
-    if fam == "sr":
+    if fam in ("oce", "sr"):     # an oce box carries its loss: never [0, inf)
         cd = closure_dual_set(spec)
-        if cd.kind == "box" and cd.hi == math.inf and cd.lo == 0.0:
-            return worst_case(X)
-        return support_value(cd, X)
+        return worst_case(X) if cd == ALL_DENSITIES else support_value(cd, X)
     if fam == "ew":
         loss = spec.loss
         y = -X.values
@@ -539,23 +501,18 @@ def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
     fam = spec.family
     if fam == "eloss":
         return expected_loss(X)
-    if fam in ("es", "wc"):
-        return support_value(dual_set(spec), X)
     if fam == "lses":
         return _adjes_dual(X, lses_profile(spec.b))
     if fam == "adjes":
         return _adjes_dual(X, spec.profile)
     if fam in ("oce", "sr") and spec.loss.kind == "exp":
         return _gibbs_dual(X)
-    if fam == "oce":
-        if spec.loss.kind == "pwl":
-            return _penalized_cut_lp(X, spec.loss)
-        return support_value(dual_set(spec), X)    # c y^+: the box [0, c]
-    if fam == "sr":
-        loss = spec.loss
-        if loss.zero_on_negatives:
-            return support_value(DualSetSpec("box", 0.0, math.inf), X)
-        return _perspective_cut_lp(X, loss)
+    if fam == "oce" and spec.loss.kind == "pwl":
+        return _penalized_cut_lp(X, spec.loss)
+    if fam == "sr" and not spec.loss.zero_on_negatives:
+        return _perspective_cut_lp(X, spec.loss)
+    if fam in ("es", "wc", "oce", "sr"):    # boxes: c y^+ gives [0, c]
+        return support_value(dual_set(spec), X)
     raise ValueError(f"family {fam!r} is not dual-capable")
 
 
@@ -588,14 +545,11 @@ def _adjes_dual(X: RandVar, profile: TargetProfile) -> float:
         m_hi = m_cap if lo == 0.0 else min(m_cap, 1.0 / lo)
         if m_lo > m_hi:
             continue                       # the piece lies beyond the cap
-        res = solve_lp(np.concatenate([-p * X.values, [-b]]),
-                       A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-                       lower=np.concatenate([np.zeros(n), [m_lo]]),
-                       upper=np.concatenate([np.full(n, np.inf), [m_hi]]),
-                       maximize=True)
-        if res.status != OPTIMAL:
-            raise LPError(f"adjusted-ES dual LP status {res.status}")
-        best = max(best, float(res.value) - a)
+        best = max(best, _lp_max(
+            "adjusted-ES dual LP status", np.concatenate([-p * X.values, [-b]]),
+            A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
+            lower=np.concatenate([np.zeros(n), [m_lo]]),
+            upper=np.concatenate([np.full(n, np.inf), [m_hi]])) - a)
     return best
 
 
@@ -658,12 +612,8 @@ def _penalized_cut_lp(X: RandVar, loss: LossFunction) -> float:
     A_eq = np.concatenate([p, np.zeros(nt)])[None, :]
     lower = np.concatenate([np.full(n, max(loss.a_l, 0.0)), np.zeros(nt)])
     upper = np.concatenate([np.full(n, loss.b_l), np.full(nt, np.inf)])
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                   A_eq=A_eq, b_eq=[1.0], lower=lower, upper=upper,
-                   maximize=True)
-    if res.status != OPTIMAL:
-        raise LPError(f"penalized dual LP status {res.status}")
-    return float(res.value)
+    return _lp_max("penalized dual LP status", c, A_ub=A_ub, b_ub=b_ub,
+                   A_eq=A_eq, b_eq=[1.0], lower=lower, upper=upper)
 
 
 def _perspective_cut_lp(X: RandVar, loss: LossFunction) -> float:
@@ -691,11 +641,8 @@ def _perspective_cut_lp(X: RandVar, loss: LossFunction) -> float:
                       for A, B in cuts]
                      + [_atom_rows(n, nv, {0: 1.0}, {nv - 1: a - b})])
     A_eq = np.concatenate([p, np.zeros(nt), [a]])[None, :]
-    res = solve_lp(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
-                   A_eq=A_eq, b_eq=[1.0], maximize=True)
-    if res.status != OPTIMAL:
-        raise LPError(f"perspective dual LP status {res.status}")
-    return float(res.value)
+    return _lp_max("perspective dual LP status", c, A_ub=A_ub,
+                   b_ub=np.zeros(A_ub.shape[0]), A_eq=A_eq, b_eq=[1.0])
 
 
 def _gibbs_dual(X: RandVar) -> float:

@@ -295,22 +295,23 @@ class TargetProfile:
         return pieces
 
     def value(self, x):
-        # a 1e-12 band at beta absorbs round trips like 1/(1/beta)
+        # a 1e-12 band at beta absorbs round trips like 1/(1/beta); the
+        # pieces are called only where g is finite, so never at a pole
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, np.inf)
         btol = 1e-12
+        finite = x >= self.beta - btol
+        if self.unbounded_near_beta:
+            finite &= x > self.beta + btol
         last = len(self.pieces) - 1
         for i, pc in enumerate(self.pieces):
             lo = pc.lo - btol if i == 0 else pc.lo
             if i == last:
-                mask = (x >= lo) & (x <= pc.hi + 1e-15)
+                mask = finite & (x >= lo) & (x <= pc.hi + 1e-15)
             else:
-                mask = (x >= lo) & (x < pc.hi)
+                mask = finite & (x >= lo) & (x < pc.hi)
             if mask.any():
                 out[mask] = pc.value(x[mask])
-        out[x < self.beta - btol] = np.inf
-        if self.unbounded_near_beta:
-            out[x <= self.beta + btol] = np.inf
         return out if out.ndim else float(out)
 
     def suitable_tail_growth(self) -> bool:

@@ -14,7 +14,8 @@ programs attain their optima there), on one polytope per kind: for NO_ARB
 and NO_RHO_ARB the interior polytope of the strict set, whose slack
 delta >= 0 makes it project onto exactly that closure; for
 NO_STRONG_RHO_ARB the closed polytope, with a slack delta on its strict
-rows if it has any.  One ``simplex.solve_lp_sequence`` call maximises
+rows if it has any; each meets M through the detectors' martingale rows
+(``dual._martingale_lp``).  One ``simplex.solve_lp_sequence`` call maximises
 delta (the set is empty unless delta > ``SLACK_TOL``), then minimises and
 maximises the price, each with max delta over its optimal face as
 tie-break: an endpoint is attained in the strict set when that delta
@@ -23,12 +24,11 @@ sup-norm 1 for the solve, so the bounds do not depend on the payoff's units.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (SLACK_TOL, DualSetSpec, _martingale_rows, _strict_slack,
+from .dual import (ALL_DENSITIES, SLACK_TOL, _martingale_lp, _strict_slack,
                    closure_dual_set, dual_set, interior_polytope,
                    martingale_feasibility, set_polytope)
 from .market import Market, RandVar
@@ -89,7 +89,7 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
     if kind != "NO_ARB" and spec is None:
         raise ValueError(f"{kind} needs a risk measure")
     if kind == "NO_ARB":
-        pt = interior_polytope(DualSetSpec("box", 0.0, math.inf), m.space)
+        pt = interior_polytope(ALL_DENSITIES, m.space)
         empty = ("market admits classical arbitrage; the price interval is "
                  "empty")
         label = "martingale densities M (attainment in P)"
@@ -108,11 +108,9 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
     c[:pt.n] = price_vec / scale
     delta = np.zeros(pt.nvars)
     delta[-1] = -1.0
-    mg_A, mg_b = _martingale_rows(m, pt.nvars)
     *first, low, high = solve_lp_sequence(
         [delta, (c, delta), (-c, delta)] if strict else [c, -c],
-        A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=np.vstack([pt.A_eq, mg_A]),
-        b_eq=np.concatenate([pt.b_eq, mg_b]))
+        **_martingale_lp(m, pt))
     if low.status == INFEASIBLE or any(
             res.status != OPTIMAL or res.x[-1] <= SLACK_TOL for res in first):
         raise ValueError(empty)

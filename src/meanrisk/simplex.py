@@ -356,8 +356,7 @@ def solve_lp(c,
              A_ub=None, b_ub=None,
              A_eq=None, b_eq=None,
              lower=None, upper=None,
-             maximize: bool = False,
-             max_iter: int | None = None) -> LPResult:
+             maximize: bool = False) -> LPResult:
     """Solve a general-form LP.  Default bounds are x >= 0.
 
     Bounds may contain +/-inf entries; free and upper-bounded variables are
@@ -370,8 +369,7 @@ def solve_lp(c,
         return LPResult(INFEASIBLE)
     A_std, b_std, slack, cost, unmap = form
     c_std = cost(-c if maximize else c)
-    if max_iter is None:
-        max_iter = _budget(A_std)
+    max_iter = _budget(A_std)
     feasible = _phase1(c_std, A_std, b_std, slack, max_iter)
     if isinstance(feasible, LPResult):
         return feasible

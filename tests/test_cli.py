@@ -174,6 +174,27 @@ class TestCommands:
         assert "rho_arbitrage,no" in out
         assert "# interior martingale density" in out
 
+    def test_arbitrage_report_with_a_closure_witness(self, tmp_path, capsys):
+        # the one martingale density (2, 0) vanishes on an atom: it lies in
+        # the closed box [0, 4] of ES at 1/4 but in no strict interior
+        path = tmp_path / "two.txt"
+        path.write_text("space.probs = 0.5 0.5\nmarket.r = 0.0\n"
+                        "asset.1.excess = 0 1\n", encoding="utf-8")
+        code = main(["arbitrage", "--market", str(path),
+                     "--measure", "es:0.25"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "quantity,value\n"
+            "classical_arbitrage,yes\n"
+            "rho_arbitrage,yes\n"
+            "strong_rho_arbitrage,no\n"
+            "strong_recession_arbitrage,no\n"
+            "rho_inf_1,0\n"
+            "# closure martingale density\n"
+            "atom,probability,z\n"
+            "0,0.5,2\n"
+            "1,0.5,0\n")
+
     def test_price_bounds_and_domain_error(self, tmp_path, capsys):
         path = tmp_path / "incomplete.txt"
         path.write_text("space.probs = 0.25 0.25 0.5\nmarket.r = 0\n"

@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import random_market, random_randvar
 from meanrisk import (DualSetSpec, FiniteSpace, LossFunction, Market,
@@ -21,13 +22,67 @@ from meanrisk.measures import adjusted_es, quantile_pieces
 from meanrisk.fixtures import hull_gap_profile, hull_gap_profile_hat
 from meanrisk.frontier import recession_ball_min
 from meanrisk.simplex import solve_lp
-from test_lp_rows import random_pwl
+from test_lp_rows import pwl_losses, random_pwl
 
 HALF = FiniteSpace(np.array([0.5, 0.5]))
 X_PM1 = RandVar(HALF, np.array([-1.0, 1.0]))
 EXP = LossFunction.exp()
 PWL = LossFunction.pwl((0.5, 2.0), (0.0,))
 BINOMIAL = Market.from_excess([0.5, 0.5], 0.0, [[1.0], [-0.5]])
+TOL = dual.MEMBER_TOL
+
+
+def pole_at(beta):
+    """g(x) = 1/(x - beta) - 1/(1 - beta), unbounded near beta."""
+    return general_profile(
+        lambda x: 1.0 / (np.asarray(x) - beta) - 1.0 / (1.0 - beta), beta,
+        True)
+
+
+def closure_reference(spec):
+    """The closure of the dual set as a table per family."""
+    fam = spec.family
+    if fam == "es":
+        return DualSetSpec("box", 0.0, 1.0 / spec.alpha)
+    if fam in ("wc", "lses"):
+        return DualSetSpec("box", 0.0, math.inf)
+    if fam == "eloss":
+        return DualSetSpec("box", 1.0, 1.0)
+    if fam == "adjes":
+        g = spec.profile
+        if g.beta == 0.0:
+            return DualSetSpec("box", 0.0, math.inf)
+        return DualSetSpec("supnorm", hi=1.0 / g.beta,
+                           strict=not g.bounded_on_domain, profile=g)
+    loss = spec.loss
+    if fam == "oce":
+        return DualSetSpec("box", loss.a_l, loss.b_l, loss=loss)
+    if loss.zero_on_negatives or loss.a_l == 0.0 or loss.b_l == math.inf:
+        return DualSetSpec("box", 0.0, math.inf)
+    return DualSetSpec("scaled_box", a_l=loss.a_l, b_l=loss.b_l, loss=loss)
+
+
+def closure_zoo():
+    """A spec of every dual family, with every profile and loss form."""
+    yield from (RiskSpec.es_at(0.3), RiskSpec.wc(), RiskSpec.expected_loss(),
+                RiskSpec.lses_at(0.7))
+    for g in (step_profile(0.4), zero_profile(), lses_profile(0.5),
+              bounded_tail_profile(2.0, 0.4),
+              table_profile([(0.2, 3.0), (0.5, 1.0), (1.0, 0.0)]),
+              general_profile(lambda x: np.sqrt(1.0 / np.asarray(x) - 1.0),
+                              0.2, False),
+              general_profile(lambda x: 0.3 * (1.0 / np.asarray(x) - 1.0),
+                              0.0, True, tail_coeff=0.3),
+              pole_at(0.5)):
+        yield RiskSpec.adjusted(g)
+    for loss in (EXP, PWL, LossFunction.identity(),
+                 LossFunction.pwl((0.0, 0.5, 2.0), (-1.0, 0.0)),
+                 LossFunction.pwl((0.0, 2.0), (0.0,)),
+                 LossFunction.power(2.0, 1.0), LossFunction.power(0.5, 1.0),
+                 LossFunction.power(1.0, 2.0)):
+        if loss.satisfies_l_geq_x:
+            yield RiskSpec.oce_with(loss)
+        yield RiskSpec.sr_with(loss)
 
 
 def spec_zoo(rng):
@@ -124,6 +179,17 @@ class TestDualSets:
         cd = closure_dual_set(RiskSpec.lses_at(1.0))
         assert cd.kind == "box" and cd.hi == math.inf
 
+    def test_closure_is_derived_from_the_dual_set(self):
+        for spec in closure_zoo():
+            assert closure_dual_set(spec) == closure_reference(spec), \
+                spec.label()
+
+    @given(pwl_losses())
+    @settings(max_examples=80, deadline=None)
+    def test_pwl_closures_match_the_table(self, loss):
+        for spec in (RiskSpec.oce_with(loss), RiskSpec.sr_with(loss)):
+            assert closure_dual_set(spec) == closure_reference(spec)
+
     def test_membership(self):
         ds = closure_dual_set(RiskSpec.adjusted(step_profile(0.5)))
         assert ds.contains(np.array([0.5, 1.5]))
@@ -131,6 +197,102 @@ class TestDualSets:
         sb = closure_dual_set(RiskSpec.sr_with(PWL))
         assert sb.contains(np.array([0.4, 1.6]))       # ratio 4 = b/a
         assert not sb.contains(np.array([0.2, 1.8]))   # ratio 9 > 4
+
+
+class TestEveryKindAtItsBounds:
+    """Membership and penalty of each set kind against closed forms at its
+    bounds: z at lo and hi, within and beyond tol of them, and zmin = 0."""
+
+    def test_box_and_supnorm_with_a_profile(self):
+        g = table_profile([(0.25, 3.0), (1.0, 0.0)])   # 1/x - 1 on [1/4, 1]
+        box = DualSetSpec("box", 0.5, 4.0, profile=g)
+        sup = DualSetSpec("supnorm", hi=4.0, profile=g)
+        for z, inside in (([0.5, 4.0], True), ([0.5 - TOL / 2, 4.0], True),
+                          ([0.5 - 2 * TOL, 1.0], False),
+                          ([1.0, 4.0 + TOL / 2], True),
+                          ([1.0, 4.0 + 2 * TOL], False), ([0.0, 1.0], False)):
+            assert box.contains(np.array(z)) == inside, z
+        for z, inside in (([0.0, 4.0], True),
+                          ([-TOL / 2, 4.0 + TOL / 2], True),
+                          ([0.0, 4.0 + 2 * TOL], False),
+                          ([-2 * TOL, 1.0], False)):
+            assert sup.contains(np.array(z)) == inside, z
+        for ds in (box, sup):
+            assert ds.penalty([0.5, 1.5], HALF.probs) == pytest.approx(0.5)
+            assert ds.penalty([1.0, 4.0], HALF.probs) == pytest.approx(3.0)
+            assert ds.penalty([1.0, 1.0], HALF.probs) == 0.0
+
+    def test_strict_supnorm(self):
+        # g = 1/x - 1 flagged unbounded near beta = 1/2: +inf at M = 2
+        g = general_profile(lambda x: 1.0 / np.asarray(x) - 1.0, 0.5, True)
+        ds = DualSetSpec("supnorm", hi=2.0, strict=True, profile=g)
+        for z, inside in (([0.0, 2.0], False), ([0.0, 2.0 - TOL / 2], False),
+                          ([0.0, 2.0 - 2 * TOL], True), ([1.0, 1.0], True)):
+            assert ds.contains(np.array(z)) == inside, z
+        assert ds.penalty([0.0, 2.0], HALF.probs) == math.inf
+        assert ds.penalty([0.4, 1.6], HALF.probs) == pytest.approx(0.6)
+
+    def test_penalized_sup(self):
+        for ds, value in ((DualSetSpec("penalized_sup", b=0.7), 0.7 * 9.0),
+                          (DualSetSpec("penalized_sup",
+                                       profile=bounded_tail_profile(2.0, 0.4)),
+                           2.0)):
+            assert ds.contains(np.array([0.0, 10.0]))
+            assert ds.contains(np.array([-TOL / 2, 1e9]))
+            assert not ds.contains(np.array([-2 * TOL, 1.0]))
+            assert ds.penalty([0.0, 10.0], HALF.probs) == pytest.approx(value)
+            assert ds.penalty([1.0, 1.0], HALF.probs) == pytest.approx(0.0)
+        # min(2, 0.4 (M - 1)) below the cap
+        ds = DualSetSpec("penalized_sup",
+                         profile=bounded_tail_profile(2.0, 0.4))
+        assert ds.penalty([0.0, 2.0], HALF.probs) == pytest.approx(0.4)
+
+    def test_penalized_pwl(self):
+        # l(x) = x on [-1, 1], slopes 1/2 and 2 beyond: l*(z) = |z - 1| on
+        # [1/2, 2] and +inf off it
+        ds = DualSetSpec("penalized",
+                         loss=LossFunction.pwl((0.5, 1.0, 2.0), (-1.0, 1.0)))
+        for z, inside in (([0.5, 2.0], True), ([0.5 - TOL / 2, 2.0], True),
+                          ([0.5 - 2 * TOL, 1.0], False),
+                          ([1.0, 2.0 + TOL / 2], True),
+                          ([1.0, 2.0 + 2 * TOL], False), ([0.0, 1.0], False)):
+            assert ds.contains(np.array(z)) == inside, z
+        assert ds.penalty([0.5, 2.0], HALF.probs) == pytest.approx(0.75)
+        assert ds.penalty([1.0, 1.0], HALF.probs) == pytest.approx(0.0)
+        assert ds.penalty([0.5, 2.0 + 1e-9], HALF.probs) == math.inf
+        assert ds.penalty([0.0, 1.0], HALF.probs) == math.inf
+
+    def test_penalized_power(self):
+        # c x^+ has l* = 0 on [0, c]; x^2 has l*(z) = z^2 / 4 on [0, inf)
+        hinge = DualSetSpec("penalized", loss=LossFunction.power(2.0, 1.0))
+        assert hinge.contains(np.array([0.0, 2.0]))
+        assert not hinge.contains(np.array([0.0, 2.0 + 2 * TOL]))
+        assert hinge.penalty([0.0, 2.0], HALF.probs) == 0.0
+        assert hinge.penalty([0.0, 2.0 + 1e-9], HALF.probs) == math.inf
+        square = DualSetSpec("penalized", loss=LossFunction.power(1.0, 2.0))
+        assert square.contains(np.array([0.0, 1e9]))
+        assert not square.contains(np.array([-2 * TOL, 1.0]))
+        assert square.penalty([0.0, 2.0], HALF.probs) == pytest.approx(0.5)
+        assert square.penalty([0.0, 4.0], HALF.probs) == pytest.approx(2.0)
+        assert square.penalty([-1e-9, 2.0], HALF.probs) == math.inf
+
+    def test_scaled_boxes(self):
+        # some k > 0 puts k z in [a, b] iff a zmax <= b zmin
+        two_sided = DualSetSpec("scaled_box", a_l=0.5, b_l=2.0, loss=PWL)
+        for z, inside in (([0.5, 2.0], True), ([0.25, 1.0], True),
+                          ([0.25, 1.0 + 1e-6], False), ([0.0, 1.0], False)):
+            assert two_sided.contains(np.array(z)) == inside, z
+        assert two_sided.penalty([0.0, 1.0], HALF.probs) == math.inf
+        left = DualSetSpec("scaled_box", a_l=0.5, b_l=math.inf)
+        for z, inside in (([2 * TOL, 5.0], True), ([TOL / 2, 5.0], False),
+                          ([0.0, 5.0], False)):
+            assert left.contains(np.array(z)) == inside, z
+        right = DualSetSpec("scaled_box", a_l=0.0, b_l=2.0)
+        assert right.contains(np.array([0.0, 7.0]))
+        for degenerate in (DualSetSpec("scaled_box", a_l=0.0, b_l=math.inf),
+                           DualSetSpec("scaled_box")):
+            assert degenerate.contains(np.array([0.0, 1e9]))
+            assert not degenerate.contains(np.array([-2 * TOL, 1.0]))
 
 
 class TestDualEvaluate:
@@ -266,6 +428,39 @@ class TestAdjustedEsDual:
         seen.clear()
         dual_evaluate(RiskSpec.lses_at(0.5), X)
         assert len(seen) == 1
+
+
+class TestGeneralProfileDual:
+    """The candidate scan behind profiles with a general piece."""
+
+    def test_pole_is_never_evaluated(self):
+        # the scan prices the cap M = 1/beta, where g = +inf; the profile
+        # must not call its piece there
+        def g(x):
+            assert np.all(np.asarray(x) > 0.1)
+            return 1.0 / (np.asarray(x) - 0.1) - 1.0 / 0.9
+
+        assert general_profile(g, 0.1, True).value(0.1) == math.inf
+        X = RandVar(FiniteSpace(np.full(20, 0.05)), np.linspace(-1.0, 1.0, 20))
+        spec = RiskSpec.adjusted(pole_at(0.1))
+        assert dual_evaluate(spec, X) == pytest.approx(
+            evaluate(spec, X), rel=1e-12, abs=1e-12)
+
+    def test_scan_matches_primal(self, rng):
+        profiles = [general_profile(fn, 0.2, False) for fn in (
+            lambda x: 0.3 * (1.0 / np.asarray(x) - 1.0),
+            lambda x: 0.5 * (1.0 - np.asarray(x)) ** 2 / np.asarray(x),
+            lambda x: np.sqrt(1.0 / np.asarray(x) - 1.0))] + [pole_at(0.1)]
+        for k, n in enumerate((2, 5, 9, 14, 20, 27, 33, 39, 3, 12)):
+            spec = RiskSpec.adjusted(profiles[k % len(profiles)])
+            X = random_randvar(rng, n, scale=1.5)
+            assert dual_evaluate(spec, X) == pytest.approx(
+                evaluate(spec, X), rel=1e-12, abs=1e-12), (k, n)
+
+    def test_large_spaces_rejected(self, rng):
+        spec = RiskSpec.adjusted(pole_at(0.1))
+        with pytest.raises(ValueError, match="small spaces"):
+            dual_evaluate(spec, random_randvar(rng, 401))
 
 
 class TestRecession:

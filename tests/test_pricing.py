@@ -9,8 +9,7 @@ from meanrisk import (DualSetSpec, LossFunction, LPError, Market,
                       general_profile, interior_martingale_feasibility,
                       martingale_feasibility, price_bounds, solve_lp,
                       step_profile)
-from meanrisk.dual import (SLACK_TOL, _martingale_rows, interior_polytope,
-                           set_polytope)
+from meanrisk.dual import SLACK_TOL, interior_polytope, set_polytope
 from meanrisk.io import parse_measure
 from meanrisk.pricing import KINDS, REPLICATION_TOL, is_replicable
 from meanrisk.simplex import OPTIMAL
@@ -166,6 +165,13 @@ class TestAugmentationConsistency:
         m_ok = augment_market(TRINOMIAL, PAYOFF,
                               0.5 * (outer.lower + outer.upper))
         assert check_classical_arbitrage(m_ok) is None
+
+
+def _martingale_rows(m, nvars):
+    """E[Z (R^i - r)] = 0 over the first n of nvars columns."""
+    rows = np.zeros((m.d, nvars))
+    rows[:, :m.space.n] = (m.excess * m.space.probs[:, None]).T
+    return rows, np.zeros(m.d)
 
 
 def _reference_attained(m, att_set, price_vec, bound, need_positive):

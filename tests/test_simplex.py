@@ -128,8 +128,9 @@ def test_degenerate_cycling_instance(monkeypatch):
     assert res.value == pytest.approx(-0.05)
     assert res.pivots > simplex._DEGENERATE_RUN
     monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
+    monkeypatch.setattr(simplex, "_budget", lambda A_std: 500)
     with pytest.raises(LPError):
-        solve_lp(c, A_ub=A_ub, b_ub=b_ub, max_iter=500)
+        solve_lp(c, A_ub=A_ub, b_ub=b_ub)
 
 
 def test_pivot_count():
