@@ -21,6 +21,7 @@ of "Z > 0 a.s." on a finite space.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -184,13 +185,8 @@ def _scaled_box_penalty(z, probs, loss: LossFunction) -> float:
     # at interval midpoints has an exact sign, where rounding blurs f at
     # near-equal candidates
     mids = (cand[:-1] + cand[1:]) / 2.0
-    i, j = 0, mids.size
-    while i < j:
-        mid = (i + j) // 2
-        if probs @ B[lines(mids[mid]).argmax(axis=0)] < 0.0:
-            i = mid + 1
-        else:
-            j = mid
+    i = bisect.bisect_left(range(mids.size), True, key=lambda k: bool(
+        probs @ B[lines(mids[k]).argmax(axis=0)] >= 0.0))
     return float(probs @ lines(cand[i]).max(axis=0))
 
 

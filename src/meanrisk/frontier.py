@@ -21,8 +21,8 @@ every solve exact where possible:
                         -> rho_nu = nu rho_1 and rho^inf = rho, so a
                            boundary sweep is one LP, the unit slice, which
                            is also the recession LP at nu = 1; sublinearity
-                           fixes rho_0 = 0; the mean-risk problems take one
-                           slice each
+                           fixes rho_0 = 0; both mean-risk problems read
+                           their answer off the same unit slice
 
 The same solvers also run over all portfolios pi, with X = excess pi and
 the expected return g.pi as a row.  nu -> rho_nu is convex, so the boundary
@@ -131,12 +131,12 @@ def _ball_param(m: Market) -> _Param:
 # ---------------------------------------------------------------------------
 
 def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
-                  rows: list, rhs: list, lower: np.ndarray,
-                  upper: np.ndarray):
+                  rows: list, rhs: list, lower: np.ndarray):
     """min c.v + shift over v = (theta, auxiliaries) subject to the family's
-    rows, par's rows and the bounds (par's on theta, ``lower`` / ``upper``
-    on the auxiliaries).  Under par's risk budget the objective becomes the
-    row c.v + shift <= budget, and the LP maximises E[X] instead.
+    rows, par's rows and the bounds (par's on theta, ``lower`` on the
+    auxiliaries, which have no upper bound).  Under par's risk budget the
+    objective becomes the row c.v + shift <= budget, and the LP maximises
+    E[X] instead.
 
     Returns (LPResult, theta), with theta None unless the LP is optimal.  A
     sweep's rhs blocks and shift may carry a node axis; it returns one such
@@ -152,7 +152,7 @@ def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
         c = np.concatenate([p @ par.C, np.zeros(extra)])
         shift = float(p @ par.x0)
     kwargs = dict(lower=np.concatenate([par.lower, lower]),
-                  upper=np.concatenate([par.upper, upper]))
+                  upper=np.concatenate([par.upper, np.full(extra, np.inf)]))
     if par.x0.ndim == 1:
         return _shifted(solve_lp(c, A_ub=np.vstack(rows),
                                  b_ub=np.concatenate(rhs),
@@ -246,8 +246,7 @@ def _es_min(par: _Param, p: np.ndarray, pieces):
     lower = np.zeros(nv - q)
     lower[:start - q] = -np.inf            # tau
     lower[start - q::1 + n] = -np.inf      # the m_k columns
-    return _solve_family(par, p, c, shift, rows, rhs, lower,
-                         np.full(nv - q, np.inf))
+    return _solve_family(par, p, c, shift, rows, rhs, lower)
 
 
 def _shortfall_pieces(spec: RiskSpec):
@@ -268,7 +267,7 @@ def _wc_min(par: _Param, p: np.ndarray):
     c[q] = 1.0
     block, bound = _hinge_rows(par, q + 1, q, None, lift=lift)  # -X_i <= tau
     return _solve_family(par, p, c, lift, [block], [bound],
-                         np.array([-np.inf]), np.array([np.inf]))
+                         np.array([-np.inf]))
 
 
 def _pwl_family_min(par: _Param, p: np.ndarray, fam: str, slopes,
@@ -320,8 +319,7 @@ def _pwl_family_min(par: _Param, p: np.ndarray, fam: str, slopes,
         c, shift = loss_row, const
     return _solve_family(par, p, c, shift, rows, rhs,
                          np.concatenate([np.full(w0 - q, -np.inf),
-                                         np.zeros(nv - w0)]),
-                         np.full(nv - q, np.inf))
+                                         np.zeros(nv - w0)]))
 
 
 def _newton_min(m: Market, p: np.ndarray, log: bool, nu=None):
@@ -396,9 +394,6 @@ def _kelley_min(oracle, par: _Param, p: np.ndarray):
     counts as a candidate only when it meets par's rows; master points do.
     """
     q = par.C.shape[1]
-    if q == 0:
-        v, _ = oracle(np.zeros(0))
-        return v, np.zeros(0)
     cap = 2.0 ** 24 * max(1.0, *np.abs(par.x0), *np.abs(par.b_ub))
     rows, rhs = [], []                     # cuts g.theta - tau <= g.t - v
     c = np.zeros(q + 1)
@@ -417,8 +412,7 @@ def _kelley_min(oracle, par: _Param, p: np.ndarray):
         while True:
             box = replace(par, lower=np.full(q, -R), upper=np.full(q, R))
             res, t_new = _solve_family(box, p, c, 0.0, [np.array(rows)],
-                                       [np.array(rhs)], np.array([-np.inf]),
-                                       np.array([np.inf]))
+                                       [np.array(rhs)], np.array([-np.inf]))
             if res.status != INFEASIBLE or R >= cap:
                 break
             R *= 4.0
@@ -481,8 +475,8 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
     general piece runs Kelley cutting planes.  An exp loss runs Newton over
     pi with the row E[X_pi] = nu.
 
-    Returns (-inf, direction) when the slice problem is certified unbounded,
-    which cannot happen for the built-in expectation-bounded families.
+    Raises ``LPError`` when a slice LP ends other than optimal, unbounded
+    included: every built-in family is bounded below on a slice.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
@@ -499,16 +493,11 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
     lp = _lp_min(spec)
     if lp is None:
         return _smooth_min(spec, m, par, nu)
-    return _slice_answer(spec, m, par, *lp(par, p))
+    return _slice_answer(par, *lp(par, p))
 
 
-def _slice_answer(spec: RiskSpec, m: Market, par: _Param, res: LPResult, t,
-                  node: int = 0):
+def _slice_answer(par: _Param, res: LPResult, t, node: int = 0):
     """rho_nu's answer from the LP of slice ``node`` of par."""
-    if res.status == UNBOUNDED:
-        # a direction along which the recession risk is negative, if any
-        value, pi = recession_ball_min(spec, m)
-        return -math.inf, pi if _ball_descends(value, m) else None
     if res.status != OPTIMAL:
         raise LPError(f"slice LP ended with status {res.status}")
     return float(res.value), par.to_portfolio(t, node)
@@ -590,14 +579,14 @@ def _recession_min(spec: RiskSpec, m: Market, par: _Param):
         res, t = _wc_min(par, p)
     elif fam == "eloss":                   # min E[-X(theta)] is linear
         res, t = _solve_family(par, p, -(p @ par.C), -float(p @ par.x0),
-                               [], [], np.zeros(0), np.zeros(0))
+                               [], [], np.zeros(0))
     elif arg[1] < math.inf:
         res, t = _pwl_family_min(par, p, fam, arg, (0.0,))
     else:                                  # ew: 0 on X >= 0, inf elsewhere
         q = par.C.shape[1]
         block, bound = _hinge_rows(par, q, None, None)      # -X <= 0
         res, t = _solve_family(par, p, np.zeros(q), 0.0, [block], [bound],
-                               np.zeros(0), np.zeros(0))
+                               np.zeros(0))
         if res.status == INFEASIBLE:
             return math.inf, None
     if res.status == UNBOUNDED:
@@ -642,8 +631,8 @@ def _unit_slice(spec: RiskSpec, m: Market):
     rho_nu's own unit slice LP: es, wc, the pwl and c y^+ losses, and the
     step profile (es at beta).  It is not where rho_nu runs no LP (one
     asset, eloss) or another one (var; an adjusted-ES profile of several
-    pieces, or one reaching x = 0).  A -inf slice takes the descent
-    direction over the l1 ball as its portfolio, as in rho_nu.
+    pieces, or one reaching x = 0).  The family is bounded below on the
+    slice, so an unbounded LP is an ``LPError`` like any other failure.
     """
     fam = spec.family
     if m.d == 1 or fam in ("var", "eloss"):
@@ -654,8 +643,7 @@ def _unit_slice(spec: RiskSpec, m: Market):
             return None
     value, pi = _recession_min(spec, m, _slice_param(m, 1.0))
     if value == -math.inf:
-        ball, pi = recession_ball_min(spec, m)
-        pi = pi if _ball_descends(ball, m) else None
+        raise LPError(f"unit slice LP ended with status {UNBOUNDED}")
     return value, pi, value
 
 
@@ -693,19 +681,18 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     """Sweep rho_nu over a uniform grid and classify the regime.
 
     A positively homogeneous family has rho_nu = nu rho_1 with minimiser
-    nu pi_1 for nu > 0 (a -inf or failed unit slice carries to every
-    nu > 0), and its sweep is one LP (``_unit_slice``): rho^inf = rho, so
-    the unit slice LP is also the recession LP that gives rho_inf_1, and
-    sublinearity fixes rho_0 = 0 at pi = 0 beside a finite rho_1 (-inf
-    beside -inf).  Where the unit slice is not that LP (one asset, eloss,
-    an adjusted-ES profile of several pieces) or it fails, ``rho_nu`` solves
-    the slices at nu = 0 and 1 and ``rho_inf_nu`` gives rho_inf_1.  Other
-    families solve one slice per grid node: an LP family all of them on one
-    tableau (``solve_lp_path``: the rhs alone moves with nu), an exp loss
-    all of them in one batched Newton, the others one ``rho_nu`` each.  Grid
-    values within 1e-12 max_j |X_{pi_j}|_inf (over the nodes' portfolios)
-    of the least tie, so that rounding cannot move nu_min along a flat
-    boundary: the lowest nu among them is the argmin.
+    nu pi_1 for nu > 0 (a failed unit slice carries to every nu > 0), and
+    its sweep is one LP (``_unit_slice``): rho^inf = rho, so the unit slice
+    LP is also the recession LP that gives rho_inf_1, and sublinearity
+    fixes rho_0 = 0 at pi = 0.  Where the unit slice is not that LP (one
+    asset, eloss, an adjusted-ES profile of several pieces) or it fails,
+    ``rho_nu`` solves the slices at nu = 0 and 1 and ``rho_inf_nu`` gives
+    rho_inf_1.  Other families solve one slice per grid node: an LP family
+    all of them on one tableau (``solve_lp_path``: the rhs alone moves with
+    nu), an exp loss all of them in one batched Newton, the others one
+    ``rho_nu`` each.  Grid values within 1e-12 max_j |X_{pi_j}|_inf (over
+    the nodes' portfolios) of the least tie, so that rounding cannot move
+    nu_min along a flat boundary: the lowest nu among them is the argmin.
 
     In the positive regime a convex family that is not homogeneous takes
     its boundary minimiser from one solve over the portfolios with
@@ -724,7 +711,7 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
         try:
             if node is None:
                 return rho_nu(spec, m, float(nu))
-            return _slice_answer(spec, m, *node)
+            return _slice_answer(*node)
         except LPError as exc:           # recorded, not fatal
             errors.append(f"nu={nu:g}: {exc}")
             return math.nan, None
@@ -738,10 +725,8 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
         if unit is None:
             at_zero, (rho_1, pi_1) = solve_point(0.0), solve_point(1.0)
         else:
-            # sublinearity: rho_0 = 0 beside a finite rho_1, else -inf
             rho_1, pi_1, rho_inf_1 = unit
-            at_zero = ((0.0, np.zeros(m.d)) if math.isfinite(rho_1)
-                       else (rho_1, pi_1))
+            at_zero = 0.0, np.zeros(m.d)   # sublinearity: rho_0 = 0
         scalable = math.isfinite(rho_1)
         results = [at_zero] + [
             (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
@@ -825,7 +810,7 @@ def recession_efficient_frontier(rho_inf_1: float):
     """
     if rho_inf_1 == math.inf:
         return ("origin",)
-    if rho_inf_1 <= 0.0:
+    if rho_inf_1 <= SIGN_TOL:
         return ("empty",)
     return ("ray", rho_inf_1)
 
@@ -909,67 +894,65 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     Both are declared unbounded when the market admits rho-arbitrage for the
     family (negative or zero recession boundary slope).  With a positive
     slope, a positively homogeneous family's boundary is the increasing ray
-    nu rho_1, so MIN_RISK is the slice at nu* and MAX_RETURN is
-    nu = rho* / rho_1 with portfolio nu pi_1.  rho^inf = rho for such a
-    family, so the one unit slice LP gives MAX_RETURN both its slope and
-    (rho_1, pi_1); MIN_RISK solves the recession LP and its slice.  Any other
-    family answers MIN_RISK with one solve over the portfolios with
-    E[X_pi] >= nu* (``_band_min``); an exp loss with a zero slope is
-    unbounded, as E[exp(-X)] is strictly convex and never attains the
-    infimum.  MAX_RETURN maximises E[X_pi] with the risk objective moved
-    into rows <= rho*, one LP; the families without an LP bisect the
-    increasing branch of the convex boundary, solving each slice once.
+    nu rho_1 at nu pi_1, so MIN_RISK is nu = nu* and MAX_RETURN is
+    nu = rho* / rho_1, the sweep's formula for its nodes.  rho^inf = rho for
+    such a family, so the one unit slice LP (``_unit_slice``) gives both the
+    slope and (rho_1, pi_1); where it is not that LP, ``rho_nu`` solves the
+    unit slice and ``rho_inf_nu`` gives the slope.  Any other family answers
+    MIN_RISK with one solve over the portfolios with E[X_pi] >= nu*
+    (``_band_min``); an exp loss with a zero slope is unbounded, as
+    E[exp(-X)] is strictly convex and never attains the infimum.  MAX_RETURN
+    maximises E[X_pi] with the risk objective moved into rows <= rho*, one
+    LP; the families without an LP bisect the increasing branch of the
+    convex boundary, solving each slice once.
     """
     if level < 0:
         raise ValueError("the target level must be nonnegative")
-    unit = (_unit_slice(spec, m)
-            if mode == "MAX_RETURN" and spec.positively_homogeneous else None)
+    if mode not in ("MIN_RISK", "MAX_RETURN"):
+        raise ValueError(f"unknown mode {mode!r}")
+    max_return = mode == "MAX_RETURN"
+    unit = _unit_slice(spec, m) if spec.positively_homogeneous else None
     rho_inf_1 = rho_inf_nu(spec, m, 1.0) if unit is None else unit[2]
-    ray = spec.positively_homogeneous and rho_inf_1 > SIGN_TOL
-    if mode == "MIN_RISK":
+    if spec.positively_homogeneous and rho_inf_1 > SIGN_TOL:
+        rho_1, pi_1 = rho_nu(spec, m, 1.0) if unit is None else unit[:2]
+        nu = level / rho_1 if max_return else level
+        return MeanRiskSolution("optimal", nu if max_return else nu * rho_1,
+                                nu * pi_1, nu)
+    if not max_return:
         if rho_inf_1 < -SIGN_TOL:
             return MeanRiskSolution("unbounded",
                                     cause="negative recession slope")
-        if ray:
-            value, pi = rho_nu(spec, m, level)
-            return MeanRiskSolution("optimal", value, pi, level)
         if rho_inf_1 <= SIGN_TOL and getattr(spec.loss, "kind", "") == "exp":
             return MeanRiskSolution("unbounded",
                                     cause="risk keeps decreasing with return")
         return _lp_solution(m, *_band_min(spec, m, level), max_return=False)
-    if mode == "MAX_RETURN":
-        if rho_inf_1 <= SIGN_TOL:
-            return MeanRiskSolution(
-                "unbounded", cause="rho-arbitrage: nonpositive recession slope")
-        if ray:
-            rho_1, pi_1 = rho_nu(spec, m, 1.0) if unit is None else unit[:2]
-            nu = level / rho_1
-            return MeanRiskSolution("optimal", nu, nu * pi_1, nu)
-        lp = _lp_min(spec)
-        if lp is not None:
-            return _lp_solution(m, *lp(_pi_param(m, 0.0, budget=level),
-                                       m.space.probs), max_return=True)
-        # rho_nu -> inf as nu -> inf, so bisect the increasing branch; the
-        # last doubling step within budget starts the bracket (the risk at
-        # nu = 0 is at most rho(0) = 0 <= rho*)
-        lo, hi, at_lo = 0.0, 1.0, rho_nu(spec, m, 0.0)
-        for _ in range(200):
-            at_hi = rho_nu(spec, m, hi)
-            if at_hi[0] > level:
-                break
-            lo, at_lo = hi, at_hi
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            at_mid = rho_nu(spec, m, mid)
-            if at_mid[0] <= level:
-                lo, at_lo = mid, at_mid
-            else:
-                hi = mid
-            if hi - lo < 1e-10 * max(1.0, hi):
-                break
-        return MeanRiskSolution("optimal", lo, at_lo[1], lo)
-    raise ValueError(f"unknown mode {mode!r}")
+    if rho_inf_1 <= SIGN_TOL:
+        return MeanRiskSolution(
+            "unbounded", cause="rho-arbitrage: nonpositive recession slope")
+    lp = _lp_min(spec)
+    if lp is not None:
+        return _lp_solution(m, *lp(_pi_param(m, 0.0, budget=level),
+                                   m.space.probs), max_return=True)
+    # rho_nu -> inf as nu -> inf, so bisect the increasing branch; the
+    # last doubling step within budget starts the bracket (the risk at
+    # nu = 0 is at most rho(0) = 0 <= rho*)
+    lo, hi, at_lo = 0.0, 1.0, rho_nu(spec, m, 0.0)
+    for _ in range(200):
+        at_hi = rho_nu(spec, m, hi)
+        if at_hi[0] > level:
+            break
+        lo, at_lo = hi, at_hi
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        at_mid = rho_nu(spec, m, mid)
+        if at_mid[0] <= level:
+            lo, at_lo = mid, at_mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10 * max(1.0, hi):
+            break
+    return MeanRiskSolution("optimal", lo, at_lo[1], lo)
 
 
 def _lp_solution(m: Market, res, pi, max_return: bool) -> MeanRiskSolution:

@@ -16,6 +16,7 @@ the Fatou property holds by construction and is not tested separately.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -204,13 +205,8 @@ def oce(X: RandVar, loss: LossFunction) -> float:
     # compare by rounding noise.  The argmin lies between the last kink
     # with left slope <= 0 and the first one with left slope > 0.
     etas = np.unique(X.values[:, None] + np.asarray(loss.breakpoints))
-    lo, hi = 0, etas.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if float(p @ loss.derivative(etas[mid] - X.values)) > 1.0:
-            hi = mid
-        else:
-            lo = mid + 1
+    lo = bisect.bisect_left(range(etas.size), True, key=lambda k: float(
+        p @ loss.derivative(etas[k] - X.values)) > 1.0)
     return min(objective(e) for e in etas[max(lo - 1, 0):lo + 1])
 
 

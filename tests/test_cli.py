@@ -4,9 +4,12 @@ import pytest
 
 from meanrisk import LPError, Market, cli
 from meanrisk.cli import main
-from meanrisk.fixtures import IRREGULAR_SPOT_VALUES
+from meanrisk.dual import g_hat_transform
+from meanrisk.fixtures import (IRREGULAR_SPOT_VALUES,
+                               exponential_loss_variable, hull_gap_profile)
 from meanrisk.io import (emit_market, parse_loss, parse_market, parse_measure,
                          parse_profile)
+from meanrisk.measures import adjusted_es
 
 MARKET_TEXT = """
 space.probs = 0.25 0.25 0.5
@@ -195,6 +198,36 @@ class TestCommands:
             "0,0.5,2\n"
             "1,0.5,0\n")
 
+    def test_arbitrage_report_errors_exit_3(self, market_file, monkeypatch,
+                                            capsys):
+        inner = cli.detect_arbitrage
+
+        def disagreeing(spec, m):
+            rep = inner(spec, m)
+            rep.errors.append("no dual interior witness but rho_inf_1 > 0")
+            return rep
+
+        monkeypatch.setattr(cli, "detect_arbitrage", disagreeing)
+        code = main(["arbitrage", "--market", market_file,
+                     "--measure", "lses:0.3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.startswith("quantity,value\n")
+        assert captured.err == "no dual interior witness but rho_inf_1 > 0\n"
+
+    def test_solver_failure_exit_3(self, market_file, monkeypatch, capsys):
+        def failing(*args):
+            raise LPError("dual LP ended with status stalled")
+
+        monkeypatch.setattr(cli, "price_bounds", failing)
+        code = main(["price-bounds", "--market", market_file, "--payoff",
+                     "2 0.5 1", "--measure", "es:0.5", "--kind",
+                     "NO_RHO_ARB"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "solver failure: dual LP ended with status stalled\n")
+
     def test_price_bounds_and_domain_error(self, tmp_path, capsys):
         path = tmp_path / "incomplete.txt"
         path.write_text("space.probs = 0.25 0.25 0.5\nmarket.r = 0\n"
@@ -238,6 +271,20 @@ class TestCommands:
             rows[float(nu)] = float(val)
         for nu, expected in IRREGULAR_SPOT_VALUES.items():
             assert rows[nu] == pytest.approx(expected, abs=1e-12)
+
+    def test_fixture_footnote_ghat(self, capsys):
+        assert main(["fixtures", "--name", "footnote-ghat"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "quantity,value"
+        values = dict(line.split(",") for line in lines[1:])
+        Y = exponential_loss_variable()
+        g = hull_gap_profile()
+        v_g = float(values["adjusted_es_g"])
+        v_hat = float(values["adjusted_es_ghat"])
+        assert v_g == adjusted_es(Y, g)
+        assert v_hat == adjusted_es(Y, g_hat_transform(g, grid=20000))
+        # the hull lies below g, so it penalises less
+        assert v_hat >= v_g
 
     def test_deterministic_output(self, market_file, capsys):
         main(["arbitrage", "--market", market_file, "--measure", "es:0.4"])

@@ -18,6 +18,7 @@ from meanrisk import (LossFunction, LPError, Market, RandVar, RiskSpec,
                       rho_inf_nu, rho_nu, step_profile, table_profile)
 from meanrisk.fixtures import (IRREGULAR_SPOT_VALUES, boundary_norm_market,
                                boundary_norm_profile, irregular_boundary)
+from meanrisk.simplex import UNBOUNDED, LPResult
 
 BINOMIAL = boundary_norm_market()
 EXP = LossFunction.exp()
@@ -577,6 +578,24 @@ class TestHomogeneousBoundary:
         assert np.all(np.isnan(fr.rho_values[1:]))
         assert all(pi is None for pi in fr.optimal_portfolios[1:])
 
+    def test_unbounded_slice_lps_are_recorded_errors(self, monkeypatch):
+        # every built-in family is bounded below on a slice, so an unbounded
+        # slice LP is a solver failure: a NaN row and an error, not -inf
+        def unbounded(c, **kwargs):
+            return LPResult(UNBOUNDED)
+
+        monkeypatch.setattr(frontier, "solve_lp", unbounded)
+        monkeypatch.setattr(frontier, "solve_lp_path", lambda c, A_ub, B_ub,
+                            **kwargs: [unbounded(c)] * B_ub.shape[1])
+        for spec, errors in ((RiskSpec.es_at(0.4), 2),
+                             (RiskSpec.lses_at(0.3), 5)):
+            fr = optimal_boundary(spec, TRINOMIAL, 1.0, 5)
+            assert np.all(np.isnan(fr.rho_values))
+            assert len(fr.errors) == errors
+            assert all("status unbounded" in e for e in fr.errors)
+        with pytest.raises(LPError, match="unbounded"):
+            frontier._unit_slice(RiskSpec.es_at(0.4), TRINOMIAL)
+
     def test_all_slices_failing_gives_nan_minimum(self, monkeypatch):
         def failing(spec, m, nu):
             raise LPError("slice LP ended with status stalled")
@@ -795,6 +814,15 @@ class TestEfficientFrontier:
         assert recession_efficient_frontier(2.0) == ("ray", 2.0)
         assert recession_efficient_frontier(math.inf) == ("origin",)
 
+    def test_recession_ray_needs_the_regime_tolerance(self):
+        # a slope within SIGN_TOL of 0 is the ZERO regime, whose efficient
+        # frontier is empty
+        tiny = 0.5 * frontier.SIGN_TOL
+        assert recession_efficient_frontier(tiny) == ("empty",)
+        fr = optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 5)
+        fr.rho_inf_1, fr.regime = tiny, "ZERO"
+        assert efficient_frontier(RiskSpec.es_at(0.4), TRINOMIAL, fr).empty
+
 
 class TestDetectors:
     def test_binomial_es_half_no_arbitrage(self):
@@ -944,22 +972,36 @@ class TestMeanRisk:
                                           abs=1e-8)
 
     def test_homogeneous_min_risk_is_the_slice(self, monkeypatch):
-        markets = [TRINOMIAL] + [
+        # MIN_RISK(nu*) scales the sweep's unit slice: one LP, no slice at
+        # nu*, and bit for bit the sweep's node at nu*
+        markets = [TRINOMIAL, BINOMIAL] + [
             random_market(np.random.default_rng(seed), n=4, d=2,
                           arbitrage_free=True) for seed in range(4)]
         for m in markets:
             for spec in homogeneous_specs():
                 if rho_inf_nu(spec, m, 1.0) <= frontier.SIGN_TOL:
                     continue
+                fr = optimal_boundary(spec, m, 1.3, 14)
                 for level in (0.0, 0.4, 1.3):
+                    lps = solved_lps(monkeypatch)
                     seen = counting(monkeypatch, "rho_nu")
                     sol = mean_rho_solve(spec, m, "MIN_RISK", level)
                     monkeypatch.undo()
-                    value, pi = rho_nu(spec, m, level)
-                    assert seen == [level]
+                    # one asset: the LP is the recession LP, and rho_nu
+                    # evaluates the unit slice
+                    assert seen == ([1.0] if m.d == 1 else [])
+                    assert len(lps) == 1
                     assert sol.status == "optimal" and sol.nu == level
-                    assert sol.value == value
-                    assert np.array_equal(sol.portfolio, pi)
+                    k = int(np.flatnonzero(fr.nu_grid == level)[0])
+                    assert sol.value == fr.rho_values[k]
+                    assert np.array_equal(sol.portfolio,
+                                          fr.optimal_portfolios[k])
+                    value, _ = rho_nu(spec, m, level)
+                    assert abs(sol.value - value) <= 1e-12 * (1 + abs(value))
+                    X = excess_return(m, sol.portfolio)
+                    assert X.mean() == pytest.approx(level, abs=1e-12)
+                    assert evaluate(spec, X) == pytest.approx(
+                        sol.value, rel=1e-9, abs=1e-12)
         ref = per_point(monkeypatch, mean_rho_solve, RiskSpec.es_at(0.4),
                         TRINOMIAL, "MIN_RISK", 0.7)
         sol = mean_rho_solve(RiskSpec.es_at(0.4), TRINOMIAL, "MIN_RISK", 0.7)

@@ -395,8 +395,7 @@ def pwl_epigraph_min(par, p, spec):
     else:
         c[q + extra:] = p
     return frontier._solve_family(par, p, c, 0.0, rows, rhs,
-                                  np.full(extra + n, -np.inf),
-                                  np.full(extra + n, np.inf))
+                                  np.full(extra + n, -np.inf))
 
 
 def es_unlifted_min(par, p, pieces):
@@ -438,8 +437,7 @@ def es_unlifted_min(par, p, pieces):
     lower = np.zeros(nv - q)
     lower[:start - q] = -np.inf
     lower[start - q::1 + n] = -np.inf
-    return frontier._solve_family(par, p, c, shift, rows, rhs, lower,
-                                  np.full(nv - q, np.inf))
+    return frontier._solve_family(par, p, c, shift, rows, rhs, lower)
 
 
 def wc_unlifted_min(par, p):
@@ -450,7 +448,7 @@ def wc_unlifted_min(par, p):
     rows[:, :q] = -par.C
     rows[:, q] = -1.0
     return frontier._solve_family(par, p, c, 0.0, [rows], [par.x0],
-                                  np.array([-np.inf]), np.array([np.inf]))
+                                  np.array([-np.inf]))
 
 
 # ---------------------------------------------------------------------------
