@@ -31,7 +31,7 @@ from .losses import GPiece, LossFunction, TargetProfile, lses_profile
 from .market import FiniteSpace, Market, RandVar
 from .measures import (RiskSpec, _entropic, es, evaluate, expected_loss,
                        golden_min, quantile_pieces, worst_case)
-from .simplex import OPTIMAL, LPError, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LPError, solve_lp
 
 SLACK_TOL = 1e-9
 MEMBER_TOL = 1e-9
@@ -425,12 +425,32 @@ def _lp_max(err: str, c, **lp) -> float:
 
 
 def support_value(ds: DualSetSpec | None, X: RandVar) -> float:
-    """max E[-ZX] over the closed form of the dual set (an LP)."""
-    pt = set_polytope(ds, X.space)
-    c = np.zeros(pt.nvars)
-    c[:pt.n] = -X.space.probs * X.values
-    return _lp_max("support-value LP ended with status", c, A_ub=pt.A_ub,
-                   b_ub=pt.b_ub, A_eq=pt.A_eq, b_eq=pt.b_eq)
+    """max E[-ZX] over the closed form of the dual set (an LP).
+
+    A box [lo, hi] (a sup-norm ball is [0, hi]) is solved over Y = X - max X
+    with E[z] <= 1 in place of E[z] = 1 and the box as variable bounds;
+    max X is subtracted after.  Every rhs is then nonnegative, so the slack
+    basis is feasible and phase 1 makes no pivot.  The relaxation is exact:
+    E[-zY] does not decrease in z, and a box that holds a density has
+    lo <= 1 <= hi, which leaves room to top E[z] up to 1.  A box that holds
+    none is infeasible.  A scaled box keeps the rows of ``set_polytope``.
+    """
+    ds = _polytope_kind(ALL_DENSITIES if ds is None else ds)
+    err = "support-value LP ended with status"
+    p = X.space.probs
+    if ds.kind == "scaled_box":
+        pt = set_polytope(ds, X.space)
+        c = np.zeros(pt.nvars)
+        c[:pt.n] = -p * X.values
+        return _lp_max(err, c, A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=pt.A_eq,
+                       b_eq=pt.b_eq)
+    lo = ds.lo if ds.kind == "box" else 0.0
+    if not lo <= 1.0 <= ds.hi:
+        raise LPError(f"{err} {INFEASIBLE}")
+    top = float(X.values.max())
+    return _lp_max(err, -p * (X.values - top), A_ub=p[None, :], b_ub=[1.0],
+                   lower=np.full(p.size, lo),
+                   upper=np.full(p.size, ds.hi)) - top
 
 
 def recession_value(spec: RiskSpec, X: RandVar) -> float:
@@ -488,11 +508,14 @@ def dual_evaluate(spec: RiskSpec, X: RandVar) -> float:
     epigraph bound t >= 0 already says, so a loss kinked at 0 only needs no
     epigraph columns.  The shortfall dual runs in w = z - a s (a =
     max(a_l, 0)), which folds the two bounds a s <= z_i <= b s into one
-    row per atom.  The OCE of c y^+ is the
-    support value of the box [0, c], on which its penalty vanishes.  The
-    exp loss gives the OCE and the shortfall risk the same dual value, at
-    the Gibbs density Z = exp(-X) / E[exp(-X)].  The expected loss has the
-    single density Z = 1, so its value is E[-X] with no LP.
+    row per atom.  The OCE of c y^+ is the support value of the box
+    [0, c], on which its penalty vanishes.  The box LPs (adjusted ES and
+    LSES per piece, es, wc and c y^+) run over X - max X with E[z] <= 1,
+    exact as E[-z(X - max X)] does not decrease in z, so they start at a
+    feasible slack basis and make no phase-1 pivot.  The exp loss gives
+    the OCE and the shortfall risk the same dual value, at the Gibbs
+    density Z = exp(-X) / E[exp(-X)].  The expected loss has the single
+    density Z = 1, so its value is E[-X] with no LP.
     """
     fam = spec.family
     if fam == "eloss":
@@ -520,7 +543,12 @@ def _adjes_dual(X: RandVar, profile: TargetProfile) -> float:
     one LP in (z, M): max E[-zX] - a - b M over 0 <= z_i <= M, E[z] = 1 and
     M in [1/hi, 1/lo] for the piece clipped to [beta, 1], capped at
     1/P[worst atom], past which the box value no longer grows.  The value
-    is the largest piece value.  A profile with a general piece scans the
+    is the largest piece value.  As in ``support_value`` the LP runs over
+    Y = X - max X with E[z] <= 1 and M's range as variable bounds, and
+    max X is subtracted after: the rows z_i - M <= 0 and E[z] <= 1 then
+    start feasible at the slack basis, so phase 1 makes no pivot.  It is
+    exact since E[-zY] does not decrease in z and M >= 1/hi >= 1 leaves
+    room to top E[z] up to 1.  A profile with a general piece scans the
     candidate bounds (quantile breakpoints and piece edges) with a box LP at
     each, refined by golden section.
     """
@@ -533,8 +561,11 @@ def _adjes_dual(X: RandVar, profile: TargetProfile) -> float:
         return _adjes_general_scan(X, profile, cum, m_cap)
     n = X.space.n
     p = X.space.probs
-    A_ub = np.hstack([np.eye(n), -np.ones((n, 1))])   # z_i <= M
-    A_eq = np.concatenate([p, [0.0]])[None, :]
+    top = float(X.values.max())
+    A_ub = np.vstack([np.hstack([np.eye(n), -np.ones((n, 1))]),  # z_i <= M
+                      np.append(p, 0.0)])                         # E[z] <= 1
+    b_ub = np.append(np.zeros(n), 1.0)
+    c_z = -p * (X.values - top)
     best = -math.inf
     for lo, hi, a, b in pieces:
         m_lo = 1.0 / hi
@@ -542,10 +573,9 @@ def _adjes_dual(X: RandVar, profile: TargetProfile) -> float:
         if m_lo > m_hi:
             continue                       # the piece lies beyond the cap
         best = max(best, _lp_max(
-            "adjusted-ES dual LP status", np.concatenate([-p * X.values, [-b]]),
-            A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-            lower=np.concatenate([np.zeros(n), [m_lo]]),
-            upper=np.concatenate([np.full(n, np.inf), [m_hi]])) - a)
+            "adjusted-ES dual LP status", np.append(c_z, -b), A_ub=A_ub,
+            b_ub=b_ub, lower=np.append(np.zeros(n), m_lo),
+            upper=np.append(np.full(n, np.inf), m_hi)) - top - a)
     return best
 
 

@@ -64,7 +64,8 @@ from .losses import lses_profile
 from .market import (ArbitrageWitness, Market, RandVar,
                      check_classical_arbitrage, excess_return,
                      portfolio_slice)
-from .measures import RiskSpec, _entropic, adjusted_es_argmax, evaluate
+from .measures import (RiskSpec, _entropic, adjusted_es_argmax, ascending,
+                       evaluate)
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult,
                       solve_lp, solve_lp_path)
 
@@ -371,7 +372,7 @@ def _newton_min(m: Market, p: np.ndarray, log: bool, nu=None):
 
 def _tail_density(X: RandVar, alpha: float) -> np.ndarray:
     """A maximiser of E[-ZX] over {0 <= Z <= 1/alpha, E[Z] = 1}."""
-    order = np.argsort(X.values, kind="stable")
+    order, _ = ascending(X.values)
     p = X.space.probs[order]
     z = np.zeros(X.space.n)
     budget = alpha

@@ -21,7 +21,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .market import RandVar
-from .measures import es, quantile_pieces, var
+from .measures import es_sorted, quantile_pieces, var_sorted
 
 @dataclass(frozen=True)
 class LsesBreakdown:
@@ -38,7 +38,14 @@ class LsesBreakdown:
 
 
 def evaluate(X: RandVar, b: float) -> LsesBreakdown:
-    """Exact evaluation of the loss sensitive expected shortfall at level b."""
+    """Exact evaluation of the loss sensitive expected shortfall at level b.
+
+    The whole breakdown is read off one ``quantile_pieces`` table, one sort
+    of X: ES and VaR at alpha* and at 1 come from ``es_sorted`` and
+    ``var_sorted``, the arithmetic of ``measures.es`` and ``measures.var``
+    on the same (v, p, cum), so every field equals the composition of
+    those calls bit for bit.
+    """
     if b <= 0:
         raise ValueError("sensitivity b must be positive")
     v, p, cum, J = quantile_pieces(X)
@@ -55,12 +62,13 @@ def evaluate(X: RandVar, b: float) -> LsesBreakdown:
         alpha_lo = float(cum[j0 - 1]) if j0 > 0 else alpha_hi
     alpha_lo = min(alpha_lo, alpha_hi)
 
-    es_star = es(X, alpha_hi)
-    var_star = var(X, alpha_hi)
+    es_star = es_sorted(v, p, cum, alpha_hi)
+    var_star = var_sorted(v, cum, alpha_hi)
     value = es_star - b * (1.0 / alpha_hi - 1.0)
 
     es_at_breaks = -np.cumsum(p * v) / cum     # exact ES at each F_j
-    I_at_breaks = np.concatenate([J[1:], [es(X, 1.0) - var(X, 1.0)]])
+    I_at_breaks = np.concatenate([
+        J[1:], [es_sorted(v, p, cum, 1.0) - var_sorted(v, cum, 1.0)]])
     G_at_breaks = es_at_breaks - b * (1.0 / cum - 1.0)
     return LsesBreakdown(float(value), alpha_hi, (alpha_lo, alpha_hi),
                          float(es_star), float(var_star), cum.copy(),
@@ -119,6 +127,41 @@ def _tail_gap(alpha: float) -> float:
 
 
 _GAP_FLOOR, _GAP_CEILING = _tail_gap(_ALPHA_FLOOR), _tail_gap(_ALPHA_CEILING)
+_TAIL_X = 4.0           # roots with q(alpha) < -4 are polished in x = -q
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _mills_fraction(x: float) -> tuple[float, float]:
+    """(D, K) from Laplace's continued fraction for the Mills ratio at
+    x >= 4: D = x + 2/(x + 3/(x + ...)) and K = x + 1/D, so that
+    Phi(-x) = pdf(x)/K and I(Phi(-x)) = pdf(x)/(D K), free of the
+    cancellation in pdf(q) + alpha q.  Forty terms are exact to rounding
+    there."""
+    d = x
+    for k in range(40, 1, -1):
+        d = x + k / d
+    return d, x + 1.0 / d
+
+
+def _tail_root(b_over_sigma: float, x: float) -> float:
+    """The root of I = b/sigma polished in x = -q from a start near it.
+
+    log I(x) = -x^2/2 - log sqrt(2 pi) - log(D K) is concave and falls with
+    slope -D (dI/dx = -alpha and alpha/I = D), so Newton steps after the
+    first fall monotonically to the root.  The level is read off as
+    alpha = (b/sigma) D, which carries only the rounding of D: neither the
+    quantile nor exp(-x^2/2), whose exponent has rounding near 1e-13 at
+    x = 37, enters it.
+    """
+    log_b = math.log(b_over_sigma)
+    first = True
+    while True:
+        d, k = _mills_fraction(x)
+        nxt = x + (-0.5 * x * x - _LOG_SQRT_2PI - math.log(d * k) - log_b) / d
+        if not (first or nxt < x):
+            return b_over_sigma * d
+        first = False
+        x = nxt
 
 
 def normal_alpha_star(b_over_sigma: float) -> float:
@@ -129,9 +172,12 @@ def normal_alpha_star(b_over_sigma: float) -> float:
     Newton runs on log I in u = log a, where it is convex (and nearly linear
     in the tail, I(a) ~ a/|q(a)|), so steps from a start above the root fall
     monotonically to it: from a = 1/2, where I = pdf(0), or from the ceiling
-    1 - 1e-12.  Returns 1.0 when no interior root exists below the ceiling;
-    raises ValueError when the root lies below the floor 1e-300 (b/sigma
-    below I(1e-300), about 2.7e-302), where pdf(q(a)) and a q(a) underflow.
+    1 - 1e-12.  A root with q(a) < -4 is then polished in x = -q by
+    ``_tail_root``, since near 1e-300 the quantile and the cancellation in
+    pdf(q) + a q cost about 3e-10 relative.  Returns 1.0 when no interior
+    root exists below the ceiling; raises ValueError when the root lies
+    below the floor 1e-300 (b/sigma below I(1e-300), about 2.7e-302), where
+    pdf(q(a)) and a q(a) underflow.
     """
     if b_over_sigma <= 0:
         raise ValueError("b/sigma must be positive")
@@ -148,5 +194,5 @@ def normal_alpha_star(b_over_sigma: float) -> float:
         step = math.log(gap / b_over_sigma) * (pdf / alpha) * (gap / alpha)
         nxt = max(alpha * math.exp(-step), _ALPHA_FLOOR)
         if not nxt < alpha:     # at the root up to rounding
-            return alpha
+            return _tail_root(b_over_sigma, -z) if z < -_TAIL_X else alpha
         alpha = nxt

@@ -35,10 +35,32 @@ FAMILIES = ("var", "es", "wc", "lses", "adjes", "ew", "sr", "oce", "eloss")
 # Quantile machinery
 # ---------------------------------------------------------------------------
 
+def ascending(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, x[order]) with x[order] ascending, ties in index order.
+
+    numpy's default sort (a SIMD quicksort where available) is several
+    times faster than the stable one at a few thousand atoms, but it
+    orders equal values arbitrarily.  When the sorted values are strictly
+    increasing the ascending permutation is unique, so both sorts return
+    it; otherwise (ties, a -0.0 beside a 0.0, or a NaN, which compares
+    false) the stable sort is redone.
+    """
+    order = np.argsort(x)
+    v = x[order]
+    if not (v[1:] > v[:-1]).all():
+        order = np.argsort(x, kind="stable")
+        v = x[order]
+    return order, v
+
+
 def sorted_atoms(X: RandVar):
-    """Values sorted ascending with matching probabilities and cumulative sums."""
-    order = np.argsort(X.values, kind="stable")
-    v = X.values[order]
+    """Values sorted ascending with matching probabilities and cumulative sums.
+
+    Equal values keep their atom order (a stable sort), so (v, p, cum) is
+    a function of X alone; ``ascending`` sorts fast where that order is
+    unique anyway.
+    """
+    order, v = ascending(X.values)
     p = X.space.probs[order]
     cum = np.cumsum(p)
     cum[-1] = 1.0
@@ -49,7 +71,9 @@ def quantile_pieces(X: RandVar):
     """(v, p, cum, J): ES_a(X) = -v[j] + J[j]/a for a in (cum[j-1], cum[j]].
 
     J[j] = sum_{i<j} p_i (v_j - v_i) is also the value of the tail-gap
-    integral I_X on the open interval (cum[j-1], cum[j]).
+    integral I_X on the open interval (cum[j-1], cum[j]).  (v, p, cum) is
+    ``sorted_atoms(X)``, so ``var_sorted`` and ``es_sorted`` read exact
+    quantiles off the same table.
     """
     v, p, cum = sorted_atoms(X)
     prefix = np.cumsum(p * v)
@@ -67,21 +91,16 @@ def es_curve(alpha, v, cum, J):
     return -v[idx] + J[idx] / alpha
 
 
-def var(X: RandVar, alpha: float) -> float:
-    """Value at risk from the displayed infimum on the step cdf."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    v, _, cum = sorted_atoms(X)
+def var_sorted(v: np.ndarray, cum: np.ndarray, alpha: float) -> float:
+    """``var`` at level alpha on the table (v, cum) of ``sorted_atoms``."""
     k = int(np.searchsorted(cum, alpha + QTOL, side="right"))
     k = min(k, len(v) - 1)
     return -float(v[k])
 
 
-def es(X: RandVar, alpha: float) -> float:
-    """Expected shortfall: (1/a) * integral of VaR_u over (0, a]."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    v, p, cum = sorted_atoms(X)
+def es_sorted(v: np.ndarray, p: np.ndarray, cum: np.ndarray,
+              alpha: float) -> float:
+    """``es`` at level alpha on the table (v, p, cum) of ``sorted_atoms``."""
     m = int(np.searchsorted(cum, alpha + QTOL, side="right"))
     acc = -float(p[:m] @ v[:m])
     if m < len(v):
@@ -89,6 +108,21 @@ def es(X: RandVar, alpha: float) -> float:
         if frac > 0:
             acc -= frac * float(v[m])
     return acc / alpha
+
+
+def var(X: RandVar, alpha: float) -> float:
+    """Value at risk from the displayed infimum on the step cdf."""
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    v, _, cum = sorted_atoms(X)
+    return var_sorted(v, cum, alpha)
+
+
+def es(X: RandVar, alpha: float) -> float:
+    """Expected shortfall: (1/a) * integral of VaR_u over (0, a]."""
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    return es_sorted(*sorted_atoms(X), alpha)
 
 
 def worst_case(X: RandVar) -> float:

@@ -106,7 +106,15 @@ class TestCommands:
                      "--portfolio", "1 0"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "alpha_star" in out and "value" in out
+        # the whole breakdown, byte for byte: X = (0.3, -0.2, 0.1) keeps
+        # its tail gap below b up to alpha = 1
+        assert out == ("measure,lses:0.5\n"
+                       "value,-0.074999999999999997\n"
+                       "expected_excess_return,0.074999999999999997\n"
+                       "alpha_star,1\n"
+                       "alpha_star_interval,1 1\n"
+                       "es_at_star,-0.074999999999999997\n"
+                       "var_at_star,-0.29999999999999999\n")
 
     def test_frontier_csv(self, market_file, tmp_path, capsys):
         out_file = tmp_path / "f.csv"

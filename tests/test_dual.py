@@ -20,6 +20,7 @@ from meanrisk.dual import interior_slack, set_polytope, support_value
 from meanrisk.losses import GPiece, TargetProfile, table_profile, zero_profile
 from meanrisk.measures import adjusted_es, quantile_pieces
 from meanrisk.fixtures import hull_gap_profile, hull_gap_profile_hat
+from meanrisk.io import parse_measure
 from meanrisk.frontier import recession_ball_min
 from meanrisk.simplex import solve_lp
 from test_lp_rows import pwl_losses, random_pwl
@@ -428,6 +429,90 @@ class TestAdjustedEsDual:
         seen.clear()
         dual_evaluate(RiskSpec.lses_at(0.5), X)
         assert len(seen) == 1
+
+
+def equality_box_lp(X, lo, hi):
+    """Reference: max E[-zX] over lo <= z_i <= hi with the row E[z] = 1."""
+    p = X.space.probs
+    return solve_lp(-p * X.values, A_eq=p[None, :], b_eq=[1.0],
+                    lower=np.full(p.size, lo), upper=np.full(p.size, hi),
+                    maximize=True).value
+
+
+def equality_adjes_lp(X, profile):
+    """Reference: one LP in (z, M) per affine piece over 0 <= z_i <= M with
+    the row E[z] = 1, in X itself rather than X - max X."""
+    _, _, cum, _ = quantile_pieces(X)
+    m_cap = 1.0 / float(cum[0])
+    if profile.beta > 0.0:
+        m_cap = min(m_cap, 1.0 / profile.beta)
+    n, p = X.space.n, X.space.probs
+    best = -math.inf
+    for lo, hi, a, b in profile.affine_pieces():
+        m_lo = 1.0 / hi
+        m_hi = m_cap if lo == 0.0 else min(m_cap, 1.0 / lo)
+        if m_lo > m_hi:
+            continue
+        res = solve_lp(np.append(-p * X.values, -b),
+                       A_ub=np.hstack([np.eye(n), -np.ones((n, 1))]),
+                       b_ub=np.zeros(n), A_eq=np.append(p, 0.0)[None, :],
+                       b_eq=[1.0], lower=np.append(np.zeros(n), m_lo),
+                       upper=np.append(np.full(n, np.inf), m_hi),
+                       maximize=True)
+        best = max(best, res.value - a)
+    return best
+
+
+class TestBoxDualsStartFeasible:
+    """The box LPs of ``_adjes_dual`` and ``support_value`` run over
+    X - max X with E[z] <= 1, so their slack basis is feasible."""
+
+    SPECS = ("es:0.25", "wc", "lses:0.5", "lses:2", "adjes:g=step(0.4)",
+             "adjes:g=table(0.2,3;0.5,1;1,0)", "adjes:g=0.5*(1/x-1)")
+    BOXES = ((0.0, 2.5), (0.5, 3.0))
+
+    @staticmethod
+    def reference(spec, X):
+        if spec.family == "es":
+            return equality_box_lp(X, 0.0, 1.0 / spec.alpha)
+        if spec.family == "wc":
+            return equality_box_lp(X, 0.0, math.inf)
+        profile = lses_profile(spec.b) if spec.family == "lses" \
+            else spec.profile
+        return equality_adjes_lp(X, profile)
+
+    def test_no_phase1_and_equality_row_values(self, rng, monkeypatch):
+        seen = []
+        inner = dual.solve_lp
+
+        def spy(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            seen.append(res)
+            return res
+
+        monkeypatch.setattr(dual, "solve_lp", spy)
+        specs = [parse_measure(m) for m in self.SPECS]
+        for n in (1, 5, 60):
+            for _ in range(2):
+                base = random_randvar(rng, n)
+                for k in range(-4, 4):
+                    X = base.scaled(10.0 ** k)
+                    tol = 1e-12 * (1.0 + float(np.max(np.abs(X.values))))
+                    for spec in specs:
+                        assert abs(dual_evaluate(spec, X) - self.reference(
+                            spec, X)) <= tol, (spec.label(), n, k)
+                    for lo, hi in self.BOXES:
+                        got = support_value(DualSetSpec("box", lo, hi), X)
+                        assert abs(got - equality_box_lp(X, lo, hi)) <= tol, \
+                            ((lo, hi), n, k)
+        assert len(seen) > 0
+        assert all(res.status == "optimal" for res in seen)
+        assert all(res.phase1_pivots == 0 for res in seen)
+
+    def test_box_without_a_density_is_infeasible(self):
+        for lo, hi in ((1.5, 3.0), (0.0, 0.5)):
+            with pytest.raises(dual.LPError, match="infeasible"):
+                support_value(DualSetSpec("box", lo, hi), X_PM1)
 
 
 class TestGeneralProfileDual:

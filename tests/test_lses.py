@@ -122,3 +122,14 @@ class TestNormalCalibration:
         for u in (1e-6, 0.025, 0.5, 0.975, 1 - 1e-6):
             assert lm.normal_cdf(lm.normal_quantile(u)) == \
                 pytest.approx(u, abs=1e-10)
+
+    def test_far_tail_roots_to_full_precision(self):
+        # roots of pdf(q(a)) + a q(a) = b for the double b, from a
+        # 400-digit mpmath bisection in x = -q (pinned: mpmath is not a
+        # test dependency); the quantile route alone was off by 6.3e-13,
+        # 1.6e-11 and 3.1e-10 relative
+        roots = {1e-20: 9.236117446537940092713584e-20,
+                 1e-100: 2.122370063174207505988845e-99,
+                 1e-300: 3.700357755247691795416159e-299}
+        for ratio, root in roots.items():
+            assert abs(normal_alpha_star(ratio) - root) <= 1e-13 * root, ratio

@@ -14,7 +14,8 @@ from meanrisk import (FiniteSpace, LossFunction, RandVar, RiskSpec,
                       numeric_sensitivity_probe, oce, shortfall_risk,
                       solve_lp, step_profile, var, worst_case, zero_profile)
 from meanrisk import lses as lses_mod
-from meanrisk.measures import QTOL, sorted_atoms
+from meanrisk.lses import LsesBreakdown
+from meanrisk.measures import QTOL, quantile_pieces, sorted_atoms
 
 HALF = FiniteSpace(np.array([0.5, 0.5]))
 X_PM1 = RandVar(HALF, np.array([-1.0, 1.0]))
@@ -83,6 +84,77 @@ class TestEs:
             res = solve_lp(-p * X.values, A_eq=p[None, :], b_eq=[1.0],
                            upper=np.full(n, 1.0 / alpha), maximize=True)
             assert res.value == pytest.approx(es(X, alpha), abs=1e-8)
+
+
+def stable_sorted_atoms(X: RandVar):
+    """Reference: ``sorted_atoms`` by numpy's stable sort alone."""
+    order = np.argsort(X.values, kind="stable")
+    cum = np.cumsum(X.space.probs[order])
+    cum[-1] = 1.0
+    return X.values[order], X.space.probs[order], cum
+
+
+def composed_lses(X: RandVar, b: float) -> LsesBreakdown:
+    """Reference: the LSES breakdown composed from ``es`` and ``var`` calls,
+    each of which sorts X again."""
+    v, p, cum, J = quantile_pieces(X)
+    j_star = int(np.max(np.where(J <= b)[0]))
+    alpha_hi = float(cum[j_star])
+    ge = np.where(J >= b)[0]
+    if ge.size == 0:
+        alpha_lo = 1.0
+    else:
+        j0 = int(ge[0])
+        alpha_lo = float(cum[j0 - 1]) if j0 > 0 else alpha_hi
+    alpha_lo = min(alpha_lo, alpha_hi)
+    es_star, var_star = es(X, alpha_hi), var(X, alpha_hi)
+    value = es_star - b * (1.0 / alpha_hi - 1.0)
+    es_at_breaks = -np.cumsum(p * v) / cum
+    I_at_breaks = np.concatenate([J[1:], [es(X, 1.0) - var(X, 1.0)]])
+    G_at_breaks = es_at_breaks - b * (1.0 / cum - 1.0)
+    return LsesBreakdown(float(value), alpha_hi, (alpha_lo, alpha_hi),
+                         float(es_star), float(var_star), cum.copy(),
+                         I_at_breaks, G_at_breaks)
+
+
+@st.composite
+def sort_cases(draw, kinds=("free", "rounded", "zeros", "inf", "nan")):
+    """1-400 atoms whose values are tie-free ("free"), rounded (ties), +-0.0
+    mixed with other values ("zeros"), or carry +-inf, and NaN too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(kinds))
+    x = rng.normal(0.0, 1.0, n)
+    if kind == "rounded":
+        x = np.round(x, int(rng.integers(0, 3)))
+    elif kind == "zeros":
+        x[rng.random(n) < 0.3] = 0.0
+        x[rng.random(n) < 0.3] = -0.0
+    elif kind in ("inf", "nan"):
+        x[rng.random(n) < 0.1] = np.inf
+        x[rng.random(n) < 0.1] = -np.inf
+        if kind == "nan":
+            x[rng.random(n) < 0.1] = np.nan
+    w = rng.uniform(0.2, 1.0, n)
+    return RandVar(FiniteSpace(w / w.sum()), x)
+
+
+class TestSortFastPath:
+    @given(sort_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_atoms_match_stable_sort(self, X):
+        got, want = sorted_atoms(X), stable_sorted_atoms(X)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @given(sort_cases(("free", "rounded", "zeros")),
+           st.sampled_from([1e-3, 0.05, 0.5, 5.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_lses_breakdown_matches_es_var_composition(self, X, b):
+        got, want = lses_mod.evaluate(X, b), composed_lses(X, b)
+        for name in LsesBreakdown.__dataclass_fields__:
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                getattr(want, name)).tobytes(), name
 
 
 class TestWorstCase:
