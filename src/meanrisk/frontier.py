@@ -24,24 +24,27 @@ every solve exact where possible:
                            fixes rho_0 = 0; both mean-risk problems read
                            their answer off the same unit slice
 
-The same solvers also run over all portfolios pi, with X = excess pi and
-the expected return g.pi as a row.  nu -> rho_nu is convex, so the boundary
-minimiser (rows 0 <= g.pi <= nu_max) and the minimal risk at return >= nu*
-(row g.pi >= nu*) are one solve each: the family's LP, Kelley for a general
-adjusted-ES profile, or for an exp loss the unconstrained Newton minimiser,
-replaced by the slice at the band's nearer edge when its return leaves the
-band.  The maximal return at risk <= rho* is one LP that maximises g.pi
-with the risk objective moved into a row; the families without an LP
-bisect over slices for it, the one search over slices left.
+Every solver runs over pi = at g/|g|^2 + theta (g the mean excess return,
+theta free) with lo <= g.pi <= hi held by the rows -g.theta <= at - lo and
+g.theta <= hi - at (``_pi_param``).  With the start point's return at in
+the band, v = 0 meets these rows and the lifted family rows, so no slice
+or band LP needs phase 1; a slice is lo = hi = at = nu.  nu -> rho_nu is
+convex, so the boundary minimiser (band [0, nu_max]) and the minimal risk
+at return >= nu* (band [nu*, inf)) are one solve each: the family's LP,
+Kelley for a general adjusted-ES profile, or for an exp loss the
+unconstrained Newton minimiser, replaced by the slice at the band's nearer
+edge when its return leaves the band.  The maximal return at risk <= rho*
+is one LP that maximises g.pi with the risk objective moved into a row;
+the families without an LP bisect over slices for it.
 
 A boundary sweep of a family that is not positively homogeneous solves one
-slice per grid node.  The slice offset x0 = excess particular(nu) is linear
-in nu, so for an LP family the node LPs differ in their rhs alone: the
-family LPs take x0 with one column per node (lift and shift per node), and
-``solve_lp_path`` solves them on one tableau, each node after the first by
-a few dual simplex pivots from the last node's optimal basis.  Every other
-LP here (a homogeneous sweep's unit slice, bands, recession, mean-risk) is
-solved alone.
+slice per grid node.  An LP family starts every node at pi = 0, so the
+node LPs differ in the return rows' rhs alone: ``solve_lp_path`` solves
+them on one tableau, nu = 0 from v = 0 and each later node by a few dual
+simplex pivots from the last node's optimal basis, and in the positive
+regime of a convex family the band [0, nu_max] as its last column.  Every
+other LP here (unit slices, single slices, recession, mean-risk) is solved
+alone.
 
 The recession measure rho^inf is a family of its own, so recession
 frontiers run the builders above: es at beta for adjusted ES, wc for lses,
@@ -62,12 +65,13 @@ from .dual import (Density, closure_dual_set, dual_set,
                    interior_martingale_feasibility, martingale_feasibility)
 from .losses import lses_profile
 from .market import (ArbitrageWitness, Market, RandVar,
-                     check_classical_arbitrage, excess_return,
-                     portfolio_slice)
-from .measures import (RiskSpec, _entropic, adjusted_es_argmax, ascending,
-                       evaluate)
+                     check_classical_arbitrage, portfolio_slice)
+from .measures import RiskSpec, _entropic, adjusted_es_argmax, ascending
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, LPResult,
                       solve_lp, solve_lp_path)
+
+# the frontier calls no portfolio_slice; it stays a module attribute because
+# perfbench/tracing.py wraps it by name.
 
 SIGN_TOL = 1e-7          # sign classification of rho_inf_1 and ball minima
 OBJ_TOL = 1e-8           # cutting-plane convergence on objective values
@@ -81,40 +85,29 @@ OBJ_TOL = 1e-8           # cutting-plane convergence on objective values
 class _Param:
     """X = x0 + C theta over a variable vector theta with optional rows."""
 
-    x0: np.ndarray                 # (n,), or (n, nodes) in a sweep
+    x0: np.ndarray                 # (n,)
     C: np.ndarray                  # (n, q)
     lower: np.ndarray
     upper: np.ndarray
     A_ub: np.ndarray
-    b_ub: np.ndarray
-    to_portfolio: object           # theta (, node j) -> pi
+    b_ub: np.ndarray               # (rows,), or (rows, nodes) in a sweep
+    to_portfolio: object           # theta -> pi
     budget: float | None = None    # set: max E[X] s.t. risk <= budget
 
 
-def _slice_param(m: Market, nu) -> _Param:
-    """The slice E[X_pi] = nu; for an array of nu, x0 has one column per
-    node and to_portfolio(theta, j) is node j's portfolio."""
-    grid = isinstance(nu, np.ndarray)
-    slices = [portfolio_slice(m, v) for v in (nu if grid else [nu])]
-    P = [sl.particular for sl in slices]
-    B = slices[0].null_basis
-    q = B.shape[1]
-    return _Param(m.excess @ (np.column_stack(P) if grid else P[0]),
-                  m.excess @ B, np.full(q, -np.inf), np.full(q, np.inf),
-                  np.zeros((0, q)), np.zeros(0),
-                  lambda t, j=0: P[j] + (B @ t if q else 0.0))
-
-
-def _pi_param(m: Market, lo: float, hi: float = math.inf,
-              budget: float | None = None) -> _Param:
-    """X = excess pi over the portfolios with lo <= E[X_pi] <= hi."""
+def _pi_param(m: Market, lo, hi=math.inf, budget: float | None = None,
+              at: float = 0.0) -> _Param:
+    """X = excess pi over the portfolios with lo <= E[X_pi] <= hi, from the
+    start point of return at (module docstring); arrays lo and hi are a
+    sweep, one rhs column per node."""
     g = m.mean_excess
-    rows, rhs = [-g], [-lo]
-    if hi < math.inf:
-        rows, rhs = rows + [g], rhs + [hi]
-    return _Param(np.zeros(m.space.n), m.excess, np.full(m.d, -np.inf),
+    start = at * g / float(g @ g)
+    rows, rhs = [-g], [at - lo]
+    if np.all(hi < math.inf):
+        rows, rhs = rows + [g], rhs + [hi - at]
+    return _Param(m.excess @ start, m.excess, np.full(m.d, -np.inf),
                   np.full(m.d, np.inf), np.array(rows), np.array(rhs),
-                  lambda t: t, budget)
+                  lambda t: start + t, budget)
 
 
 def _ball_param(m: Market) -> _Param:
@@ -139,9 +132,9 @@ def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
     objective becomes the row c.v + shift <= budget, and the LP maximises
     E[X] instead.
 
-    Returns (LPResult, theta), with theta None unless the LP is optimal.  A
-    sweep's rhs blocks and shift may carry a node axis; it returns one such
-    pair per node, all from one ``solve_lp_path``.
+    Returns (LPResult, theta), with theta None unless the LP is optimal.  In
+    a sweep par's rows carry a node axis; it returns one such pair per node,
+    all from one ``solve_lp_path``.
     """
     q = par.C.shape[1]
     extra = c.size - q
@@ -154,18 +147,17 @@ def _solve_family(par: _Param, p: np.ndarray, c: np.ndarray, shift: float,
         shift = float(p @ par.x0)
     kwargs = dict(lower=np.concatenate([par.lower, lower]),
                   upper=np.concatenate([par.upper, np.full(extra, np.inf)]))
-    if par.x0.ndim == 1:
+    if par.b_ub.ndim == 1:
         return _shifted(solve_lp(c, A_ub=np.vstack(rows),
                                  b_ub=np.concatenate(rhs),
                                  maximize=par.budget is not None, **kwargs),
                         shift, q)
     # a block without the node axis is the same at every node
-    nodes = par.x0.shape[1]
+    nodes = par.b_ub.shape[1]
     B_ub = np.concatenate([np.broadcast_to(np.asarray(r, dtype=float).T,
                                            (nodes, len(r))).T for r in rhs])
-    return [_shifted(res, s, q) for res, s in zip(
-        solve_lp_path(c, np.vstack(rows), B_ub, **kwargs),
-        np.broadcast_to(shift, nodes))]
+    return [_shifted(res, shift, q)
+            for res in solve_lp_path(c, np.vstack(rows), B_ub, **kwargs)]
 
 
 def _shifted(res: LPResult, shift, q: int):
@@ -179,8 +171,8 @@ def _shifted(res: LPResult, shift, q: int):
 
 def _lift(par: _Param, kink: float = 0.0):
     """The shift s >= 0 that makes v = 0 meet every row u_i >= -X_i - m - b
-    with b >= kink once m = m' + s: max(0, -min(x0) - kink), per node."""
-    return np.maximum(0.0, -(par.x0 + kink).min(axis=0))
+    with b >= kink once m = m' + s: max(0, -min(x0) - kink)."""
+    return np.maximum(0.0, -(par.x0 + kink).min())
 
 
 def _hinge_rows(par: _Param, nv: int, m: int | None, u: int | None,
@@ -481,27 +473,22 @@ def rho_nu(spec: RiskSpec, m: Market, nu: float):
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    par = _slice_param(m, nu)
-    p = m.space.probs
-    fam = spec.family
-    if par.C.shape[1] == 0:
-        pi = par.to_portfolio(np.zeros(0))
-        return evaluate(spec, excess_return(m, pi)), pi
-    if fam == "var":
+    par = _pi_param(m, nu, nu, at=nu)
+    if spec.family == "var":
         raise ValueError("value-at-risk slice minimisation is not supported")
-    if fam == "eloss":
-        return -nu, par.to_portfolio(np.zeros(par.C.shape[1]))
+    if spec.family == "eloss":
+        return -nu, par.to_portfolio(np.zeros(m.d))
     lp = _lp_min(spec)
     if lp is None:
         return _smooth_min(spec, m, par, nu)
-    return _slice_answer(par, *lp(par, p))
+    return _slice_answer(par, *lp(par, m.space.probs))
 
 
-def _slice_answer(par: _Param, res: LPResult, t, node: int = 0):
-    """rho_nu's answer from the LP of slice ``node`` of par."""
+def _slice_answer(par: _Param, res: LPResult, t):
+    """rho_nu's answer from a slice LP over par."""
     if res.status != OPTIMAL:
         raise LPError(f"slice LP ended with status {res.status}")
-    return float(res.value), par.to_portfolio(t, node)
+    return float(res.value), par.to_portfolio(t)
 
 
 def _smooth_min(spec: RiskSpec, m: Market, par: _Param,
@@ -529,10 +516,11 @@ def _band_min(spec: RiskSpec, m: Market, lo: float, hi: float = math.inf):
     when its return leaves the band: nu -> rho_nu is convex, so that slice
     is the band's minimum.
     """
-    par = _pi_param(m, lo, hi)
+    par = _pi_param(m, lo, hi, at=lo)
     lp = _lp_min(spec)
     if lp is not None:
-        return lp(par, m.space.probs)
+        res, t = lp(par, m.space.probs)
+        return res, None if t is None else par.to_portfolio(t)
     v, pi = _smooth_min(spec, m, par)
     nu = float(m.mean_excess @ pi)
     if spec.family != "adjes" and not lo <= nu <= hi:
@@ -599,7 +587,7 @@ def _recession_min(spec: RiskSpec, m: Market, par: _Param):
 
 def rho_inf_nu(spec: RiskSpec, m: Market, nu: float) -> float:
     """Recession-boundary value: min of the recession risk over the slice."""
-    value, _ = _recession_min(spec, m, _slice_param(m, nu))
+    value, _ = _recession_min(spec, m, _pi_param(m, nu, nu, at=nu))
     return value
 
 
@@ -630,19 +618,19 @@ def _unit_slice(spec: RiskSpec, m: Market):
     rho^inf is the least positively homogeneous measure above rho, so
     rho^inf = rho here, and the recession LP over the slice E[X_pi] = 1 is
     rho_nu's own unit slice LP: es, wc, the pwl and c y^+ losses, and the
-    step profile (es at beta).  It is not where rho_nu runs no LP (one
-    asset, eloss) or another one (var; an adjusted-ES profile of several
-    pieces, or one reaching x = 0).  The family is bounded below on the
-    slice, so an unbounded LP is an ``LPError`` like any other failure.
+    step profile (es at beta), one asset included.  It is not where rho_nu
+    runs no LP (eloss) or another one (var; an adjusted-ES profile of
+    several pieces, or one reaching x = 0).  The family is bounded below on
+    the slice, so an unbounded LP is an ``LPError`` like any other failure.
     """
     fam = spec.family
-    if m.d == 1 or fam in ("var", "eloss"):
+    if fam in ("var", "eloss"):
         return None
     if fam == "adjes":                    # the recession LP is es at beta
         pieces, beta = _shortfall_pieces(spec), spec.profile.beta
         if len(pieces) != 1 or beta == 0.0 or pieces[0][0] != beta:
             return None
-    value, pi = _recession_min(spec, m, _slice_param(m, 1.0))
+    value, pi = _recession_min(spec, m, _pi_param(m, 1.0, 1.0, at=1.0))
     if value == -math.inf:
         raise LPError(f"unit slice LP ended with status {UNBOUNDED}")
     return value, pi, value
@@ -685,23 +673,24 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     nu pi_1 for nu > 0 (a failed unit slice carries to every nu > 0), and
     its sweep is one LP (``_unit_slice``): rho^inf = rho, so the unit slice
     LP is also the recession LP that gives rho_inf_1, and sublinearity
-    fixes rho_0 = 0 at pi = 0.  Where the unit slice is not that LP (one
-    asset, eloss, an adjusted-ES profile of several pieces) or it fails,
-    ``rho_nu`` solves the slices at nu = 0 and 1 and ``rho_inf_nu`` gives
-    rho_inf_1.  Other families solve one slice per grid node: an LP family
-    all of them on one tableau (``solve_lp_path``: the rhs alone moves with
-    nu), an exp loss all of them in one batched Newton, the others one
-    ``rho_nu`` each.  Grid values within 1e-12 max_j |X_{pi_j}|_inf (over
-    the nodes' portfolios) of the least tie, so that rounding cannot move
+    fixes rho_0 = 0 at pi = 0.  Where the unit slice is not that LP (eloss,
+    an adjusted-ES profile of several pieces) or it fails, ``rho_inf_nu``
+    gives rho_inf_1 and ``rho_nu`` solves the slices at nu = 0 and 1.
+    Other families take rho_inf_1 first and solve one slice per grid node:
+    an LP family all of them on one path (``solve_lp_path``), an exp loss
+    all of them in one batched Newton, the others one ``rho_nu`` each.
+    Grid values within a tie of 1e-12 max_j |X_{pi_j}|_inf (over the nodes'
+    portfolios) of the least count as equal, so that rounding cannot move
     nu_min along a flat boundary: the lowest nu among them is the argmin.
 
     In the positive regime a convex family that is not homogeneous takes
-    its boundary minimiser from one solve over the portfolios with
-    0 <= E[X_pi] <= nu_max (``_band_min``: the family's LP, Kelley, or an
-    exp loss's Newton solve plus at most one edge slice).  Otherwise the
-    grid argmin stands (irregular boundaries are legal for
-    star-shaped measures).  When every slice fails, nu_min and rho_min are
-    NaN and ``errors`` says why.
+    its boundary minimiser from one solve over the band
+    0 <= E[X_pi] <= nu_max: an LP family's path solves it last, the others
+    call ``_band_min``.  Otherwise the grid argmin stands (irregular
+    boundaries are legal for star-shaped measures); in the zero regime a
+    boundary that falls by more than the tie at every step has no
+    minimiser (nu_min = inf).  When every slice fails, nu_min and rho_min
+    are NaN and ``errors`` says why.
     """
     if nu_max <= 0 or steps < 2:
         raise ValueError("need nu_max > 0 and steps >= 2")
@@ -717,41 +706,13 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
             errors.append(f"nu={nu:g}: {exc}")
             return math.nan, None
 
-    rho_inf_1 = None
-    if spec.positively_homogeneous:
+    homogeneous, unit = spec.positively_homogeneous, None
+    if homogeneous:
         try:
             unit = _unit_slice(spec, m)
         except LPError:                  # rho_nu records the failure
-            unit = None
-        if unit is None:
-            at_zero, (rho_1, pi_1) = solve_point(0.0), solve_point(1.0)
-        else:
-            rho_1, pi_1, rho_inf_1 = unit
-            at_zero = 0.0, np.zeros(m.d)   # sublinearity: rho_0 = 0
-        scalable = math.isfinite(rho_1)
-        results = [at_zero] + [
-            (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
-            for nu in grid[1:]]
-    elif m.d > 1 and getattr(spec.loss, "kind", "") == "exp":
-        values, pis = _newton_min(m, m.space.probs, spec.family != "ew", grid)
-        results = list(zip(values, pis.T))
-    else:
-        # an LP family solves every node on one path; without an LP, on a
-        # one-asset market or when the path fails, each node runs rho_nu
-        lp, nodes = _lp_min(spec), [None] * steps
-        if m.d > 1 and lp is not None:
-            par = _slice_param(m, grid)
-            try:
-                nodes = [(par, *res, j)
-                         for j, res in enumerate(lp(par, m.space.probs))]
-            except LPError:
-                pass
-        results = [solve_point(nu, node) for nu, node in zip(grid, nodes)]
-    values = np.array([v for v, _ in results])
-    portfolios = [piv for _, piv in results]
-
-    if rho_inf_1 is None:
-        rho_inf_1 = rho_inf_nu(spec, m, 1.0)
+            pass
+    rho_inf_1 = rho_inf_nu(spec, m, 1.0) if unit is None else unit[2]
     if rho_inf_1 == math.inf:
         regime = REGIME_INFINITE
     elif rho_inf_1 > SIGN_TOL:
@@ -760,24 +721,57 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
         regime = REGIME_NEGATIVE
     else:
         regime = REGIME_ZERO
+    band = spec.convex and not homogeneous and regime == REGIME_POSITIVE
+    band_min = None
+
+    if homogeneous:
+        if unit is None:
+            at_zero, (rho_1, pi_1) = solve_point(0.0), solve_point(1.0)
+        else:
+            rho_1, pi_1, _ = unit
+            at_zero = 0.0, np.zeros(m.d)   # sublinearity: rho_0 = 0
+        scalable = math.isfinite(rho_1)
+        results = [at_zero] + [
+            (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
+            for nu in grid[1:]]
+    elif getattr(spec.loss, "kind", "") == "exp":
+        values, pis = _newton_min(m, m.space.probs, spec.family != "ew", grid)
+        results = list(zip(values, pis.T))
+    else:
+        # an LP family solves every node on one path from pi = 0, and the
+        # band last where it is wanted; without an LP, or when the path
+        # fails, each node runs rho_nu
+        lp, nodes = _lp_min(spec), [None] * steps
+        if lp is not None:
+            lo = np.append(grid, 0.0) if band else grid
+            par = _pi_param(m, lo, np.append(grid, nu_max) if band else grid)
+            try:
+                nodes = [(par, *res) for res in lp(par, m.space.probs)]
+            except LPError:
+                pass
+        if len(nodes) > steps:             # the band's column
+            _, res, t = nodes.pop()
+            band_min = res, None if t is None else par.to_portfolio(t)
+        results = [solve_point(nu, node) for nu, node in zip(grid, nodes)]
+    values = np.array([v for v, _ in results])
+    portfolios = [piv for _, piv in results]
 
     if np.all(np.isnan(values)):
         return FrontierResult(grid, values, portfolios, math.nan, math.nan,
                               rho_inf_1, regime, errors)
-    scale = max((float(np.abs(m.excess @ pi).max()) for pi in portfolios
-                 if pi is not None), default=0.0)
-    k = int((values <= np.nanmin(values) + 1e-12 * scale).argmax())
+    tie = 1e-12 * max((float(np.abs(m.excess @ pi).max())
+                       for pi in portfolios if pi is not None), default=0.0)
+    k = int((values <= np.nanmin(values) + tie).argmax())
     nu_min, rho_min = float(grid[k]), float(values[k])
-    if (spec.convex and regime == REGIME_POSITIVE
-            and not spec.positively_homogeneous):
-        res, pi = _band_min(spec, m, 0.0, nu_max)
+    if band:
+        res, pi = band_min or _band_min(spec, m, 0.0, nu_max)
         if res.status == OPTIMAL and res.value <= rho_min:
             nu_min = float(np.clip(m.mean_excess @ pi, 0.0, nu_max))
             rho_min = float(res.value)
     if regime == REGIME_NEGATIVE:
         nu_min, rho_min = math.inf, -math.inf
-    elif regime == REGIME_ZERO and np.all(np.diff(values) < 0):
-        nu_min = math.inf               # nonincreasing boundary, no minimiser
+    elif regime == REGIME_ZERO and np.all(np.diff(values) < -tie):
+        nu_min = math.inf               # decreasing boundary, no minimiser
     return FrontierResult(grid, values, portfolios, nu_min, rho_min,
                           rho_inf_1, regime, errors)
 
@@ -898,14 +892,16 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     nu rho_1 at nu pi_1, so MIN_RISK is nu = nu* and MAX_RETURN is
     nu = rho* / rho_1, the sweep's formula for its nodes.  rho^inf = rho for
     such a family, so the one unit slice LP (``_unit_slice``) gives both the
-    slope and (rho_1, pi_1); where it is not that LP, ``rho_nu`` solves the
-    unit slice and ``rho_inf_nu`` gives the slope.  Any other family answers
-    MIN_RISK with one solve over the portfolios with E[X_pi] >= nu*
-    (``_band_min``); an exp loss with a zero slope is unbounded, as
-    E[exp(-X)] is strictly convex and never attains the infimum.  MAX_RETURN
-    maximises E[X_pi] with the risk objective moved into rows <= rho*, one
-    LP; the families without an LP bisect the increasing branch of the
-    convex boundary, solving each slice once.
+    slope and (rho_1, pi_1), on one asset too.  Where it is not that LP
+    (eloss, an adjusted-ES profile of several pieces or one reaching x = 0),
+    ``rho_nu`` solves the unit slice and ``rho_inf_nu`` gives the slope.
+    Any other family answers MIN_RISK with one solve over the portfolios
+    with E[X_pi] >= nu*, from a start point of return nu* (``_band_min``);
+    an exp loss with a zero slope is unbounded, as E[exp(-X)] is strictly
+    convex and never attains the infimum.  MAX_RETURN maximises E[X_pi]
+    with the risk objective moved into rows <= rho*, one LP; the families
+    without an LP bisect the increasing branch of the convex boundary,
+    solving each slice once.
     """
     if level < 0:
         raise ValueError("the target level must be nonnegative")
@@ -932,8 +928,10 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
             "unbounded", cause="rho-arbitrage: nonpositive recession slope")
     lp = _lp_min(spec)
     if lp is not None:
-        return _lp_solution(m, *lp(_pi_param(m, 0.0, budget=level),
-                                   m.space.probs), max_return=True)
+        par = _pi_param(m, 0.0, budget=level)
+        res, t = lp(par, m.space.probs)
+        return _lp_solution(m, res, None if t is None else par.to_portfolio(t),
+                            max_return=True)
     # rho_nu -> inf as nu -> inf, so bisect the increasing branch; the
     # last doubling step within budget starts the bracket (the risk at
     # nu = 0 is at most rho(0) = 0 <= rho*)

@@ -1,4 +1,5 @@
 """Boundary sweeps, efficient frontiers, detectors and mean-risk problems."""
+import itertools
 import math
 
 import numpy as np
@@ -160,7 +161,7 @@ class TestRhoNu:
                 for spec in shortfall_specs():
                     for nu in (0.0, 0.1, 0.3):
                         lp_val, pi = rho_nu(spec, m, nu)
-                        par = frontier._slice_param(m, nu)
+                        par = frontier._pi_param(m, nu, nu, at=nu)
                         kel_val, _ = frontier._kelley_min(
                             frontier._sup_es_oracle(par, m.space, spec),
                             par, m.space.probs)
@@ -192,21 +193,27 @@ class TestRhoNu:
 
     def test_shortfall_sweep_is_one_lp_per_slice(self, monkeypatch):
         # the sweep's slice LPs are the columns of one path, each node's
-        # continued from the last by dual simplex pivots
+        # continued from the last by dual simplex pivots, and in the
+        # positive regime the band 0 <= E[X_pi] <= nu_max is the last
         m = random_market(np.random.default_rng(8), n=20, d=3,
                           arbitrage_free=True)
         paths = solved_paths(monkeypatch)
         slices = counting(monkeypatch, "rho_nu")
+        lps = counting(monkeypatch, "solve_lp")
         fr = optimal_boundary(RiskSpec.lses_at(0.5), m, 0.2, 11)
-        (nodes,) = paths                   # one LP per node
-        assert fr.errors == [] and len(nodes) == fr.nu_grid.size >= 11
+        (nodes,) = paths                   # one LP per node and the band
+        assert fr.errors == [] and fr.regime == "POSITIVE"
+        assert len(nodes) == fr.nu_grid.size + 1 >= 12
+        assert len(lps) == 1               # the recession LP alone
         assert slices == []                # no node re-solved on its own
         assert all(res.status == "optimal" for res in nodes)
         assert sum(res.dual_pivots for res in nodes) > 0
 
     def test_es_slice_is_the_plain_shortfall_lp(self, monkeypatch):
         # variables (theta, m, u >= 0): min m + E[u]/alpha, u >= -X - m,
-        # with m lifted by s = max(0, -min x0) so that v = 0 is feasible
+        # with X = x0 + excess theta from the start point x0 = excess
+        # nu g/|g|^2, m lifted by s = max(0, -min x0) so that v = 0 is
+        # feasible, and the return rows -g.theta <= 0, g.theta <= 0
         m = random_market(np.random.default_rng(9), n=6, d=3)
         seen = []
         inner = frontier.solve_lp
@@ -218,15 +225,17 @@ class TestRhoNu:
         monkeypatch.setattr(frontier, "solve_lp", spy)
         rho_nu(RiskSpec.es_at(0.3), m, 0.2)
         (c, kw), = seen
-        par = frontier._slice_param(m, 0.2)
-        n, q = par.C.shape
+        n, q = m.excess.shape
+        g = m.mean_excess
+        x0 = m.excess @ (0.2 * g / (g @ g))
         assert np.array_equal(c, np.concatenate([np.zeros(q), [1.0],
                                                  m.space.probs / 0.3]))
-        assert np.array_equal(kw["A_ub"], np.hstack(
-            [-par.C, -np.ones((n, 1)), -np.eye(n)]))
-        lift = max(0.0, -par.x0.min())
+        assert np.array_equal(kw["A_ub"], np.vstack([
+            np.hstack([-m.excess, -np.ones((n, 1)), -np.eye(n)]),
+            np.hstack([np.vstack([-g, g]), np.zeros((2, 1 + n))])]))
+        lift = max(0.0, -x0.min())
         assert lift > 0.0 and kw["b_ub"].min() == 0.0
-        assert np.array_equal(kw["b_ub"], par.x0 + lift)
+        assert np.array_equal(kw["b_ub"], np.append(x0 + lift, [0.0, 0.0]))
         assert np.array_equal(kw["lower"], np.concatenate(
             [np.full(q, -np.inf), [-np.inf], np.zeros(n)]))
         assert np.array_equal(kw["upper"], np.full(q + 1 + n, np.inf))
@@ -463,6 +472,22 @@ class TestOptimalBoundary:
         assert np.all(np.abs(fr.rho_values) <= 1e-15)
         assert fr.nu_min == 0.0 and fr.rho_min == 0.0
 
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2])
+    def test_zero_regime_flat_boundary_has_a_minimiser(self, k):
+        # the boundary is flat up to rounding, so it has a minimiser,
+        # nu = 0, whatever the units and the atom order; a rule "every step
+        # falls" without the tie reads nu_min = inf for some of them
+        spec = RiskSpec.oce_with(PWL)
+        for perm in itertools.permutations(range(3)):
+            perm = list(perm)
+            m = Market.from_excess(TRINOMIAL.space.probs[perm], 0.0,
+                                   TRINOMIAL.excess[perm] * 10.0 ** k)
+            fr = optimal_boundary(spec, m, 1.5 * 10.0 ** k, 7)
+            tag = (k, perm)
+            assert fr.regime == "ZERO" and fr.errors == [], tag
+            assert np.ptp(fr.rho_values) <= 1e-13 * 10.0 ** k, tag
+            assert fr.nu_min == 0.0, tag
+
     def test_negative_regime_strictly_decreasing(self):
         fr = optimal_boundary(RiskSpec.es_at(0.8), BINOMIAL, 2.0, 9)
         assert fr.regime == "NEGATIVE"
@@ -678,10 +703,14 @@ class TestChainedSweep:
                     tag = (spec.label(), n, seed)
                     del paths[:]
                     fr = optimal_boundary(spec, m, 0.2, 11)
-                    (nodes,) = paths                 # one LP per node
-                    assert len(nodes) == fr.nu_grid.size, tag
+                    # one LP per node, and the band last in the positive
+                    # regime
+                    (nodes,) = paths
+                    band = fr.regime == "POSITIVE"
+                    assert len(nodes) == fr.nu_grid.size + band, tag
                     assert fr.errors == [], tag
                     assert all(r.phase1_pivots == 0 for r in nodes), tag
+                    nodes = nodes[:fr.nu_grid.size]
                     sweep += sum(r.pivots for r in nodes)
                     dual += sum(r.dual_pivots for r in nodes)
                     del lps[:]
@@ -700,6 +729,86 @@ class TestChainedSweep:
                             want, rel=1e-10, abs=1e-12), tag
                     cold += sum(r.pivots for r in lps)
         assert dual > 0 and sweep < cold / 2, (sweep, cold, dual)
+
+
+class TestPiParametrisation:
+    """Every frontier LP runs over pi from a start point in its band of
+    returns, and a positive-regime sweep solves its band on the path."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_no_phase1(self, monkeypatch, d):
+        # the slice, the unit slice, every sweep node, the band column and
+        # the MIN_RISK band at a floor above 0 start from a feasible basis
+        # (ew has no lifted m, so its slices may need phase 1)
+        lps = solved_lps(monkeypatch)
+        paths = solved_paths(monkeypatch)
+        bands = 0
+        specs = [spec for spec in chained_specs() if spec.family != "ew"]
+        for seed in range(3):
+            m = random_market(np.random.default_rng(40 * d + seed),
+                              n=d + 3 + 4 * seed, d=d, arbitrage_free=True)
+            for spec in specs + [RiskSpec.sr_with(PWL)]:
+                rho_nu(spec, m, 0.15)
+                if spec.positively_homogeneous:
+                    frontier._unit_slice(spec, m)
+                    continue
+                fr = optimal_boundary(spec, m, 0.2, 11)
+                bands += fr.regime == "POSITIVE"
+                assert len(paths[-1]) == 11 + (fr.regime == "POSITIVE")
+                mean_rho_solve(spec, m, "MIN_RISK", 0.1)
+        tag = [(r.pivots, r.phase1_pivots) for r in lps]
+        assert len(lps) > 30 and bands > 0, tag
+        assert all(r.phase1_pivots == 0 for r in lps), tag
+        assert all(r.phase1_pivots == 0 for path in paths for r in path)
+
+    def test_band_column_matches_the_cold_band_lp(self, monkeypatch):
+        # the same boundary minimiser with the band as the path's last
+        # column and as a cold LP (the path cut back to the grid's nodes)
+        inner = frontier.solve_lp_path
+        checked = 0
+        for d in (1, 2, 3, 4):
+            for seed in range(3):
+                m = random_market(np.random.default_rng(70 * d + seed),
+                                  n=d + 2 + 5 * seed, d=d,
+                                  arbitrage_free=True)
+                for spec in chained_specs():
+                    tag = (spec.label(), d, seed)
+                    paths = solved_paths(monkeypatch)
+                    fr = optimal_boundary(spec, m, 0.2, 11)
+                    monkeypatch.setattr(
+                        frontier, "solve_lp_path", lambda c, A_ub, B_ub,
+                        **kw: inner(c, A_ub, B_ub[:, :11], **kw))
+                    lps = solved_lps(monkeypatch)
+                    ref = optimal_boundary(spec, m, 0.2, 11)
+                    monkeypatch.undo()
+                    if fr.regime != "POSITIVE":
+                        continue
+                    checked += 1
+                    band, cold = paths[0][-1], lps[-1]
+                    assert abs(band.value - cold.value) <= 1e-12 * (
+                        1.0 + abs(cold.value)), tag
+                    assert abs(fr.rho_min - ref.rho_min) <= 1e-12 * (
+                        1.0 + abs(ref.rho_min)), tag
+                    assert abs(fr.nu_min - ref.nu_min) <= 1e-12 * 1.2, tag
+                    assert np.array_equal(fr.rho_values, ref.rho_values), tag
+        assert checked >= 30
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_one_asset_path_nodes_match_cold_slices(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_market(rng, n=int(rng.integers(2, 9)), d=1)
+        for spec in chained_specs() + [RiskSpec.sr_with(PWL)]:
+            fr = optimal_boundary(spec, m, 0.3, 7)
+            assert fr.errors == [], spec.label()
+            for nu, value, pi in zip(fr.nu_grid, fr.rho_values,
+                                     fr.optimal_portfolios):
+                tag = (spec.label(), seed, nu)
+                cold, cold_pi = rho_nu(spec, m, float(nu))
+                assert abs(value - cold) <= 1e-12 * (1.0 + abs(cold)), tag
+                # each slice is one portfolio
+                assert abs(pi[0] - cold_pi[0]) <= 1e-12 * (
+                    1.0 + abs(cold_pi[0])), tag
 
 
 EXP_SPECS = (RiskSpec.oce_with(EXP), RiskSpec.sr_with(EXP),
@@ -729,8 +838,8 @@ class TestBatchedExpSweep:
                 g = m.mean_excess
                 assert abs(g @ pi - nu) <= 1e-12 * max(
                     1.0, float(np.abs(g) @ np.abs(pi))), tag
-                if d == 1:                 # each slice is one portfolio
-                    assert value == evaluate(spec, X), tag
+                assert abs(value - evaluate(spec, X)) <= 1e-12 * scale * (
+                    1.0 + abs(value)), tag
 
     def test_one_newton_call_per_sweep(self, monkeypatch):
         m = random_market(np.random.default_rng(12), n=8, d=3,
@@ -774,24 +883,28 @@ class TestBatchedExpSweep:
             assert len(solves) < 200, spec.label()
 
     def test_slices_built_only_for_lp_sweeps(self, monkeypatch):
-        # one portfolio_slice per node plus rho_inf_1's: a general profile
-        # builds its slices in rho_nu alone, an LP family in the grid
-        # parametrisation alone, and an exp loss none per node
+        # one _pi_param per node, plus rho_inf_1's and the band's: a
+        # general profile builds its slices in rho_nu alone, an LP family
+        # all of them (the band included) in the sweep's one call, and an
+        # exp loss none per node
         m = random_market(np.random.default_rng(8), n=6, d=2,
                           arbitrage_free=True)
         general = RiskSpec.adjusted(general_profile(
             lambda x: 0.3 * (1.0 / np.asarray(x) - 1.0), 0.0, True, 0.3))
-        slices = counting(monkeypatch, "portfolio_slice")
+        params = counting(monkeypatch, "_pi_param")
         rho_calls = counting(monkeypatch, "rho_nu")
-        for spec, want in ((general, 22), (RiskSpec.lses_at(0.5), 22)):
-            del slices[:], rho_calls[:]
-            assert optimal_boundary(spec, m, 0.2, 21).errors == []
-            assert len(slices) == want, spec.label()
+        for spec, want in ((general, 23), (RiskSpec.lses_at(0.5), 2)):
+            del params[:], rho_calls[:]
+            fr = optimal_boundary(spec, m, 0.2, 21)
+            assert fr.errors == [] and fr.regime == "POSITIVE"
+            assert len(params) == want, spec.label()
         for spec in EXP_SPECS:
-            del slices[:], rho_calls[:]
-            assert optimal_boundary(spec, m, 0.2, 21).errors == []
+            del params[:], rho_calls[:]
+            fr = optimal_boundary(spec, m, 0.2, 21)
+            assert fr.errors == [], spec.label()
             assert len(rho_calls) <= 1, spec.label()   # a band edge
-            assert len(slices) == 1 + len(rho_calls), spec.label()
+            band = fr.regime == "POSITIVE"
+            assert len(params) == 1 + band + len(rho_calls), spec.label()
 
 
 class TestEfficientFrontier:
@@ -987,9 +1100,8 @@ class TestMeanRisk:
                     seen = counting(monkeypatch, "rho_nu")
                     sol = mean_rho_solve(spec, m, "MIN_RISK", level)
                     monkeypatch.undo()
-                    # one asset: the LP is the recession LP, and rho_nu
-                    # evaluates the unit slice
-                    assert seen == ([1.0] if m.d == 1 else [])
+                    # one asset too: the LP is the recession LP
+                    assert seen == []
                     assert len(lps) == 1
                     assert sol.status == "optimal" and sol.nu == level
                     k = int(np.flatnonzero(fr.nu_grid == level)[0])
@@ -1026,8 +1138,8 @@ class TestMeanRisk:
                         assert sol.status == "unbounded"
                         continue
                     solved += 1
-                    # a one-asset slice runs no LP: rho_nu evaluates it
-                    assert seen == ([1.0] if m.d == 1 else [])
+                    # one asset too: the unit slice LP gives rho_1
+                    assert seen == []
                     assert sol.status == "optimal"
                     X = excess_return(m, sol.portfolio)
                     assert X.mean() == pytest.approx(sol.nu, rel=1e-9,

@@ -536,7 +536,8 @@ class TestRowBuilders:
             n = int(rng.integers(3, 9))
             m = random_market(rng, n=n, d=int(rng.integers(1, min(4, n))))
             p = m.space.probs
-            for par in (frontier._slice_param(m, float(rng.uniform(0, 1))),
+            nu = float(rng.uniform(0, 1))
+            for par in (frontier._pi_param(m, nu, nu, at=nu),
                         frontier._pi_param(m, float(rng.uniform(0, 0.2))),
                         frontier._ball_param(m)):
                 for fam in ("ew", "sr", "oce"):
@@ -608,7 +609,7 @@ class TestRowBuilders:
 def random_params(rng, m):
     """A slice, a band of returns, the l1 ball and a risk budget."""
     nu = float(rng.uniform(0.0, 0.5))
-    yield frontier._slice_param(m, nu)
+    yield frontier._pi_param(m, nu, nu, at=nu)
     yield frontier._pi_param(m, nu, nu + float(rng.uniform(0.0, 0.3)))
     yield frontier._ball_param(m)
     yield frontier._pi_param(m, 0.0, budget=float(rng.uniform(0.05, 0.5)))
@@ -686,7 +687,8 @@ class TestLiftedLps:
             n = int(rng.integers(3, 40))
             m = random_market(rng, n=n, d=int(rng.integers(1, min(6, n))))
             p = m.space.probs
-            for par in (frontier._slice_param(m, float(rng.uniform(0, 1))),
+            nu = float(rng.uniform(0, 1))
+            for par in (frontier._pi_param(m, nu, nu, at=nu),
                         frontier._ball_param(m)):
                 lps = [frontier._wc_min(par, p)]
                 lps += [frontier._es_min(par, p, frontier._shortfall_pieces(s))
