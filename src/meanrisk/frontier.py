@@ -384,7 +384,8 @@ def _kelley_min(oracle, par: _Param, p: np.ndarray):
     The box starts at +-16 and grows fourfold while the master LP is
     infeasible or its minimiser sits on the box's edge, up to 2^24 times the
     largest entry of par's offset and right-hand sides.  The start theta = 0
-    counts as a candidate only when it meets par's rows; master points do.
+    is a candidate, so it must meet par's rows, as rho_nu's slice from
+    at = nu does.
     """
     q = par.C.shape[1]
     cap = 2.0 ** 24 * max(1.0, *np.abs(par.x0), *np.abs(par.b_ub))
@@ -393,13 +394,11 @@ def _kelley_min(oracle, par: _Param, p: np.ndarray):
     c[q] = 1.0
     t = np.zeros(q)
     best_v, best_t = math.inf, t
-    counts = bool(np.all(par.b_ub >= 0.0))
     R = 16.0
     for _ in range(400):
         v, g = oracle(t)
-        if counts and v < best_v - 1e-15:
+        if v < best_v - 1e-15:
             best_v, best_t = v, t.copy()
-        counts = True
         rows.append(np.append(g, -1.0))
         rhs.append(float(g @ t) - v)
         while True:

@@ -19,39 +19,34 @@ numpy operations rather than arithmetic, so the kernel calls ndarray
 methods rather than the np.* wrappers around them and makes few
 temporaries.
 
-``solve_lp`` accepts the general form
+Every LP goes through one driver, ``_solve``, which minimises or maximises
+c.x for each objective leg and each rhs column of one polytope
 
-    min / max   c.x
-    subject to  A_ub x <= b_ub,  A_eq x = b_eq,  lower <= x <= upper
+    A_ub x <= b_ub,  A_eq x = b_eq,  lower <= x <= upper.
 
-and reduces it to standard form internally (nonnegative variables, equality
-rows).  An inequality row with a nonnegative right-hand side starts with
-its slack in the basis; only equality rows and rows with a negative
-right-hand side get a phase-1 artificial.  When no row needs one, phase 1
-makes no pivot and its tableau has only the m + 1 rows of phase 2; else a
-phase-1 cost row is added and dropped when phase 1 ends.  Each equality
-row is scaled to a largest entry of one, so phase 1's absolute tolerances
-hold for rows of any scale.
-
-``solve_lp_sequence`` minimises several objectives over one polytope with
-one standard form and one phase 1: each later objective is priced at the
-basis the previous one ended at (primal feasible, as an unbounded exit
-makes no pivot) and runs phase 2 alone.  An objective may carry a
-tie-break: at an optimal basis c.x = c* + sum_j d_j x_j over the nonbasic
-columns (Bertsimas & Tsitsiklis 1997, section 3), so the optimal face is
-the feasible set with x_j = 0 wherever d_j > ``_RCOST_TOL``, and phase 2
-of the tie-break on a copy of the tableau that never lets those columns
-enter minimises it there.
-
-``solve_lp_path`` solves one polytope for several right-hand sides of its
-inequality rows, as a boundary sweep needs.  Its tableau [A | b_{k-1} ...
-b_1 | b_0] carries them all, so each pivot keeps every B^-1 b_j current;
-only the last column, the rhs, steers a pivot, so column 0 is bit-identical
-to ``solve_lp`` on it.  Then that column is dropped and its optimal basis,
-dual feasible as c never changes, starts the next: dual simplex pivots
-(Lemke 1954), then phase 2.  Where that fails, and after a column that was
-not optimal, the column restarts cold, so infeasible and unbounded
-verdicts come from a cold solve only.
+It builds the standard form (nonnegative variables, equality rows) and the
+iteration budget once.  An inequality row with a nonnegative rhs starts
+with its slack in the basis; only equality rows and rows with a negative
+rhs get a phase-1 artificial, so with none phase 1 makes no pivot and adds
+no cost row, and each equality row is scaled to a largest entry of one, so
+phase 1's absolute tolerances hold for rows of any scale.  A path's tableau
+[A | b_{k-1} ... b_1 | b_0] carries every rhs column, so each pivot keeps
+every B^-1 b_j current; only the last column, the rhs, steers a pivot, so
+column 0 is bit-identical to a lone solve of it.  Then that column is
+dropped and its optimal basis, dual feasible as c never changes, starts
+the next: dual simplex pivots (Lemke 1954), then phase 2.  Where that
+fails, and after a column that was not optimal, the column restarts cold,
+so infeasible and unbounded verdicts come from a cold solve only.  Within a
+column each leg is priced at the basis the last one ended at (primal
+feasible, as an unbounded exit makes no pivot) and runs phase 2.  A leg may
+carry a tie-break: at an optimal basis c.x = c* + sum_j d_j x_j over the
+nonbasic columns (Bertsimas & Tsitsiklis 1997, section 3), so the optimal
+face is the feasible set with x_j = 0 wherever d_j > ``_RCOST_TOL``, and
+phase 2 of the tie-break on a copy of the tableau that never lets those
+columns enter minimises it there; the copy leaves the cost row dual
+feasible for a next column.  ``solve_lp`` (one leg, one rhs),
+``solve_lp_sequence`` (several legs) and ``solve_lp_path`` (several rhs
+columns) are one-call wrappers of the driver.
 """
 from __future__ import annotations
 
@@ -352,31 +347,6 @@ def _budget(A_std: np.ndarray) -> int:
     return 2000 + 200 * (A_std.shape[0] + A_std.shape[1])
 
 
-def solve_lp(c,
-             A_ub=None, b_ub=None,
-             A_eq=None, b_eq=None,
-             lower=None, upper=None,
-             maximize: bool = False) -> LPResult:
-    """Solve a general-form LP.  Default bounds are x >= 0.
-
-    Bounds may contain +/-inf entries; free and upper-bounded variables are
-    shifted/split to reach standard form.  ``LPResult.x`` is reported in the
-    original variables.
-    """
-    c = np.asarray(c, dtype=float)
-    form = _standard_form(c.size, A_ub, b_ub, A_eq, b_eq, lower, upper)
-    if form is None:
-        return LPResult(INFEASIBLE)
-    A_std, b_std, slack, cost, unmap = form
-    c_std = cost(-c if maximize else c)
-    max_iter = _budget(A_std)
-    feasible = _phase1(c_std, A_std, b_std, slack, max_iter)
-    if isinstance(feasible, LPResult):
-        return feasible
-    T, basis, pivots = feasible
-    return unmap(_phase2(T, basis, c_std, pivots, max_iter), c)
-
-
 def _price(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
     """Write the reduced costs of c at ``basis`` into T's cost row (row
     basis.size; its rhs entry is minus the objective value)."""
@@ -396,6 +366,87 @@ def _face_min(T: np.ndarray, basis: np.ndarray, tie: np.ndarray,
     return _phase2(face, basis.copy(), tie, 0, max_iter)
 
 
+def _solve(legs, A_ub, b_ub, A_eq, b_eq, lower, upper,
+           maximize: bool = False) -> list[LPResult]:
+    """The driver behind solve_lp, solve_lp_sequence and solve_lp_path (see
+    the module docstring): min (or max) c.x over the polytope for each leg
+    ``(c, tie)``, tie None or a tie-break, and each rhs of the inequality
+    rows: b_ub is one rhs, or a path's matrix with one rhs per column.
+    Returns one result per (rhs, leg), rhs by rhs."""
+    legs = [(np.asarray(c, dtype=float), tie) for c, tie in legs]
+    path = np.ndim(b_ub) == 2
+    if path:        # phase 1 solves the last rhs column, so they run reversed
+        b_ub = np.asarray(b_ub, dtype=float)[:, ::-1]
+    ncol = b_ub.shape[1] if path else 1
+    form = _standard_form(legs[0][0].size, A_ub, b_ub, A_eq, b_eq, lower,
+                          upper)
+    if form is None:
+        return [LPResult(INFEASIBLE) for _ in range(ncol * len(legs))]
+    A_std, b_std, slack, cost, unmap = form
+    max_iter = _budget(A_std)
+    costs = [cost(-c if maximize else c) for c, _ in legs]
+
+    def column(T, basis, pivots, dual):
+        # each leg is priced at the basis the last one ended at
+        out = []
+        for (c, tie), c_std in zip(legs, costs):
+            if out:
+                _price(T, basis, c_std)
+            res = unmap(_phase2(T, basis, c_std, pivots, max_iter), c)
+            res.pivots += dual
+            res.dual_pivots = dual
+            pivots = dual = 0       # they count toward the first leg only
+            if tie is not None and res.status == OPTIMAL:
+                face = unmap(_face_min(T, basis, cost(tie), max_iter), c)
+                res = replace(res, status=face.status, x=face.x,
+                              basis=face.basis, pivots=res.pivots + face.pivots)
+            out.append(res)
+        return out
+
+    results, T, scale = [], None, None
+    for j in range(ncol, 0, -1):
+        out = None
+        if T is not None and basis.size:        # the last rhs was optimal
+            T = T[:, :-1]
+            if scale is None:    # a slack is its row's surplus, held to the
+                rows = (slack >= 0).nonzero()[0]        # row's own scale
+                scale = np.ones(A_std.shape[1])
+                scale[slack[rows]] = np.abs(
+                    A_std[rows, :scale.size - rows.size]).max(
+                    axis=1, initial=0.0).clip(_PIVOT_TOL, 1.0)
+            status, dual = _dual_iterate(T, basis, basis.size, scale.size,
+                                         max_iter, scale)
+            if status == OPTIMAL:
+                out = column(T, basis, 0, dual)
+        if out is None or out[0].status != OPTIMAL:
+            start = _phase1(costs[0], A_std, b_std[:, :j] if path else b_std,
+                            slack, max_iter)
+            if isinstance(start, LPResult):
+                out = [start] + [LPResult(INFEASIBLE) for _ in legs[1:]]
+            else:
+                T, basis, pivots = start
+                out = column(T, basis, pivots, 0)
+        if out[0].status != OPTIMAL:
+            T = None
+        results += out
+    return results
+
+
+def solve_lp(c,
+             A_ub=None, b_ub=None,
+             A_eq=None, b_eq=None,
+             lower=None, upper=None,
+             maximize: bool = False) -> LPResult:
+    """Solve a general-form LP.  Default bounds are x >= 0.
+
+    Bounds may contain +/-inf entries; free and upper-bounded variables are
+    shifted/split to reach standard form.  ``LPResult.x`` is reported in the
+    original variables, and ``value`` is c.x there.
+    """
+    return _solve([(c, None)], A_ub, b_ub, A_eq, b_eq, lower, upper,
+                  maximize)[0]
+
+
 def solve_lp_sequence(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                       lower=None, upper=None) -> list[LPResult]:
     """min c.x over one polytope, given as in solve_lp, for each objective
@@ -405,31 +456,8 @@ def solve_lp_sequence(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     result keeps c's optimum as ``value``, adds the face's pivots and has
     the tie-break point as ``x`` (unbounded, x None, if tie is unbounded).
     """
-    legs = [(np.asarray(c, dtype=float), tie) for c, tie in
-            (o if isinstance(o, tuple) else (o, None) for o in objectives)]
-    form = _standard_form(legs[0][0].size, A_ub, b_ub, A_eq, b_eq, lower,
-                          upper)
-    if form is None:
-        return [LPResult(INFEASIBLE) for _ in legs]
-    A_std, b_std, slack, cost, unmap = form
-    max_iter = _budget(A_std)
-    costs = [cost(c) for c, _ in legs]
-    start = _phase1(costs[0], A_std, b_std, slack, max_iter)
-    if isinstance(start, LPResult):
-        return [start] + [LPResult(INFEASIBLE) for _ in legs[1:]]
-    T, basis, pivots = start
-    results = []
-    for (c, tie), c_std in zip(legs, costs):
-        if results:
-            _price(T, basis, c_std)
-        res = unmap(_phase2(T, basis, c_std, pivots, max_iter), c)
-        pivots = 0
-        if tie is not None and res.status == OPTIMAL:
-            face = unmap(_face_min(T, basis, cost(tie), max_iter), c)
-            res = replace(res, status=face.status, x=face.x, basis=face.basis,
-                          pivots=res.pivots + face.pivots)
-        results.append(res)
-    return results
+    return _solve([o if isinstance(o, tuple) else (o, None)
+                   for o in objectives], A_ub, b_ub, A_eq, b_eq, lower, upper)
 
 
 def solve_lp_path(c, A_ub, B_ub, A_eq=None, b_eq=None, lower=None,
@@ -437,36 +465,4 @@ def solve_lp_path(c, A_ub, B_ub, A_eq=None, b_eq=None, lower=None,
     """min c.x s.t. A_ub x <= B_ub[:, j] and the rest as in solve_lp, for
     each column j of B_ub in turn (see the module docstring); a column
     continued from the last one's basis counts its ``dual_pivots``."""
-    c = np.asarray(c, dtype=float)
-    B_ub = np.asarray(B_ub, dtype=float)
-    form = _standard_form(c.size, A_ub, B_ub[:, ::-1], A_eq, b_eq, lower,
-                          upper)
-    if form is None:
-        return [LPResult(INFEASIBLE) for _ in range(B_ub.shape[1])]
-    A_std, b_std, slack, cost, unmap = form
-    c_std = cost(c)
-    max_iter = _budget(A_std)
-    rows = (slack >= 0).nonzero()[0]        # a slack is its row's surplus,
-    scale = np.ones(c_std.size)             # held to the row's own scale
-    scale[slack[rows]] = np.abs(A_std[rows, :c_std.size - rows.size]).max(
-        axis=1, initial=0.0).clip(_PIVOT_TOL, 1.0)
-    results, T = [], None
-    for j in range(b_std.shape[1], 0, -1):    # b_std[:, j - 1] is the rhs
-        res = None
-        if T is not None and basis.size:       # the last rhs was optimal
-            T = T[:, :-1]
-            status, dual = _dual_iterate(T, basis, basis.size, c_std.size,
-                                         max_iter, scale)
-            if status == OPTIMAL:
-                res = _phase2(T, basis, c_std, 0, max_iter)
-                res.pivots += dual
-                res.dual_pivots = dual
-        if res is None or res.status != OPTIMAL:
-            res = _phase1(c_std, A_std, b_std[:, :j], slack, max_iter)
-            if not isinstance(res, LPResult):
-                T, basis, pivots = res
-                res = _phase2(T, basis, c_std, pivots, max_iter)
-        if res.status != OPTIMAL:
-            T = None
-        results.append(unmap(res, c))
-    return results
+    return _solve([(c, None)], A_ub, B_ub, A_eq, b_eq, lower, upper)

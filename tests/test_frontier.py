@@ -19,6 +19,7 @@ from meanrisk import (LossFunction, LPError, Market, RandVar, RiskSpec,
                       rho_inf_nu, rho_nu, step_profile, table_profile)
 from meanrisk.fixtures import (IRREGULAR_SPOT_VALUES, boundary_norm_market,
                                boundary_norm_profile, irregular_boundary)
+from meanrisk.io import parse_measure
 from meanrisk.simplex import UNBOUNDED, LPResult
 
 BINOMIAL = boundary_norm_market()
@@ -568,6 +569,40 @@ class TestHomogeneousBoundary:
                     assert evaluate(spec, X) == pytest.approx(
                         value, rel=1e-9, abs=1e-9), tag
         assert {"POSITIVE", "NEGATIVE"} <= regimes and kinds == {True, False}
+
+    def test_profiles_off_the_unit_slice_take_the_slices(self):
+        # adjusted-ES profiles that vanish on [beta, 1] but are not one piece
+        # at beta: no unit slice LP, so rho_1 comes from rho_nu and the slope
+        # from rho_inf_nu, and the sweep and both mean-risk modes scale them
+        markets = [TRINOMIAL, BINOMIAL] + [
+            random_market(np.random.default_rng(seed), n=5, d=2)
+            for seed in range(4)]
+        regimes = set()
+        for text in ("adjes:g=zero", "adjes:g=table(0.3,0;0.6,0;1,0)"):
+            spec = parse_measure(text)
+            assert spec.positively_homogeneous
+            for m in markets:
+                assert frontier._unit_slice(spec, m) is None
+                fr = optimal_boundary(spec, m, 1.5, 7)
+                regimes.add(fr.regime)
+                assert fr.errors == [] and fr.rho_values[0] == 0.0
+                assert fr.rho_inf_1 == rho_inf_nu(spec, m, 1.0)
+                for nu, value in zip(fr.nu_grid, fr.rho_values):
+                    ref = rho_nu(spec, m, float(nu))[0]
+                    assert abs(value - ref) <= 1e-12 * (1 + abs(ref))
+                rho_1 = rho_nu(spec, m, 1.0)[0]
+                low = mean_rho_solve(spec, m, "MIN_RISK", 0.4)
+                high = mean_rho_solve(spec, m, "MAX_RETURN", 0.4)
+                if fr.rho_inf_1 <= frontier.SIGN_TOL:
+                    assert low.status == high.status == "unbounded"
+                    continue
+                assert (low.status, low.nu, low.value) == (
+                    "optimal", 0.4, 0.4 * rho_1)
+                assert (high.status, high.nu, high.value) == (
+                    "optimal", 0.4 / rho_1, 0.4 / rho_1)
+                ref = rho_nu(spec, m, 0.4)[0]
+                assert abs(low.value - ref) <= 1e-12 * (1 + abs(ref))
+        assert regimes == {"POSITIVE", "NEGATIVE"}
 
     def test_weighted_loss_slices_scale(self):
         # ew has no recession boundary to sweep against, but its slices scale

@@ -573,6 +573,57 @@ def test_path_matches_cold_solves(rng):
     assert min(seen.values()) >= 20, seen
 
 
+def test_path_on_an_empty_box_is_infeasible_at_every_column():
+    path = simplex.solve_lp_path([1.0, -1.0], [[1.0, 1.0]],
+                                 [[1.0, 2.0, 3.0]], lower=[0.0, 1.0],
+                                 upper=[1.0, 0.0])
+    assert [res.status for res in path] == [INFEASIBLE] * 3
+
+
+def test_path_restarts_cold_when_the_dual_budget_runs_out(rng, monkeypatch):
+    # with a one-pivot budget every continued column that needs a second
+    # dual pivot gets (None, ...) back; it restarts cold and is then
+    # solve_lp on its column, bit for bit
+    dual_iterate, outcomes = simplex._dual_iterate, []
+
+    def one_pivot(T, basis, m, ncols, max_iter, scale):
+        status, pivots = dual_iterate(T, basis, m, ncols, 1, scale)
+        outcomes.append(status)
+        return status, pivots
+    monkeypatch.setattr(simplex, "_dual_iterate", one_pivot)
+    restarts = 0
+    for _ in range(200):
+        rows, c = _full_rank_polytope(rng)
+        B_ub = _moved_columns(rng, rows["b_ub"], 4, 3.0)
+        fixed = {key: rows[key] for key in ("A_eq", "b_eq", "lower", "upper")}
+        outcomes.clear()
+        path = simplex.solve_lp_path(c, rows["A_ub"], B_ub, **fixed)
+        continued = iter(outcomes)
+        for k, (res, b) in enumerate(zip(path, B_ub.T)):
+            if k == 0 or path[k - 1].status != OPTIMAL:
+                continue
+            if next(continued) is not None:
+                continue
+            restarts += 1
+            cold = solve_lp(c, **dict(rows, b_ub=b))
+            assert (res.status, res.value, res.pivots, res.phase1_pivots,
+                    res.dual_pivots) == (cold.status, cold.value, cold.pivots,
+                                         cold.phase1_pivots, cold.dual_pivots)
+            for got, want in ((res.x, cold.x), (res.basis, cold.basis)):
+                assert (got is None) == (want is None)
+                assert got is None or got.tobytes() == want.tobytes()
+    assert restarts >= 20, restarts
+
+
+def test_max_of_zero_is_positive_zero():
+    # the value is c.x in the caller's c, not minus the minimum of -c.x,
+    # which would be -0.0
+    res = solve_lp([1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[0.0],
+                   maximize=True)
+    assert res.status == OPTIMAL and res.value == 0.0
+    assert np.copysign(1.0, res.value) == 1.0
+
+
 class _Frozen:
     """The kernel before its numpy calls were trimmed, kept as the reference
     for pivot paths: np.outer rank-1 updates, phase 1 ended by basis.max(),
