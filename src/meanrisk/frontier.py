@@ -16,13 +16,15 @@ every solve exact where possible:
                         -> hinge LPs, one row per atom and kink
 * exp loss families     -> damped Newton over pi with the return as a
                            KKT row, a sweep's nodes all in one batched solve
+* expected loss         -> the linear LP min E[-X]
 * positively homogeneous families (es, wc, eloss, ew/sr/oce with a loss
   kinked at 0 only, adjusted ES with a profile vanishing on [beta, 1])
                         -> rho_nu = nu rho_1 and rho^inf = rho, so a
                            boundary sweep is one LP, the unit slice, which
                            is also the recession LP at nu = 1; sublinearity
                            fixes rho_0 = 0; both mean-risk problems read
-                           their answer off the same unit slice
+                           their answer off the same unit slice, and a
+                           failed unit slice LP raises
 
 Every solver runs over pi = at g/|g|^2 + theta (g the mean excess return,
 theta free) with lo <= g.pi <= hi held by the rows -g.theta <= at - lo and
@@ -46,9 +48,9 @@ regime of a convex family the band [0, nu_max] as its last column.  Every
 other LP here (unit slices, single slices, recession, mean-risk) is solved
 alone.
 
-The recession measure rho^inf is a family of its own, so recession
-frontiers run the builders above: es at beta for adjusted ES, wc for lses,
-and for ew/sr/oce the hinge LP of the asymptotic loss
+The recession measure rho^inf is a ``RiskSpec`` (``_recession_spec``), so
+recession frontiers run the LPs above: es at beta for adjusted ES, wc for
+lses, and for ew/sr/oce the hinge LP of the asymptotic loss
 l_inf(y) = b_l y^+ - a_l y^-, whose dual set is the closure box [a_l, b_l].
 The primal arbitrage detectors thus never consult the martingale
 feasibility programs they are checked against.
@@ -63,7 +65,7 @@ import numpy as np
 from . import lses as lses_mod
 from .dual import (Density, closure_dual_set, dual_set,
                    interior_martingale_feasibility, martingale_feasibility)
-from .losses import lses_profile
+from .losses import LossFunction, lses_profile
 from .market import (ArbitrageWitness, Market, RandVar,
                      check_classical_arbitrage, portfolio_slice)
 from .measures import RiskSpec, _entropic, adjusted_es_argmax, ascending
@@ -445,6 +447,9 @@ def _lp_min(spec: RiskSpec):
         pieces = _shortfall_pieces(spec)
         return None if pieces is None else (
             lambda par, p: _es_min(par, p, pieces))
+    if fam == "eloss":                     # min E[-X(theta)] is linear
+        return lambda par, p: _solve_family(
+            par, p, -(p @ par.C), -float(p @ par.x0), [], [], np.zeros(0))
     if fam == "wc" or (fam == "sr" and spec.loss.zero_on_negatives):
         return _wc_min
     if fam in ("ew", "sr", "oce"):
@@ -462,21 +467,21 @@ def _lp_min(spec: RiskSpec):
 def rho_nu(spec: RiskSpec, m: Market, nu: float):
     """(rho_nu, minimiser): minimal risk over portfolios with E[X_pi] = nu.
 
-    ES, LSES and adjusted ES solve one shortfall LP whatever n is, with one
-    block per constant / affine-in-1/x profile piece; only a profile with a
-    general piece runs Kelley cutting planes.  An exp loss runs Newton over
-    pi with the row E[X_pi] = nu.
+    Every family with an LP (``_lp_min``: es, wc, eloss, lses, adjusted ES
+    with constant / affine-in-1/x profile pieces, pwl and c y^+ losses)
+    solves it once over the slice; only a general adjusted-ES profile runs
+    Kelley cutting planes, and an exp loss runs Newton over pi with the row
+    E[X_pi] = nu.  For a positively homogeneous family the unit slice is
+    also the recession LP (``_unit_slice``).
 
     Raises ``LPError`` when a slice LP ends other than optimal, unbounded
     included: every built-in family is bounded below on a slice.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    par = _pi_param(m, nu, nu, at=nu)
     if spec.family == "var":
         raise ValueError("value-at-risk slice minimisation is not supported")
-    if spec.family == "eloss":
-        return -nu, par.to_portfolio(np.zeros(m.d))
+    par = _pi_param(m, nu, nu, at=nu)
     lp = _lp_min(spec)
     if lp is None:
         return _smooth_min(spec, m, par, nu)
@@ -531,45 +536,47 @@ def _band_min(spec: RiskSpec, m: Market, lo: float, hi: float = math.inf):
 # Recession frontier (the recession measure's own LP)
 # ---------------------------------------------------------------------------
 
-def _recession_spec(spec: RiskSpec):
-    """The recession measure of ``spec`` as (family, parameter): es with its
-    level, wc or eloss, or ew/sr/oce with the slopes (a_l, b_l) of the
-    asymptotic loss l_inf(y) = b_l y^+ - a_l y^-.  sr is the worst case when
-    l_inf vanishes on the negatives or is infinite on the positives, and
-    oce when both hold.  Every loss with b_l = inf has a_l = 0, so only ew
-    reaches the slopes (0, inf).
+def _recession_spec(spec: RiskSpec) -> RiskSpec | None:
+    """The recession measure rho^inf of ``spec``, or None for ew with
+    b_l = inf (rho^inf is 0 on X >= 0 and inf elsewhere).
+
+    es, wc, eloss and every positively homogeneous family are their own
+    recession measure; lses, and adjusted ES with beta = 0, have wc, and
+    adjusted ES with beta > 0 has es at beta.  ew/sr/oce have the same
+    family with the asymptotic loss l_inf(y) = b_l y^+ - a_l y^-, except
+    that sr is wc when l_inf vanishes on the negatives or is infinite on
+    the positives, and oce when both hold.  Every loss with b_l = inf has
+    a_l = 0, so only ew reaches the slopes (0, inf).
     """
     fam = spec.family
-    if fam in ("es", "wc", "eloss"):
-        return fam, spec.alpha
+    if fam == "var":
+        raise ValueError(f"no recession frontier for family {fam!r}")
+    if fam in ("es", "wc", "eloss") or spec.positively_homogeneous:
+        return spec
     if fam == "lses":
-        return "wc", None
+        return RiskSpec.wc()
     if fam == "adjes":
         beta = spec.profile.beta
-        return ("es", beta) if beta > 0 else ("wc", None)
-    if fam not in ("ew", "sr", "oce"):
-        raise ValueError(f"no recession frontier for family {fam!r}")
+        return RiskSpec.es_at(beta) if beta > 0 else RiskSpec.wc()
     loss = spec.loss
     a, b = loss.a_l, loss.b_l
     if (fam == "sr" and (loss.zero_on_negatives or a == 0.0
                          or b == math.inf)
             or fam == "oce" and a == 0.0 and b == math.inf):
-        return "wc", None
-    return fam, (a, b)
+        return RiskSpec.wc()
+    if b == math.inf:
+        return None
+    return RiskSpec(fam, loss=LossFunction.pwl((a, b), (0.0,)))
 
 
 def _recession_min(spec: RiskSpec, m: Market, par: _Param):
+    """(min, argmin) of rho^inf over par: the recession measure's LP, -inf
+    when it is unbounded; for ew with b_l = inf the feasibility LP of
+    X >= 0, inf when it is infeasible."""
     p = m.space.probs
-    fam, arg = _recession_spec(spec)
-    if fam == "es":
-        res, t = _es_min(par, p, [(arg, arg, 0.0, 0.0)])
-    elif fam == "wc":
-        res, t = _wc_min(par, p)
-    elif fam == "eloss":                   # min E[-X(theta)] is linear
-        res, t = _solve_family(par, p, -(p @ par.C), -float(p @ par.x0),
-                               [], [], np.zeros(0))
-    elif arg[1] < math.inf:
-        res, t = _pwl_family_min(par, p, fam, arg, (0.0,))
+    rec = _recession_spec(spec)
+    if rec is not None:
+        res, t = _lp_min(rec)(par, p)
     else:                                  # ew: 0 on X >= 0, inf elsewhere
         q = par.C.shape[1]
         block, bound = _hinge_rows(par, q, None, None)      # -X <= 0
@@ -611,28 +618,16 @@ def _ball_descends(value: float, m: Market) -> bool:
 
 
 def _unit_slice(spec: RiskSpec, m: Market):
-    """(rho_1, pi_1, rho_inf_1) of a positively homogeneous family from one
-    LP, or None where rho_nu's unit slice is not the recession LP.
+    """(rho_1, pi_1) of a positively homogeneous family from one LP.
 
     rho^inf is the least positively homogeneous measure above rho, so
-    rho^inf = rho here, and the recession LP over the slice E[X_pi] = 1 is
-    rho_nu's own unit slice LP: es, wc, the pwl and c y^+ losses, and the
-    step profile (es at beta), one asset included.  It is not where rho_nu
-    runs no LP (eloss) or another one (var; an adjusted-ES profile of
-    several pieces, or one reaching x = 0).  The family is bounded below on
-    the slice, so an unbounded LP is an ``LPError`` like any other failure.
+    rho^inf = rho here: the recession LP over the slice E[X_pi] = 1 is
+    rho_nu's unit slice LP, and rho_inf_1 = rho_1.  Any failure of the LP,
+    unbounded included, raises ``LPError``.
     """
-    fam = spec.family
-    if fam in ("var", "eloss"):
-        return None
-    if fam == "adjes":                    # the recession LP is es at beta
-        pieces, beta = _shortfall_pieces(spec), spec.profile.beta
-        if len(pieces) != 1 or beta == 0.0 or pieces[0][0] != beta:
-            return None
-    value, pi = _recession_min(spec, m, _pi_param(m, 1.0, 1.0, at=1.0))
-    if value == -math.inf:
-        raise LPError(f"unit slice LP ended with status {UNBOUNDED}")
-    return value, pi, value
+    par = _pi_param(m, 1.0, 1.0, at=1.0)
+    return _slice_answer(par, *_lp_min(_recession_spec(spec))(
+        par, m.space.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +663,12 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
                      steps: int) -> FrontierResult:
     """Sweep rho_nu over a uniform grid and classify the regime.
 
-    A positively homogeneous family has rho_nu = nu rho_1 with minimiser
-    nu pi_1 for nu > 0 (a failed unit slice carries to every nu > 0), and
-    its sweep is one LP (``_unit_slice``): rho^inf = rho, so the unit slice
-    LP is also the recession LP that gives rho_inf_1, and sublinearity
-    fixes rho_0 = 0 at pi = 0.  Where the unit slice is not that LP (eloss,
-    an adjusted-ES profile of several pieces) or it fails, ``rho_inf_nu``
-    gives rho_inf_1 and ``rho_nu`` solves the slices at nu = 0 and 1.
+    A positively homogeneous family (eloss and every zero-valued
+    adjusted-ES profile included) has rho_nu = nu rho_1 with minimiser
+    nu pi_1 for nu > 0, and its sweep is one LP, the unit slice
+    (``_unit_slice``): rho^inf = rho, so that LP also gives rho_inf_1 =
+    rho_1, and sublinearity fixes rho_0 = 0 at pi = 0.  A failed unit slice
+    LP raises ``LPError``.
     Other families take rho_inf_1 first and solve one slice per grid node:
     an LP family all of them on one path (``solve_lp_path``), an exp loss
     all of them in one batched Newton, the others one ``rho_nu`` each.
@@ -688,8 +682,8 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     call ``_band_min``.  Otherwise the grid argmin stands (irregular
     boundaries are legal for star-shaped measures); in the zero regime a
     boundary that falls by more than the tie at every step has no
-    minimiser (nu_min = inf).  When every slice fails, nu_min and rho_min
-    are NaN and ``errors`` says why.
+    minimiser (nu_min = inf).  A failed slice is a NaN row and an entry of
+    ``errors``; when every slice fails, nu_min and rho_min are NaN.
     """
     if nu_max <= 0 or steps < 2:
         raise ValueError("need nu_max > 0 and steps >= 2")
@@ -705,13 +699,12 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
             errors.append(f"nu={nu:g}: {exc}")
             return math.nan, None
 
-    homogeneous, unit = spec.positively_homogeneous, None
+    homogeneous = spec.positively_homogeneous
     if homogeneous:
-        try:
-            unit = _unit_slice(spec, m)
-        except LPError:                  # rho_nu records the failure
-            pass
-    rho_inf_1 = rho_inf_nu(spec, m, 1.0) if unit is None else unit[2]
+        rho_1, pi_1 = _unit_slice(spec, m)
+        rho_inf_1 = rho_1                # rho^inf = rho
+    else:
+        rho_inf_1 = rho_inf_nu(spec, m, 1.0)
     if rho_inf_1 == math.inf:
         regime = REGIME_INFINITE
     elif rho_inf_1 > SIGN_TOL:
@@ -723,16 +716,9 @@ def optimal_boundary(spec: RiskSpec, m: Market, nu_max: float,
     band = spec.convex and not homogeneous and regime == REGIME_POSITIVE
     band_min = None
 
-    if homogeneous:
-        if unit is None:
-            at_zero, (rho_1, pi_1) = solve_point(0.0), solve_point(1.0)
-        else:
-            rho_1, pi_1, _ = unit
-            at_zero = 0.0, np.zeros(m.d)   # sublinearity: rho_0 = 0
-        scalable = math.isfinite(rho_1)
-        results = [at_zero] + [
-            (nu * rho_1, nu * pi_1) if scalable else (rho_1, pi_1)
-            for nu in grid[1:]]
+    if homogeneous:                      # sublinearity: rho_0 = 0 at pi = 0
+        results = [(0.0, np.zeros(m.d))] + [(nu * rho_1, nu * pi_1)
+                                            for nu in grid[1:]]
     elif getattr(spec.loss, "kind", "") == "exp":
         values, pis = _newton_min(m, m.space.probs, spec.family != "ew", grid)
         results = list(zip(values, pis.T))
@@ -885,15 +871,15 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     """MIN_RISK(nu*): least risk with expected excess return >= nu*.
     MAX_RETURN(rho*): largest expected excess return with risk <= rho*.
 
-    Both are declared unbounded when the market admits rho-arbitrage for the
-    family (negative or zero recession boundary slope).  With a positive
-    slope, a positively homogeneous family's boundary is the increasing ray
-    nu rho_1 at nu pi_1, so MIN_RISK is nu = nu* and MAX_RETURN is
-    nu = rho* / rho_1, the sweep's formula for its nodes.  rho^inf = rho for
+    MAX_RETURN is unbounded when the market admits rho-arbitrage for the
+    family (nonpositive recession slope), MIN_RISK when the slope is
+    negative.  With a positive slope, a positively homogeneous family's
+    boundary is the increasing ray nu rho_1 at nu pi_1, so MIN_RISK is
+    nu = nu* and MAX_RETURN is nu = rho* / rho_1, the sweep's formula for
+    its nodes.  rho^inf = rho for
     such a family, so the one unit slice LP (``_unit_slice``) gives both the
-    slope and (rho_1, pi_1), on one asset too.  Where it is not that LP
-    (eloss, an adjusted-ES profile of several pieces or one reaching x = 0),
-    ``rho_nu`` solves the unit slice and ``rho_inf_nu`` gives the slope.
+    slope and (rho_1, pi_1), for every homogeneous family (eloss included)
+    and on one asset too; a failed unit slice LP raises ``LPError``.
     Any other family answers MIN_RISK with one solve over the portfolios
     with E[X_pi] >= nu*, from a start point of return nu* (``_band_min``);
     an exp loss with a zero slope is unbounded, as E[exp(-X)] is strictly
@@ -907,13 +893,16 @@ def mean_rho_solve(spec: RiskSpec, m: Market, mode: str,
     if mode not in ("MIN_RISK", "MAX_RETURN"):
         raise ValueError(f"unknown mode {mode!r}")
     max_return = mode == "MAX_RETURN"
-    unit = _unit_slice(spec, m) if spec.positively_homogeneous else None
-    rho_inf_1 = rho_inf_nu(spec, m, 1.0) if unit is None else unit[2]
-    if spec.positively_homogeneous and rho_inf_1 > SIGN_TOL:
-        rho_1, pi_1 = rho_nu(spec, m, 1.0) if unit is None else unit[:2]
-        nu = level / rho_1 if max_return else level
-        return MeanRiskSolution("optimal", nu if max_return else nu * rho_1,
-                                nu * pi_1, nu)
+    if spec.positively_homogeneous:
+        rho_1, pi_1 = _unit_slice(spec, m)
+        if rho_1 > SIGN_TOL:
+            nu = level / rho_1 if max_return else level
+            return MeanRiskSolution("optimal",
+                                    nu if max_return else nu * rho_1,
+                                    nu * pi_1, nu)
+        rho_inf_1 = rho_1                # rho^inf = rho
+    else:
+        rho_inf_1 = rho_inf_nu(spec, m, 1.0)
     if not max_return:
         if rho_inf_1 < -SIGN_TOL:
             return MeanRiskSolution("unbounded",

@@ -32,6 +32,8 @@ class FiniteSpace:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("atom probabilities must be finite")
         if np.any(p <= 0):
             raise ValueError("every atom probability must be positive")
         if abs(p.sum() - 1.0) > PROB_TOL:
@@ -114,6 +116,8 @@ class Market:
         E = np.atleast_2d(np.asarray(self.excess, dtype=float))
         if E.shape[0] != self.space.n:
             raise ValueError("excess matrix must have one row per atom")
+        if not (np.isfinite(self.r) and np.isfinite(E).all()):
+            raise ValueError("riskless rate and excess returns must be finite")
         if self.r <= -1.0:
             raise ValueError("riskless rate must exceed -1")
         object.__setattr__(self, "excess", E)
@@ -134,8 +138,8 @@ class Market:
         """Build from time-0 prices and time-1 payoffs (one payoff column per asset)."""
         prices = np.asarray(prices, dtype=float)
         payoffs = np.atleast_2d(np.asarray(payoffs, dtype=float))
-        if np.any(prices <= 0):
-            raise ValueError("asset prices must be positive")
+        if not np.all((prices > 0) & np.isfinite(prices)):
+            raise ValueError("asset prices must be positive and finite")
         returns = payoffs / prices[None, :] - 1.0
         m = cls(FiniteSpace(np.asarray(probs, dtype=float)), float(r),
                 returns - float(r))

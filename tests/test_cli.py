@@ -165,17 +165,25 @@ class TestCommands:
         monkeypatch.setattr(frontier, "rho_nu", failing)
         monkeypatch.setattr(frontier, "_unit_slice", failing_path)
         monkeypatch.setattr(frontier, "solve_lp_path", failing_path)
-        for measure, errors in (("es:0.4", 2), ("lses:0.3", 6)):
-            code = main(["frontier", "--market", market_file, "--measure",
-                         measure, "--nu-max", "0.5", "--steps", "6"])
-            assert code == 3
-            captured = capsys.readouterr()
-            rows = captured.out.splitlines()[1:]
-            assert len(rows) == 6
-            assert all(row.split(",")[1] == "nan" for row in rows)
-            lines = captured.err.splitlines()
-            assert len(lines) == errors
-            assert all("status stalled" in line for line in lines)
+        code = main(["frontier", "--market", market_file, "--measure",
+                     "lses:0.3", "--nu-max", "0.5", "--steps", "6"])
+        assert code == 3
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 6
+        assert all(row.split(",")[1] == "nan" for row in rows)
+        lines = captured.err.splitlines()
+        assert len(lines) == 6
+        assert all("status stalled" in line for line in lines)
+        # a homogeneous sweep is its unit slice LP: its failure ends the
+        # verb before any row is written
+        code = main(["frontier", "--market", market_file, "--measure",
+                     "es:0.4", "--nu-max", "0.5", "--steps", "6"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "solver failure: slice LP ended with status stalled"]
 
     def test_arbitrage_report(self, market_file, capsys):
         code = main(["arbitrage", "--market", market_file,
@@ -250,6 +258,24 @@ class TestCommands:
         code = main(["price-bounds", "--market", str(path), "--payoff",
                      "1 1 1", "--measure", "es:0.5", "--kind", "NO_ARB"])
         assert code == 1
+
+    def test_nonfinite_market_data_exit_1(self, tmp_path, capsys):
+        for line in ("space.probs = nan 0.5 0.5",
+                     "asset.1.excess = nan -0.2 0.1",
+                     "asset.1.excess = inf -0.2 0.1"):
+            key = line.split(" = ")[0]
+            text = "\n".join(line if row.startswith(key + " ") else row
+                             for row in MARKET_TEXT.splitlines())
+            path = tmp_path / "nonfinite.txt"
+            path.write_text(text, encoding="utf-8")
+            for argv in (["eval", "--portfolio", "1 0"],
+                         ["frontier", "--steps", "3"]):
+                code = main(argv + ["--market", str(path), "--measure",
+                                    "es:0.5"])
+                captured = capsys.readouterr()
+                assert code == 1 and captured.out == "", line
+                assert captured.err.startswith("error: ") and (
+                    "must be finite" in captured.err), line
 
     def test_classify(self, capsys):
         assert main(["classify", "--measure", "lses:1"]) == 0

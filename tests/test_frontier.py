@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import random_market
 import meanrisk.frontier as frontier
-from meanrisk import (LossFunction, LPError, Market, RandVar, RiskSpec,
-                      bounded_tail_profile, check_classical_arbitrage,
-                      classify_sensitivity, detect_arbitrage,
-                      efficient_frontier, evaluate, excess_return,
-                      general_profile, lses_profile, mean_rho_solve,
-                      optimal_boundary, portfolio_slice, price_bounds,
-                      recession_ball_min, recession_efficient_frontier,
-                      rho_inf_nu, rho_nu, step_profile, table_profile)
+from meanrisk import (FiniteSpace, LossFunction, LPError, Market, RandVar,
+                      RiskSpec, bounded_tail_profile,
+                      check_classical_arbitrage, classify_sensitivity,
+                      detect_arbitrage, efficient_frontier, evaluate,
+                      excess_return, general_profile, lses_profile,
+                      mean_rho_solve, optimal_boundary, portfolio_slice,
+                      price_bounds, recession_ball_min,
+                      recession_efficient_frontier, rho_inf_nu, rho_nu,
+                      step_profile, table_profile)
+from meanrisk.dual import recession_value
 from meanrisk.fixtures import (IRREGULAR_SPOT_VALUES, boundary_norm_market,
                                boundary_norm_profile, irregular_boundary)
 from meanrisk.io import parse_measure
@@ -570,27 +572,35 @@ class TestHomogeneousBoundary:
                         value, rel=1e-9, abs=1e-9), tag
         assert {"POSITIVE", "NEGATIVE"} <= regimes and kinds == {True, False}
 
-    def test_profiles_off_the_unit_slice_take_the_slices(self):
+    def test_zero_and_table_profiles_take_the_unit_slice(self):
         # adjusted-ES profiles that vanish on [beta, 1] but are not one piece
-        # at beta: no unit slice LP, so rho_1 comes from rho_nu and the slope
-        # from rho_inf_nu, and the sweep and both mean-risk modes scale them
+        # at beta are positively homogeneous too: their own shortfall LP over
+        # the unit slice gives rho_1 and the slope rho_inf_1 = rho_1, which
+        # agrees with their non-homogeneous recession measure (wc at beta = 0,
+        # es at beta), and the sweep and both mean-risk modes scale it
         markets = [TRINOMIAL, BINOMIAL] + [
             random_market(np.random.default_rng(seed), n=5, d=2)
             for seed in range(4)]
         regimes = set()
-        for text in ("adjes:g=zero", "adjes:g=table(0.3,0;0.6,0;1,0)"):
+        for text, other in (("adjes:g=zero", RiskSpec.wc()),
+                            ("adjes:g=table(0.3,0;0.6,0;1,0)",
+                             RiskSpec.es_at(0.3))):
             spec = parse_measure(text)
             assert spec.positively_homogeneous
             for m in markets:
-                assert frontier._unit_slice(spec, m) is None
+                rho_1, pi_1 = frontier._unit_slice(spec, m)
+                ref_1, ref_pi = rho_nu(spec, m, 1.0)
+                assert rho_1 == ref_1 and same_portfolio(pi_1, ref_pi)
+                slope = rho_inf_nu(other, m, 1.0)
+                assert abs(rho_1 - slope) <= 1e-12 * (1 + abs(slope))
                 fr = optimal_boundary(spec, m, 1.5, 7)
                 regimes.add(fr.regime)
                 assert fr.errors == [] and fr.rho_values[0] == 0.0
-                assert fr.rho_inf_1 == rho_inf_nu(spec, m, 1.0)
+                assert fr.rho_inf_1 == rho_inf_nu(spec, m, 1.0) == rho_1
                 for nu, value in zip(fr.nu_grid, fr.rho_values):
                     ref = rho_nu(spec, m, float(nu))[0]
+                    assert value == nu * rho_1
                     assert abs(value - ref) <= 1e-12 * (1 + abs(ref))
-                rho_1 = rho_nu(spec, m, 1.0)[0]
                 low = mean_rho_solve(spec, m, "MIN_RISK", 0.4)
                 high = mean_rho_solve(spec, m, "MAX_RETURN", 0.4)
                 if fr.rho_inf_1 <= frontier.SIGN_TOL:
@@ -623,6 +633,8 @@ class TestHomogeneousBoundary:
         assert len(lps) == 1
 
     def test_failed_unit_slice_recorded_once(self, monkeypatch):
+        # a homogeneous sweep is its unit slice LP, so a failure of that LP
+        # raises; a sweep of slices records a failed slice once
         inner = frontier.rho_nu
 
         def failing(spec, m, nu):
@@ -632,11 +644,14 @@ class TestHomogeneousBoundary:
 
         monkeypatch.setattr(frontier, "rho_nu", failing)
         monkeypatch.setattr(frontier, "_unit_slice", failing_unit)
-        fr = optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 5)
+        with pytest.raises(LPError, match="stalled"):
+            optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 5)
+        failing_paths(monkeypatch)
+        fr = optimal_boundary(RiskSpec.lses_at(0.3), TRINOMIAL, 1.0, 5)
         assert len(fr.errors) == 1 and fr.errors[0].startswith("nu=1:")
-        assert math.isfinite(fr.rho_values[0])
-        assert np.all(np.isnan(fr.rho_values[1:]))
-        assert all(pi is None for pi in fr.optimal_portfolios[1:])
+        assert np.all(np.isfinite(fr.rho_values[:-1]))
+        assert math.isnan(fr.rho_values[-1])
+        assert fr.optimal_portfolios[-1] is None
 
     def test_unbounded_slice_lps_are_recorded_errors(self, monkeypatch):
         # every built-in family is bounded below on a slice, so an unbounded
@@ -647,12 +662,13 @@ class TestHomogeneousBoundary:
         monkeypatch.setattr(frontier, "solve_lp", unbounded)
         monkeypatch.setattr(frontier, "solve_lp_path", lambda c, A_ub, B_ub,
                             **kwargs: [unbounded(c)] * B_ub.shape[1])
-        for spec, errors in ((RiskSpec.es_at(0.4), 2),
-                             (RiskSpec.lses_at(0.3), 5)):
-            fr = optimal_boundary(spec, TRINOMIAL, 1.0, 5)
-            assert np.all(np.isnan(fr.rho_values))
-            assert len(fr.errors) == errors
-            assert all("status unbounded" in e for e in fr.errors)
+        fr = optimal_boundary(RiskSpec.lses_at(0.3), TRINOMIAL, 1.0, 5)
+        assert np.all(np.isnan(fr.rho_values))
+        assert len(fr.errors) == 5
+        assert all("status unbounded" in e for e in fr.errors)
+        # a homogeneous sweep is its unit slice LP, whose failure raises
+        with pytest.raises(LPError, match="unbounded"):
+            optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 5)
         with pytest.raises(LPError, match="unbounded"):
             frontier._unit_slice(RiskSpec.es_at(0.4), TRINOMIAL)
 
@@ -663,13 +679,14 @@ class TestHomogeneousBoundary:
         monkeypatch.setattr(frontier, "rho_nu", failing)
         monkeypatch.setattr(frontier, "_unit_slice", failing_unit)
         failing_paths(monkeypatch)
-        for spec, errors in ((RiskSpec.es_at(0.4), 2),
-                             (RiskSpec.lses_at(0.3), 5)):
-            fr = optimal_boundary(spec, TRINOMIAL, 1.0, 5)
-            assert np.all(np.isnan(fr.rho_values))
-            assert math.isnan(fr.nu_min) and math.isnan(fr.rho_min)
-            assert len(fr.errors) == errors
-            assert fr.regime == "POSITIVE"
+        fr = optimal_boundary(RiskSpec.lses_at(0.3), TRINOMIAL, 1.0, 5)
+        assert np.all(np.isnan(fr.rho_values))
+        assert math.isnan(fr.nu_min) and math.isnan(fr.rho_min)
+        assert len(fr.errors) == 5
+        assert fr.regime == "POSITIVE"
+        # a homogeneous sweep is its unit slice LP, whose failure raises
+        with pytest.raises(LPError, match="stalled"):
+            optimal_boundary(RiskSpec.es_at(0.4), TRINOMIAL, 1.0, 5)
 
 
 def same_portfolio(pi, ref):
@@ -712,6 +729,96 @@ class TestOneLpHomogeneousSweep:
                     assert same_portfolio(pi, nu * pi_1), tag
                 else:
                     assert value == rho_1 and same_portfolio(pi, pi_1), tag
+
+
+def unit_rule_specs():
+    """Positively homogeneous families of every kind: shortfall (es, the
+    step, zero and zero-table profiles), minimax, linear (eloss) and hinge
+    (pwl kinked at 0 and c y^+)."""
+    kinked = LossFunction.pwl((0.5, 2.0), (0.0,))
+    cy = LossFunction.power(1.5, 1.0)
+    return ([RiskSpec.es_at(0.3), RiskSpec.wc(), RiskSpec.expected_loss(),
+             RiskSpec.adjusted(step_profile(0.4))]
+            + [parse_measure(text) for text in (
+                "adjes:g=zero", "adjes:g=table(0.3,0;0.6,0;1,0)")]
+            + [RiskSpec(fam, loss=kinked) for fam in ("oce", "sr", "ew")]
+            + [RiskSpec(fam, loss=cy) for fam in ("oce", "sr", "ew")])
+
+
+def not_homogeneous_specs():
+    """One spec per way a family can miss positive homogeneity: a profile
+    that is not zero (beta = 0 and beta > 0, affine, bounded, general), a
+    pwl loss kinked off 0 (a_l > 0, a_l = 0, zero on the negatives), an exp
+    loss and c y^gamma with gamma > 1."""
+    off_zero = LossFunction.pwl((0.5, 1.0, 2.0), (-0.5, 0.3))
+    negative_left = LossFunction.pwl((0.0, 1.0, 2.0), (-0.5, 0.3))
+    specs = [RiskSpec.lses_at(0.3),
+             RiskSpec.adjusted(lses_profile(0.5)),
+             RiskSpec.adjusted(table_profile([(0.2, 3.0), (0.5, 1.0),
+                                              (1.0, 0.0)])),
+             RiskSpec.adjusted(bounded_tail_profile(0.8, 0.3)),
+             RiskSpec.adjusted(general_profile(
+                 lambda x: 1.0 / (np.asarray(x) - 0.4) - 1.0 / 0.6, 0.4,
+                 True))]
+    for loss in (off_zero, negative_left, EXP):
+        specs += [RiskSpec(fam, loss=loss) for fam in ("oce", "sr", "ew")]
+    flat_left = LossFunction.pwl((0.0, 1.0, 3.0), (0.0, 0.5))  # sr: wc
+    return specs + [RiskSpec.oce_with(flat_left), RiskSpec.ew_with(flat_left),
+                    RiskSpec.ew_with(LossFunction.power(1.0, 2.0))]
+
+
+class TestRecessionSpec:
+    """rho^inf as a RiskSpec: a homogeneous family is its own recession
+    measure, so its recession value is its slice value, and every sweep and
+    mean-risk solve of it is the one unit slice LP (outside the zero regime,
+    where MIN_RISK also solves its band)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]))
+    def test_homogeneous_recession_is_the_slice(self, seed, d):
+        rng = np.random.default_rng(seed)
+        m = random_market(rng, n=int(rng.integers(d + 1, d + 9)), d=d)
+        for spec in unit_rule_specs():
+            tag = (spec.label(), seed, d)
+            assert spec.positively_homogeneous, tag
+            assert frontier._recession_spec(spec) is spec, tag
+            for nu in (0.0, 0.35, 1.0):
+                value, pi = rho_nu(spec, m, nu)
+                assert repr(rho_inf_nu(spec, m, nu)) == repr(value), tag
+                if spec.family == "eloss":     # E[-X] = -nu on the slice
+                    assert abs(value + nu) <= 1e-13 * nu, tag
+                    assert nu or (repr(value), pi.tobytes()) == (
+                        "0.0", np.zeros(d).tobytes()), tag
+            with pytest.MonkeyPatch.context() as mp:
+                lps, paths = solved_lps(mp), solved_paths(mp)
+                fr = optimal_boundary(spec, m, 0.6, 5)
+                assert len(lps) == 1 and fr.errors == [], tag
+                for mode in ("MIN_RISK", "MAX_RETURN"):
+                    del lps[:]
+                    sol = mean_rho_solve(spec, m, mode, 0.3)
+                    if abs(fr.rho_inf_1) > frontier.SIGN_TOL:
+                        assert len(lps) == 1, (tag, mode)
+                    assert sol.status in ("optimal", "unbounded"), tag
+                assert paths == [], tag
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(-3, 3))
+    def test_recession_spec_matches_the_dual_rule(self, seed, n, k):
+        # the RiskSpec that _recession_spec maps a non-homogeneous family to
+        # evaluates to dual.recession_value, which builds rho^inf on its own
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.2, 1.0, n)
+        X = RandVar(FiniteSpace(w / w.sum()), 10.0 ** k * rng.normal(size=n))
+        tol = 1e-9 * (1.0 + float(np.abs(X.values).max()))
+        for spec in not_homogeneous_specs():
+            assert not spec.positively_homogeneous, spec.label()
+            rec = frontier._recession_spec(spec)
+            want = recession_value(spec, X)
+            if rec is None:                # ew with b_l = inf
+                assert want == (math.inf if (X.values < 0).any() else 0.0)
+                continue
+            assert rec.positively_homogeneous, spec.label()
+            assert abs(evaluate(rec, X) - want) <= tol, (spec.label(), want)
 
 
 def chained_specs():

@@ -551,18 +551,23 @@ class TestRowBuilders:
                     for key, value in want.items():
                         assert same(got[key], value), (fam, key)
                 for spec in recession_specs(rng):
-                    fam, arg = frontier._recession_spec(spec)
-                    if fam == "eloss" or fam == "ew" and arg[1] == math.inf:
+                    rec = frontier._recession_spec(spec)
+                    if rec is None:            # ew with b_l = inf
                         continue
                     seen.clear()
                     frontier._recession_min(spec, m, par)
                     (got,) = seen
-                    if fam == "es":
-                        frontier._es_min(par, p, [(arg, arg, 0.0, 0.0)])
-                    elif fam == "wc":
+                    if rec.family == "es":
+                        frontier._es_min(par, p, [(rec.alpha, rec.alpha,
+                                                   0.0, 0.0)])
+                    elif rec.family == "wc" or (
+                            rec.family == "sr" and rec.loss.zero_on_negatives):
                         frontier._wc_min(par, p)
-                    else:
-                        seen.append(pwl_hinge_loop(par, p, fam, arg, (0.0,)))
+                    else:                      # the hinge LP of l_inf
+                        loss = rec.loss
+                        seen.append(pwl_hinge_loop(par, p, rec.family,
+                                                   (loss.a_l, loss.b_l),
+                                                   (0.0,)))
                     want = seen[1]
                     for key, value in want.items():
                         assert same(got[key], value), (spec.label(), key)
@@ -698,11 +703,10 @@ class TestLiftedLps:
                     lps.append(frontier._pwl_family_min(
                         par, p, fam, loss.slopes, loss.breakpoints))
                     # the recession LP: the hinge LP of l_inf
-                    rfam, slopes = frontier._recession_spec(
+                    rec = frontier._recession_spec(
                         RiskSpec(fam, loss=LossFunction.pwl(
                             (0.5, 1.0, 2.0), (-0.5, 0.3))))
-                    lps.append(frontier._pwl_family_min(par, p, rfam, slopes,
-                                                        (0.0,)))
+                    lps.append(frontier._lp_min(rec)(par, p))
                 for res, _ in lps:
                     assert res.status == OPTIMAL
                     assert res.phase1_pivots == 0 < res.pivots

@@ -19,6 +19,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             FiniteSpace(np.array([0.5, 0.6]))
 
+    def test_nan_probability_rejected(self):
+        # NaN passes both the positivity and the sum test
+        with pytest.raises(ValueError, match="finite"):
+            FiniteSpace(np.array([np.nan, 0.5, 0.5]))
+
+    def test_nan_excess_return_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Market.from_excess([0.5, 0.5], 0.0, [[np.nan], [-0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            Market.from_prices([0.5, 0.5], 0.0, [1.0], [[np.nan], [0.5]])
+
+    def test_inf_excess_return_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Market.from_excess([0.5, 0.5], 0.0, [[np.inf], [-0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            Market.from_prices([0.5, 0.5], 0.0, [1.0], [[2.0], [-np.inf]])
+        with pytest.raises(ValueError, match="finite"):   # excess -1 - r
+            Market.from_prices([0.5, 0.5], 0.0, [np.inf], [[2.0], [0.5]])
+
+    def test_nonfinite_rate_rejected(self):
+        for r in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Market.from_excess([0.5, 0.5], r, [[1.0], [-0.5]])
+
     def test_redundant_market_rejected(self):
         # second asset is an affine combination of cash and the first
         with pytest.raises(ValueError):

@@ -628,9 +628,11 @@ class _Frozen:
     """The kernel before its numpy calls were trimmed, kept as the reference
     for pivot paths: np.outer rank-1 updates, phase 1 ended by basis.max(),
     an (m+2)-row phase-1 tableau even with no artificial, and the standard
-    form through broadcast_to and fancy-indexed slack columns.
-    _frozen_kernel patches these functions into a fresh copy of the simplex
-    module."""
+    form through broadcast_to and fancy-indexed slack columns; and the one
+    driver (_solve with _phase2, _price and _face_min) as it was when the
+    three entry points became its wrappers, so that a change to the driver
+    reaches only the live side.  _frozen_kernel patches these functions
+    into a fresh copy of the simplex module."""
 
     def _pivot(T, row, col):
         T[row] /= T[row, col]
@@ -778,20 +780,108 @@ class _Frozen:
                             res.basis if full else None)
         return A_std, b_std, slack, cost, unmap
 
+    def _phase2(T, basis, c, phase1, max_iter):
+        m = basis.size
+        status, phase2 = _iterate(T, basis, m, m, c.size, max_iter, False)
+        pivots = phase1 + phase2
+        if status == UNBOUNDED:
+            return LPResult(UNBOUNDED, pivots=pivots, phase1_pivots=phase1)
+        x = np.zeros(c.size)
+        x[basis] = T[:m, -1]
+        return LPResult(OPTIMAL, x, float(c @ x), pivots, phase1,
+                        basis=basis.copy())
 
-def _frozen_kernel(monkeypatch):
-    """A fresh copy of the simplex module running _Frozen's functions.  Each
-    is rebuilt over the copy's namespace, so the frozen functions call one
-    another and the copy's unchanged ones (_phase2, _price, ...)."""
-    spec = importlib.util.spec_from_file_location("frozen_simplex",
-                                                  simplex.__file__)
+    def _price(T, basis, c):
+        m = basis.size
+        T[m] = np.append(c, 0.0)
+        T[m] -= c[basis] @ T[:m]
+
+    def _face_min(T, basis, tie, max_iter):
+        m = basis.size
+        face = T[:m + 1].copy()
+        _price(face, basis, tie)
+        face[m, :-1][T[m, :-1] > _RCOST_TOL] = np.inf
+        return _phase2(face, basis.copy(), tie, 0, max_iter)
+
+    def _solve(legs, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize=False):
+        legs = [(np.asarray(c, dtype=float), tie) for c, tie in legs]
+        path = np.ndim(b_ub) == 2
+        if path:
+            b_ub = np.asarray(b_ub, dtype=float)[:, ::-1]
+        ncol = b_ub.shape[1] if path else 1
+        form = _standard_form(legs[0][0].size, A_ub, b_ub, A_eq, b_eq,
+                              lower, upper)
+        if form is None:
+            return [LPResult(INFEASIBLE) for _ in range(ncol * len(legs))]
+        A_std, b_std, slack, cost, unmap = form
+        max_iter = _budget(A_std)
+        costs = [cost(-c if maximize else c) for c, _ in legs]
+
+        def column(T, basis, pivots, dual):
+            out = []
+            for (c, tie), c_std in zip(legs, costs):
+                if out:
+                    _price(T, basis, c_std)
+                res = unmap(_phase2(T, basis, c_std, pivots, max_iter), c)
+                res.pivots += dual
+                res.dual_pivots = dual
+                pivots = dual = 0
+                if tie is not None and res.status == OPTIMAL:
+                    face = unmap(_face_min(T, basis, cost(tie), max_iter), c)
+                    res = replace(res, status=face.status, x=face.x,
+                                  basis=face.basis,
+                                  pivots=res.pivots + face.pivots)
+                out.append(res)
+            return out
+
+        results, T, scale = [], None, None
+        for j in range(ncol, 0, -1):
+            out = None
+            if T is not None and basis.size:
+                T = T[:, :-1]
+                if scale is None:
+                    rows = (slack >= 0).nonzero()[0]
+                    scale = np.ones(A_std.shape[1])
+                    scale[slack[rows]] = np.abs(
+                        A_std[rows, :scale.size - rows.size]).max(
+                        axis=1, initial=0.0).clip(_PIVOT_TOL, 1.0)
+                status, dual = _dual_iterate(T, basis, basis.size, scale.size,
+                                             max_iter, scale)
+                if status == OPTIMAL:
+                    out = column(T, basis, 0, dual)
+            if out is None or out[0].status != OPTIMAL:
+                start = _phase1(costs[0],
+                                A_std, b_std[:, :j] if path else b_std,
+                                slack, max_iter)
+                if isinstance(start, LPResult):
+                    out = [start] + [LPResult(INFEASIBLE) for _ in legs[1:]]
+                else:
+                    T, basis, pivots = start
+                    out = column(T, basis, pivots, 0)
+            if out[0].status != OPTIMAL:
+                T = None
+            results += out
+        return results
+
+
+_DRIVER = ("_solve", "_phase2", "_price", "_face_min")
+
+
+def _frozen_kernel(monkeypatch, names=None):
+    """A fresh copy of the simplex module running _Frozen's functions, or
+    only those in ``names``.  Each is rebuilt over the copy's namespace, so
+    the frozen functions call one another and the copy's unchanged ones
+    (_dual_iterate, _budget, ...)."""
+    spec = importlib.util.spec_from_file_location(
+        "frozen_simplex" if names is None else "frozen_driver",
+        simplex.__file__)
     ref = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, ref)   # for @dataclass
     spec.loader.exec_module(ref)
     for name, fn in vars(_Frozen).items():
-        if callable(fn):
+        if callable(fn) and (names is None or name in names):
             setattr(ref, name, types.FunctionType(fn.__code__, vars(ref),
-                                                  name))
+                                                  name, fn.__defaults__))
     return ref
 
 
@@ -812,11 +902,17 @@ def _tiny_rows(rng, *polytopes):
 
 def test_kernel_matches_frozen_reference(rng, monkeypatch):
     # Every pivot path of the kernel is bit-identical to the frozen one:
-    # status, pivot counts, basis and the bytes of x, on cold solves,
-    # sequences with tie-break legs and the first column of a path, whose
-    # later columns match frozen cold solves.
+    # status, pivot counts, the sign and bits of the value, basis and the
+    # bytes of x, on cold solves, sequences with tie-break legs and the
+    # first column of a path, whose later columns match frozen cold solves.
+    # The frozen kernel predates rhs paths, so a whole path is compared
+    # with the live kernel under the frozen driver; a third of the paths
+    # give the dual simplex one pivot per column on both sides, so that
+    # columns restart cold.
     ref = _frozen_kernel(monkeypatch)
-    seen = {"repick": 0, "tie": 0, "dual": 0, "dropped": 0, "beale": 0}
+    driver = _frozen_kernel(monkeypatch, _DRIVER)
+    seen = {"repick": 0, "tie": 0, "dual": 0, "dropped": 0, "restart": 0,
+            "beale": 0}
     frozen_ratio_test = ref._ratio_test
 
     def counted(col, rhs, basis, rows):
@@ -827,19 +923,31 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
         seen["repick"] += col[first] < simplex._SMALL_PIVOT
         return frozen_ratio_test(col, rhs, basis, rows)
     ref._ratio_test = counted
+    dual_budget = [None]
+
+    def budgeted(dual_iterate, count):
+        def call(T, basis, m, ncols, max_iter, scale):
+            out = dual_iterate(T, basis, m, ncols, dual_budget[0] or max_iter,
+                               scale)
+            seen["restart"] += count and out[0] is None
+            return out
+        return call
+    monkeypatch.setattr(simplex, "_dual_iterate",
+                        budgeted(simplex._dual_iterate, True))
+    driver._dual_iterate = budgeted(driver._dual_iterate, False)
 
     def same(got, want):
         assert got.status == want.status
         assert (got.pivots, got.phase1_pivots, got.dual_pivots) == (
             want.pivots, want.phase1_pivots, want.dual_pivots)
-        assert got.value == want.value
+        assert repr(got.value) == repr(want.value)
         for a, b in ((got.basis, want.basis), (got.x, want.x)):
             assert (a is None) == (b is None)
             assert a is None or a.tobytes() == b.tobytes()
 
-    def both(name, *args, **kwargs):
+    def both(name, *args, against=ref, **kwargs):
         got = getattr(simplex, name)(*args, **kwargs)
-        want = getattr(ref, name)(*args, **kwargs)
+        want = getattr(against, name)(*args, **kwargs)
         for g, w in zip(*(r if isinstance(r, list) else [r]
                           for r in (got, want))):
             same(g, w)
@@ -849,7 +957,9 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
                        [0.0, 0.0, 1.0, 0.0]], b_ub=[0, 0, 1])
     res = both("solve_lp", [-0.75, 150, -0.02, 6], **beale)
     seen["beale"] += res.pivots > simplex._DEGENERATE_RUN
-    for i in range(600):
+    both("solve_lp", [1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[0.0],
+         maximize=True)                           # a max of 0.0 is +0.0
+    for i in range(900):
         if i % 3 == 0:
             c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize = \
                 _random_instance(rng)
@@ -870,11 +980,13 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
             columns = [dict(rows, b_ub=b) for b in
                        _moved_columns(rng, rows["b_ub"], 3, 0.5).T]
             _tiny_rows(rng, *columns)
-            path = simplex.solve_lp_path(
-                c, columns[0]["A_ub"],
+            dual_budget[0] = 1 if i % 9 == 2 else None
+            path = both(
+                "solve_lp_path", c, columns[0]["A_ub"],
                 np.column_stack([col["b_ub"] for col in columns]),
-                **{key: columns[0][key] for key in ("A_eq", "b_eq", "lower",
-                                                    "upper")})
+                against=driver, **{key: columns[0][key] for key in (
+                    "A_eq", "b_eq", "lower", "upper")})
+            dual_budget[0] = None
             same(path[0], ref.solve_lp(c, **columns[0]))
             for res, col in zip(path[1:], columns[1:]):
                 cold = ref.solve_lp(c, **col)
