@@ -17,7 +17,15 @@ against the martingale sets M (absolutely continuous) and P (equivalent) is
 decided by linear programming on one row assembly, a density polytope plus
 the rows E[Z (R^i - r)] = 0; strict constraints are resolved by slack
 maximisation with threshold ``SLACK_TOL``, which is the numerical meaning
-of "Z > 0 a.s." on a finite space.
+of "Z > 0 a.s." on a finite space.  Every density polytope
+(``SetPolytope``) runs over w = z - l, where l is z's lower bound: lo
+(closed box), lo + delta (interior box and sup-norm ball), a s or a s +
+delta (scaled box).  The lower bounds are then the sign constraints w >= 0
+and need no rows; each upper bound is one row per atom whose rhs, hi - lo
+or 0, is nonnegative whenever the set holds a density.  So the slack basis
+is feasible for every inequality row, and phase 1 has artificials only on
+the 1 + d equality rows.  Rows, costs and points over z go through
+``SetPolytope.lp_row`` and ``SetPolytope.density``.
 """
 from __future__ import annotations
 
@@ -243,10 +251,16 @@ def closure_dual_set(spec: RiskSpec) -> DualSetSpec:
 
 @dataclass
 class SetPolytope:
-    """{w >= 0 : A_ub w <= b_ub, A_eq w = b_eq}; the first n coords are z.
+    """A density set as the LP {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}.
 
-    ``strict_rows`` flags the A_ub rows that are strict in the underlying set
-    (resolved by slack maximisation when it matters).
+    The LP runs over x = (w, extra columns), where the extra columns are a
+    scale s (scaled box) and a slack delta (interior forms) and w = z - l
+    lifts z by its lower bound l = lift @ x + base, an affine form in the
+    extra columns that is the same on every atom.  So z >= l is w >= 0 and
+    needs no row.  ``lp_row`` maps rows and costs over z to rows over x
+    plus a constant, ``density`` maps an LP point back to z.
+    ``strict_rows`` flags the A_ub rows that are strict in the underlying
+    set (resolved by slack maximisation when it matters).
     """
 
     n: int
@@ -256,6 +270,21 @@ class SetPolytope:
     A_eq: np.ndarray
     b_eq: np.ndarray
     strict_rows: list
+    lift: np.ndarray             # l's coefficients, 0 on the w columns
+    base: float                  # l's constant
+
+    def lp_row(self, r) -> tuple[np.ndarray, np.ndarray | float]:
+        """r.z = row.x + constant, for r one row over the atoms or a
+        matrix of them (then one row and one constant per row of r)."""
+        r = np.asarray(r, dtype=float)
+        total = r.sum(axis=-1)
+        row = np.multiply.outer(total, self.lift)
+        row[..., :self.n] += r
+        return row, total * self.base
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """z = w + l at an LP point x."""
+        return x[:self.n] + (self.lift @ x + self.base)
 
 
 def _atom_rows(n: int, nvars: int, diag: dict, shared: dict | None = None
@@ -269,11 +298,6 @@ def _atom_rows(n: int, nvars: int, diag: dict, shared: dict | None = None
     for k, c in (shared or {}).items():
         rows[:, k] = c
     return rows
-
-
-def _interleave(*blocks) -> np.ndarray:
-    """Row i of each block in turn, atom by atom (rows or right-hand sides)."""
-    return np.stack(blocks, axis=1).reshape((-1,) + blocks[0].shape[1:])
 
 
 def _polytope_kind(ds: DualSetSpec) -> DualSetSpec:
@@ -293,48 +317,56 @@ def _polytope_kind(ds: DualSetSpec) -> DualSetSpec:
     return ds
 
 
-def _polytope(p: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
-              strict=()) -> SetPolytope:
-    """The given rows with E[z] = 1 over the first p.size columns."""
-    A_eq = np.zeros((1, A_ub.shape[1]))
-    A_eq[0, :p.size] = p
-    return SetPolytope(p.size, A_ub.shape[1], A_ub, b_ub, A_eq,
-                       np.array([1.0]), list(strict))
+def _lifted(p: np.ndarray, nvars: int, lower: tuple, upper: tuple,
+            strict: bool = False) -> SetPolytope:
+    """The densities with l <= z_i <= u on every atom, over w = z - l.
+
+    ``lower`` and ``upper`` are affine forms (constant, {column: coef}) in
+    the extra columns; u is unbounded when any of its terms is infinite.
+    A bounded u is one row per atom, w_i + (l - u) @ x <= u0 - l0, and
+    E[z] = 1 goes through ``lp_row``.
+    """
+    n = p.size
+    lift = np.zeros(nvars)
+    for k, c in lower[1].items():
+        lift[k] = c
+    bounded = all(map(math.isfinite, (upper[0], *upper[1].values())))
+    A_ub, b_ub = np.zeros((0, nvars)), np.zeros(0)
+    if bounded:
+        A_ub = _atom_rows(n, nvars, {0: 1.0}, {
+            k: lift[k] - upper[1].get(k, 0.0) for k in range(n, nvars)})
+        b_ub = np.full(n, upper[0] - lower[0])
+    pt = SetPolytope(n, nvars, A_ub, b_ub, None, None,
+                     list(range(n)) if strict and bounded else [],
+                     lift, lower[0])
+    row, const = pt.lp_row(p)
+    pt.A_eq, pt.b_eq = row[None, :], np.array([1.0 - const])
+    return pt
+
+
+def _box_lower(ds: DualSetSpec) -> float:
+    """z's lower bound in a box or sup-norm ball (z >= 0 in any case)."""
+    return max(ds.lo, 0.0) if ds.kind == "box" else 0.0
 
 
 def set_polytope(ds: DualSetSpec | None, space: FiniteSpace) -> SetPolytope:
-    """Closed polyhedral description of a dual set over the given space."""
-    n = space.n
+    """Closed polyhedral description of a dual set over the given space: a
+    box or sup-norm ball over w = z - lo, a scaled box a s <= z_i <= b s
+    (a = max(a_l, 0), the scale s the last column) over w = z - a s."""
+    n, p = space.n, space.probs
     ds = _polytope_kind(ALL_DENSITIES if ds is None else ds)
     if ds.kind == "scaled_box":
-        nvars = n + 1  # auxiliary scale s with z in [a s, b s]
-        blocks = []
-        if ds.b_l != math.inf:
-            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: -ds.b_l}))
-        if ds.a_l > 0.0:
-            blocks.append(_atom_rows(n, nvars, {0: -1.0}, {n: ds.a_l}))
-        return _polytope(space.probs, _interleave(*blocks),
-                         np.zeros(n * len(blocks)))
-    lo = ds.lo if ds.kind == "box" else 0.0
-    rows, rhs, strict = [np.zeros((0, n))], [np.zeros(0)], []
-    if ds.hi != math.inf:
-        rows.append(_atom_rows(n, n, {0: 1.0}))
-        rhs.append(np.full(n, ds.hi))
-        if ds.strict:
-            strict = range(n)
-    if lo > 0.0:
-        rows.append(_atom_rows(n, n, {0: -1.0}))
-        rhs.append(np.full(n, -lo))
-    return _polytope(space.probs, np.vstack(rows), np.concatenate(rhs), strict)
+        return _lifted(p, n + 1, (0.0, {n: max(ds.a_l, 0.0)}),
+                       (0.0, {n: ds.b_l}))
+    return _lifted(p, n, (_box_lower(ds), {}), (ds.hi, {}), ds.strict)
 
 
 def _martingale_lp(m: Market, pt: SetPolytope) -> dict:
     """``solve_lp`` keyword arguments for pt intersected with M: its rows
-    plus E[Z (R^i - r)] = 0 over the z part of the variable vector."""
-    mg = np.zeros((m.d, pt.nvars))
-    mg[:, :pt.n] = (m.excess * m.space.probs[:, None]).T
+    plus E[Z (R^i - r)] = 0, mapped to the LP variables by ``lp_row``."""
+    mg, const = pt.lp_row((m.excess * m.space.probs[:, None]).T)
     return dict(A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=np.vstack([pt.A_eq, mg]),
-                b_eq=np.concatenate([pt.b_eq, np.zeros(m.d)]))
+                b_eq=np.concatenate([pt.b_eq, -const]))
 
 
 def _strict_slack(pt: SetPolytope) -> SetPolytope:
@@ -346,7 +378,7 @@ def _strict_slack(pt: SetPolytope) -> SetPolytope:
     A_ub[pt.strict_rows, -1] = 1.0
     A_eq = np.hstack([pt.A_eq, np.zeros((pt.A_eq.shape[0], 1))])
     return SetPolytope(pt.n, pt.nvars + 1, A_ub, pt.b_ub, A_eq, pt.b_eq,
-                       pt.strict_rows)
+                       pt.strict_rows, np.append(pt.lift, 0.0), pt.base)
 
 
 def martingale_feasibility(m: Market, ds: DualSetSpec | None = None
@@ -363,7 +395,7 @@ def martingale_feasibility(m: Market, ds: DualSetSpec | None = None
     res = solve_lp(c, **_martingale_lp(m, pt), maximize=strict)
     if res.status != OPTIMAL or (strict and res.x[-1] <= SLACK_TOL):
         return None
-    return Density(m.space, res.x[:pt.n])
+    return Density(m.space, pt.density(res.x))
 
 
 def interior_slack(m: Market, ds: DualSetSpec) -> tuple[float, Density | None]:
@@ -375,33 +407,21 @@ def interior_slack(m: Market, ds: DualSetSpec) -> tuple[float, Density | None]:
     if res.status != OPTIMAL:
         return -math.inf, None
     eps = float(res.x[-1])
-    return eps, (Density(m.space, res.x[:pt.n]) if eps > SLACK_TOL else None)
+    return eps, (Density(m.space, pt.density(res.x)) if eps > SLACK_TOL
+                 else None)
 
 
 def interior_polytope(ds: DualSetSpec, space: FiniteSpace) -> SetPolytope:
-    """Strict-interior form: z >= delta plus inward-shifted set bounds."""
-    n = space.n
+    """Strict-interior form: the set's bounds shifted inward by a slack
+    delta >= 0 (the last column), z_i >= l + delta and z_i <= u - delta,
+    over w = z - l - delta; the lower bound l is max(lo, 0) for a box or
+    sup-norm ball and a s for a scaled box, which implies z_i >= delta."""
+    n, p = space.n, space.probs
     ds = _polytope_kind(ds)
-    if ds.kind == "scaled_box":
-        nvars = n + 2                      # z, s, delta
-        # z_i >= delta
-        blocks = [_atom_rows(n, nvars, {0: -1.0}, {n + 1: 1.0})]
-        if ds.a_l > 0.0:                   # z_i >= a s + delta
-            blocks.append(_atom_rows(n, nvars, {0: -1.0},
-                                     {n: ds.a_l, n + 1: 1.0}))
-        if ds.b_l != math.inf:             # z_i <= b s - delta
-            blocks.append(_atom_rows(n, nvars, {0: 1.0},
-                                     {n: -ds.b_l, n + 1: 1.0}))
-        rhs = [np.zeros(n)] * len(blocks)
-    else:
-        nvars = n + 1
-        lo = ds.lo if ds.kind == "box" else 0.0
-        blocks = [_atom_rows(n, nvars, {0: -1.0}, {n: 1.0})]
-        rhs = [np.full(n, -max(lo, 0.0))]  # z_i - delta >= max(lo, 0)
-        if ds.hi != math.inf:
-            blocks.append(_atom_rows(n, nvars, {0: 1.0}, {n: 1.0}))
-            rhs.append(np.full(n, ds.hi))  # z_i + delta <= hi
-    return _polytope(space.probs, _interleave(*blocks), _interleave(*rhs))
+    if ds.kind == "scaled_box":           # columns s, delta
+        return _lifted(p, n + 2, (0.0, {n: max(ds.a_l, 0.0), n + 1: 1.0}),
+                       (0.0, {n: ds.b_l, n + 1: -1.0}))
+    return _lifted(p, n + 1, (_box_lower(ds), {n: 1.0}), (ds.hi, {n: -1.0}))
 
 
 def interior_martingale_feasibility(m: Market, ds: DualSetSpec
@@ -433,17 +453,17 @@ def support_value(ds: DualSetSpec | None, X: RandVar) -> float:
     basis is feasible and phase 1 makes no pivot.  The relaxation is exact:
     E[-zY] does not decrease in z, and a box that holds a density has
     lo <= 1 <= hi, which leaves room to top E[z] up to 1.  A box that holds
-    none is infeasible.  A scaled box keeps the rows of ``set_polytope``.
+    none is infeasible.  A scaled box is solved over ``set_polytope``, in
+    w = z - a s, with its cost and value mapped by ``lp_row``.
     """
     ds = _polytope_kind(ALL_DENSITIES if ds is None else ds)
     err = "support-value LP ended with status"
     p = X.space.probs
     if ds.kind == "scaled_box":
         pt = set_polytope(ds, X.space)
-        c = np.zeros(pt.nvars)
-        c[:pt.n] = -p * X.values
+        c, const = pt.lp_row(-p * X.values)
         return _lp_max(err, c, A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=pt.A_eq,
-                       b_eq=pt.b_eq)
+                       b_eq=pt.b_eq) + const
     lo = ds.lo if ds.kind == "box" else 0.0
     if not lo <= 1.0 <= ds.hi:
         raise LPError(f"{err} {INFEASIBLE}")

@@ -15,7 +15,10 @@ and NO_RHO_ARB the interior polytope of the strict set, whose slack
 delta >= 0 makes it project onto exactly that closure; for
 NO_STRONG_RHO_ARB the closed polytope, with a slack delta on its strict
 rows if it has any; each meets M through the detectors' martingale rows
-(``dual._martingale_lp``).  One ``simplex.solve_lp_sequence`` call maximises
+(``dual._martingale_lp``).  The polytopes run over w = z - l, z's lower
+bound lifted out (see ``dual``), so the price E[Z Y / (1+r)] is an LP cost
+plus a constant, both from ``SetPolytope.lp_row``, and each bound adds the
+constant back.  One ``simplex.solve_lp_sequence`` call maximises
 delta (the set is empty unless delta > ``SLACK_TOL``), then minimises and
 maximises the price, each with max delta over its optimal face as
 tie-break: an endpoint is attained in the strict set when that delta
@@ -104,8 +107,7 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
     # delta is the last column; the closed polytope may have none
     strict = kind != "NO_STRONG_RHO_ARB" or bool(pt.strict_rows)
 
-    c = np.zeros(pt.nvars)
-    c[:pt.n] = price_vec / scale
+    c, offset = pt.lp_row(price_vec / scale)     # price = c.x + offset
     delta = np.zeros(pt.nvars)
     delta[-1] = -1.0
     *first, low, high = solve_lp_sequence(
@@ -119,5 +121,5 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
             raise LPError(f"price-bound LP ended with status {res.status}")
     attained = [not strict or bool(res.x[-1] > SLACK_TOL)
                 for res in (low, high)]
-    return PriceInterval(low.value * scale, -high.value * scale, kind,
-                         *attained, label)
+    return PriceInterval((low.value + offset) * scale,
+                         (offset - high.value) * scale, kind, *attained, label)

@@ -737,8 +737,9 @@ class TestSupportValue:
             pytest.approx(es(X, 0.4), abs=1e-9)
 
     def test_polytope_shapes(self):
+        # over w = z - a s the lower bounds are w >= 0: one row per atom
         pt = set_polytope(DualSetSpec("scaled_box", a_l=0.5, b_l=2.0), HALF)
-        assert pt.nvars == 3 and pt.A_ub.shape[0] == 4
+        assert pt.nvars == 3 and pt.A_ub.shape[0] == 2
 
 
 class TestGHatTransform:

@@ -4,6 +4,11 @@ Each loop reference below is the loop form of one builder.  The array-built
 rows must be the same rows in the same order, bit for bit (signs of zero
 included), so pivots and answers do not change.
 
+The density polytopes run over w = z - l, l being z's lower bound
+(``lifted_polytope_loop``).  ``set_polytope_loop`` and
+``interior_polytope_loop`` keep the polytopes over z itself, the rows
+before the lift: test_pricing solves its reference LPs on them.
+
 The value references are the frontier LPs before the pwl hinge rows and the
 lifted start: the epigraph LP of the pwl families and the unlifted
 shortfall and minimax LPs, and the dual-box LP that solved the recession
@@ -44,6 +49,51 @@ def _as_box(ds):
     if ds.kind == "penalized_sup":
         return DualSetSpec("box", 0.0, math.inf)
     return ds
+
+
+def lifted_polytope_loop(ds, space, interior):
+    """The lifted density polytope, row by row: columns (w, [s], [delta])
+    with w = z - l, w >= 0 in place of the lower-bound rows, one upper row
+    per atom w_i + (l - u) @ x <= u0 - l0, E[z] = 1 as the row E[w] +
+    (l - l0) E[1] = 1 - l0 E[1], and l's coefficients and constant."""
+    n, p = space.n, space.probs
+    ds = _as_box(DualSetSpec("box", 0.0, math.inf) if ds is None else ds)
+    a = ds.a_l or 0.0
+    b = ds.b_l if ds.b_l is not None else math.inf
+    if ds.kind == "scaled_box" and a <= 0.0 and b == math.inf:
+        ds = DualSetSpec("box", 0.0, math.inf)
+    scaled = ds.kind == "scaled_box"
+    nvars = n + scaled + interior
+    lift = np.zeros(nvars)
+    upper = lift.copy()          # u's coefficients
+    if scaled:
+        base, top = 0.0, 0.0
+        lift[n] = max(a, 0.0)
+        upper[n] = b
+    else:
+        base = max(ds.lo, 0.0) if ds.kind == "box" else 0.0
+        top = ds.hi
+    if interior:
+        lift[-1] = 1.0
+        upper[-1] = -1.0
+    rows, rhs, strict = [], [], []
+    if math.isfinite(top) and np.isfinite(upper[n:]).all():
+        for i in range(n):
+            row = np.zeros(nvars)
+            row[i] = 1.0
+            for k in range(n, nvars):
+                row[k] = lift[k] - upper[k]
+            rows.append(row)
+            rhs.append(top - base)
+            if ds.strict and not interior:
+                strict.append(i)
+    total = p.sum()
+    A_eq = np.zeros((1, nvars))
+    for k in range(nvars):
+        A_eq[0, k] = total * lift[k] + (p[k] if k < n else 0.0)
+    A_ub = np.array(rows) if rows else np.zeros((0, nvars))
+    return (nvars, A_ub, np.array(rhs), A_eq, np.array([1.0 - total * base]),
+            strict, lift, base)
 
 
 def set_polytope_loop(ds, space):
@@ -504,20 +554,22 @@ class TestRowBuilders:
         for _ in range(60):
             space = random_space(rng, int(rng.integers(1, 9)))
             for ds in random_dual_sets(rng):
-                pt = set_polytope(ds, space)
-                nvars, A_ub, b_ub, A_eq, strict = set_polytope_loop(ds, space)
-                assert pt.nvars == nvars and pt.strict_rows == strict
-                for got, want in ((pt.A_ub, A_ub), (pt.b_ub, b_ub),
-                                  (pt.A_eq, A_eq)):
-                    assert same(got, want), ds
-                if ds is None:
-                    continue
-                pt = interior_polytope(ds, space)
-                nvars, A_ub, b_ub, A_eq = interior_polytope_loop(ds, space)
-                assert pt.nvars == nvars and pt.strict_rows == []
-                for got, want in ((pt.A_ub, A_ub), (pt.b_ub, b_ub),
-                                  (pt.A_eq, A_eq)):
-                    assert same(got, want), ds
+                for interior in (False, True):
+                    if interior and ds is None:
+                        continue
+                    build = interior_polytope if interior else set_polytope
+                    pt = build(ds, space)
+                    (nvars, A_ub, b_ub, A_eq, b_eq, strict, lift,
+                     base) = lifted_polytope_loop(ds, space, interior)
+                    assert pt.nvars == nvars and pt.strict_rows == strict
+                    assert pt.n == space.n and same(pt.base, base)
+                    # every drawn set holds a density, so the slack basis
+                    # is feasible for every inequality row
+                    assert (pt.b_ub >= 0.0).all(), ds
+                    for got, want in ((pt.A_ub, A_ub), (pt.b_ub, b_ub),
+                                      (pt.A_eq, A_eq), (pt.b_eq, b_eq),
+                                      (pt.lift, lift)):
+                        assert same(got, want), (ds, interior)
 
     def _spy(self, monkeypatch, module):
         seen = []

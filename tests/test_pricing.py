@@ -1,18 +1,25 @@
-"""Price intervals: nesting, attainment flags, augmentation consistency."""
+"""Price intervals: nesting, attainment flags, augmentation consistency,
+and the lifted density polytopes against LPs over z itself."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import meanrisk.pricing as pricing
 from conftest import random_market
 from meanrisk import (DualSetSpec, LossFunction, LPError, Market,
-                      PriceInterval, RandVar, RiskSpec, augment_market,
-                      closure_dual_set, detect_arbitrage, dual_set,
-                      general_profile, interior_martingale_feasibility,
-                      martingale_feasibility, price_bounds, solve_lp,
-                      step_profile)
-from meanrisk.dual import SLACK_TOL, interior_polytope, set_polytope
+                      MartingaleSets, PriceInterval, RandVar, RiskSpec,
+                      augment_market, closure_dual_set, detect_arbitrage,
+                      dual_set, general_profile, martingale_feasibility,
+                      price_bounds, solve_lp, step_profile)
+from meanrisk.dual import ALL_DENSITIES, SLACK_TOL, interior_slack
 from meanrisk.io import parse_measure
 from meanrisk.pricing import KINDS, REPLICATION_TOL, is_replicable
 from meanrisk.simplex import OPTIMAL
+from test_lp_rows import (interior_polytope_loop, random_dual_sets,
+                          set_polytope_loop)
 
 TRINOMIAL = Market.from_excess([0.25, 0.25, 0.5], 0.0,
                                [[0.4], [-0.2], [0.1]])
@@ -167,45 +174,76 @@ class TestAugmentationConsistency:
         assert check_classical_arbitrage(m_ok) is None
 
 
-def _martingale_rows(m, nvars):
-    """E[Z (R^i - r)] = 0 over the first n of nvars columns."""
-    rows = np.zeros((m.d, nvars))
-    rows[:, :m.space.n] = (m.excess * m.space.probs[:, None]).T
-    return rows, np.zeros(m.d)
+def _unshifted_lp(m, ds, interior):
+    """Rows over z itself, the first n columns: the loop rows of the
+    density polytope before the lift (interior or closed, the closed one
+    with a slack column on its strict rows) plus the martingale rows.
+    Returns the rows and the slack's column, None for a closed set without
+    strict rows."""
+    if interior:
+        nvars, A_ub, b_ub, A_eq = interior_polytope_loop(ds, m.space)
+        slack = nvars - 1
+    else:
+        nvars, A_ub, b_ub, A_eq, strict = set_polytope_loop(ds, m.space)
+        slack = None
+        if strict:
+            slack, nvars = nvars, nvars + 1
+            A_ub = np.hstack([A_ub, np.zeros((A_ub.shape[0], 1))])
+            A_ub[strict, slack] = 1.0
+            A_eq = np.hstack([A_eq, np.zeros((1, 1))])
+    mg = np.zeros((m.d, nvars))
+    mg[:, :m.space.n] = (m.excess * m.space.probs[:, None]).T
+    return dict(A_ub=A_ub, b_ub=b_ub, A_eq=np.vstack([A_eq, mg]),
+                b_eq=np.concatenate([[1.0], np.zeros(m.d)])), slack
+
+
+def _slack_cost(rows, slack):
+    c = np.zeros(rows["A_eq"].shape[1])
+    if slack is not None:
+        c[slack] = 1.0
+    return c
+
+
+def _reference_interior_slack(m, ds):
+    """interior_slack on the unshifted rows: the maximal slack and z at it
+    (None unless the slack exceeds SLACK_TOL)."""
+    rows, slack = _unshifted_lp(m, ds, True)
+    res = solve_lp(_slack_cost(rows, slack), maximize=True, **rows)
+    if res.status != OPTIMAL:
+        return -np.inf, None
+    eps = float(res.x[slack])
+    return eps, (res.x[:m.space.n] if eps > SLACK_TOL else None)
+
+
+def _reference_martingale_feasibility(m, ds):
+    """martingale_feasibility on the unshifted rows: z, or None."""
+    rows, slack = _unshifted_lp(m, ds, False)
+    res = solve_lp(_slack_cost(rows, slack), maximize=slack is not None,
+                   **rows)
+    if res.status != OPTIMAL or (slack is not None
+                                 and res.x[slack] <= SLACK_TOL):
+        return None
+    return res.x[:m.space.n]
 
 
 def _reference_attained(m, att_set, price_vec, bound, need_positive):
     """One LP per endpoint: maximise the strict slack with the bound pinned."""
-    if need_positive:
-        pt = interior_polytope(att_set, m.space)
-        nvars, slack_col = pt.nvars, pt.nvars - 1
-        A_ub, b_ub, A_eq_set, b_eq_set = pt.A_ub, pt.b_ub, pt.A_eq, pt.b_eq
-    else:
-        base = set_polytope(att_set, m.space)
-        if not base.strict_rows:
-            return True
-        slack_col = base.nvars
-        nvars = slack_col + 1
-        A_ub = np.hstack([base.A_ub, np.zeros((base.A_ub.shape[0], 1))])
-        A_ub[base.strict_rows, slack_col] = 1.0
-        b_ub, b_eq_set = base.b_ub, base.b_eq
-        A_eq_set = np.hstack([base.A_eq, np.zeros((base.A_eq.shape[0], 1))])
-    mg_A, mg_b = _martingale_rows(m, nvars)
-    pin = np.zeros(nvars)
+    rows, slack = _unshifted_lp(m, att_set, need_positive)
+    if slack is None:
+        return True
+    pin = np.zeros(rows["A_eq"].shape[1])
     pin[:m.space.n] = price_vec
-    c = np.zeros(nvars)
-    c[slack_col] = 1.0
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub,
-                   A_eq=np.vstack([A_eq_set, mg_A, pin[None, :]]),
-                   b_eq=np.concatenate([b_eq_set, mg_b, [bound]]),
-                   maximize=True)
-    return res.status == OPTIMAL and res.x[slack_col] > SLACK_TOL
+    res = solve_lp(_slack_cost(rows, slack), A_ub=rows["A_ub"],
+                   b_ub=rows["b_ub"], A_eq=np.vstack([rows["A_eq"], pin]),
+                   b_eq=np.append(rows["b_eq"], bound), maximize=True)
+    return res.status == OPTIMAL and res.x[slack] > SLACK_TOL
 
 
-def _reference_price_bounds(m, payoff, spec, kind):
-    """price_bounds as separate LPs: a feasibility LP (the interior slack,
-    or M intersected with the closed set), cold min and max over the closed
-    set, and one pinned-bound LP per endpoint for its attainment."""
+def _reference_interval(m, payoff, kind, interior_set, closed_set):
+    """price_bounds as separate LPs on the unshifted rows: a feasibility LP
+    (the interior slack, or M intersected with the closed set), cold min
+    and max over the closed set, and one pinned-bound LP per endpoint for
+    its attainment.  NO_ARB ignores the two sets."""
     basis = np.hstack([np.ones((m.space.n, 1)), m.excess])
     coef, *_ = np.linalg.lstsq(basis, payoff.values, rcond=None)
     residual = float(np.linalg.norm(basis @ coef - payoff.values))
@@ -215,28 +253,24 @@ def _reference_price_bounds(m, payoff, spec, kind):
     price_vec = m.space.probs * payoff.values / (1.0 + m.r)
     if kind == "NO_ARB":
         att_set = closed = DualSetSpec("box", 0.0, np.inf)
-        if interior_martingale_feasibility(m, att_set) is None:
+        if _reference_interior_slack(m, att_set)[1] is None:
             raise ValueError("market admits classical arbitrage; the "
                              "price interval is empty")
         label = "martingale densities M (attainment in P)"
     elif kind == "NO_RHO_ARB":
-        att_set = dual_set(spec)
-        if interior_martingale_feasibility(m, att_set) is None:
+        att_set, closed = interior_set, closed_set
+        if _reference_interior_slack(m, att_set)[1] is None:
             raise ValueError("market admits rho-arbitrage for this measure")
-        closed = closure_dual_set(spec)
         label = "strict-interior dual set intersected with P"
     else:
-        att_set = closed = closure_dual_set(spec)
-        if martingale_feasibility(m, att_set) is None:
+        att_set = closed = closed_set
+        if _reference_martingale_feasibility(m, att_set) is None:
             raise ValueError("market admits strong rho-arbitrage for this "
                              "measure")
         label = "closed dual set intersected with M"
-    pt = set_polytope(closed, m.space)
-    c = np.zeros(pt.nvars)
-    c[:pt.n] = price_vec
-    mg_A, mg_b = _martingale_rows(m, pt.nvars)
-    rows = dict(A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=np.vstack([pt.A_eq, mg_A]),
-                b_eq=np.concatenate([pt.b_eq, mg_b]))
+    rows, _ = _unshifted_lp(m, closed, False)
+    c = np.zeros(rows["A_eq"].shape[1])
+    c[:m.space.n] = price_vec
     legs = solve_lp(c, **rows), solve_lp(c, maximize=True, **rows)
     for res in legs:
         if res.status != OPTIMAL:
@@ -250,11 +284,33 @@ def _reference_price_bounds(m, payoff, spec, kind):
         label)
 
 
+def _reference_price_bounds(m, payoff, spec, kind):
+    """_reference_interval on the measure's dual set and its closure."""
+    if kind == "NO_ARB":
+        return _reference_interval(m, payoff, kind, None, None)
+    return _reference_interval(m, payoff, kind, dual_set(spec),
+                               closure_dual_set(spec))
+
+
 def _outcome(price, m, y, spec, kind):
     try:
         return price(m, y, spec, kind)
     except (ValueError, LPError) as exc:
         return type(exc), str(exc)
+
+
+def _same_outcome(mine, ref, tag):
+    """Equal errors, or intervals equal to 1e-12 with equal flags."""
+    if not isinstance(ref, PriceInterval):
+        assert mine == ref, tag
+        return False
+    assert isinstance(mine, PriceInterval), (mine, tag)
+    for a, b in ((mine.lower, ref.lower), (mine.upper, ref.upper)):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-15), tag
+    assert ((mine.kind, mine.lower_attained, mine.upper_attained,
+             mine.set_label) == (ref.kind, ref.lower_attained,
+                                 ref.upper_attained, ref.set_label)), tag
+    return True
 
 
 class TestSharedTableau:
@@ -281,20 +337,68 @@ class TestSharedTableau:
             for case in cases:
                 mine = _outcome(price_bounds, *case)
                 ref = _outcome(_reference_price_bounds, *case)
-                if not isinstance(ref, PriceInterval):
-                    assert mine == ref, case[3]
+                if not _same_outcome(mine, ref, case[3]):
                     outcomes.add(ref[1])
                     continue
-                assert isinstance(mine, PriceInterval), (mine, case[3])
-                for a, b in ((mine.lower, ref.lower),
-                             (mine.upper, ref.upper)):
-                    assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
-                assert ((mine.kind, mine.lower_attained, mine.upper_attained,
-                         mine.set_label) == (ref.kind, ref.lower_attained,
-                                             ref.upper_attained,
-                                             ref.set_label))
                 intervals += 1
                 # one endpoint open, the other attained: the strict profile
                 mixed += mine.lower_attained != mine.upper_attained
         assert intervals >= 250 and len(outcomes) == 3, (intervals, outcomes)
         assert mixed >= 5, mixed
+
+
+def _closed_form(ds):
+    """The set the closed polytope of ds describes: a scaled box with
+    b_l = inf also holds every density, at scale s = 0."""
+    if ds is None or (ds.kind == "scaled_box" and ds.b_l == math.inf):
+        return ALL_DENSITIES
+    return ds
+
+
+class TestLiftedPolytopes:
+    """interior_slack, martingale_feasibility and price_bounds run over
+    w = z - lower bound; they must agree with the same programs on the
+    rows over z itself, for every set random_dual_sets draws, the one-point
+    box [1, 1] (its lifted rows have rhs 0; z = 1 meets M in no market,
+    as some mu_i differs from r) and a box with lo > 1 (empty)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_match_unshifted_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        m = random_market(rng, n=n, d=int(rng.integers(1, n - 1)),
+                          arbitrage_free=rng.random() < 0.75 or None,
+                          r=float(rng.uniform(0.0, 0.05)))
+        y = RandVar(m.space, rng.normal(1.0, 0.5, n))
+        ms = MartingaleSets(m)
+        sets = list(random_dual_sets(rng)) + [
+            DualSetSpec("box", 1.0, 1.0),
+            DualSetSpec("box", float(rng.uniform(1.05, 2.0)), 3.0)]
+        _same_outcome(_outcome(price_bounds, m, y, None, "NO_ARB"),
+                      _outcome(_reference_price_bounds, m, y, None,
+                               "NO_ARB"), "NO_ARB")
+        for ds in sets:
+            got = martingale_feasibility(m, ds)
+            ref = _reference_martingale_feasibility(m, ds)
+            assert (got is None) == (ref is None), ds
+            if got is not None:
+                assert _closed_form(ds).contains(got.z), ds
+                assert ms.member_of_m(got.z), ds
+            if ds is None:
+                continue
+            eps, got = interior_slack(m, ds)
+            ref_eps, ref = _reference_interior_slack(m, ds)
+            assert eps == pytest.approx(ref_eps, rel=1e-12, abs=1e-15), ds
+            assert (got is None) == (ref is None), ds
+            if got is not None:
+                assert ds.contains(got.z) and ms.member_of_p(got.z), ds
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pricing, "dual_set", lambda spec: ds)
+                mp.setattr(pricing, "closure_dual_set", lambda spec: ds)
+                for kind in KINDS[1:]:
+                    _same_outcome(
+                        _outcome(price_bounds, m, y, RiskSpec.wc(), kind),
+                        _outcome(lambda mm, yy, _, kind: _reference_interval(
+                            mm, yy, kind, ds, ds), m, y, None, kind),
+                        (ds, kind))

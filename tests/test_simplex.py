@@ -628,11 +628,13 @@ class _Frozen:
     """The kernel before its numpy calls were trimmed, kept as the reference
     for pivot paths: np.outer rank-1 updates, phase 1 ended by basis.max(),
     an (m+2)-row phase-1 tableau even with no artificial, and the standard
-    form through broadcast_to and fancy-indexed slack columns; and the one
-    driver (_solve with _phase2, _price and _face_min) as it was when the
-    three entry points became its wrappers, so that a change to the driver
-    reaches only the live side.  _frozen_kernel patches these functions
-    into a fresh copy of the simplex module."""
+    form through broadcast_to and fancy-indexed slack columns; the dual
+    simplex (_dual_iterate) and the multi-column rhs of a path in the
+    standard form and phase 1; and the one driver (_solve with _phase2,
+    _price and _face_min) as it was when the three entry points became its
+    wrappers.  So a change to any kernel function reaches only the live
+    side.  _frozen_kernel patches these functions into a fresh copy of the
+    simplex module."""
 
     def _pivot(T, row, col):
         T[row] /= T[row, col]
@@ -692,14 +694,16 @@ class _Frozen:
 
     def _phase1(c, A, b, slack, max_iter):
         m, n = A.shape
-        T = np.zeros((m + 2, n + 1))
+        if b.ndim == 1:                 # the last column is solved
+            b = b[:, None]
+        T = np.zeros((m + 2, n + b.shape[1]))
         T[:m, :n] = A
-        T[:m, -1] = b
+        T[:m, n:] = b
         eq = np.flatnonzero(slack < 0)
         size = np.abs(A[eq]).max(axis=1, initial=0.0)
         T[eq] /= np.where(size > 0.0, size, 1.0)[:, None]
         T[m, :n] = c
-        neg = b < 0
+        neg = b[:, -1] < 0
         T[:m][neg] *= -1.0
         basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
         artificial = basis >= n
@@ -760,8 +764,14 @@ class _Frozen:
         A_std[n_ub + np.arange(n_box), first[boxed]] = 1.0
         A_std[np.arange(mu), ny + np.arange(mu)] = 1.0
         A_std[mu:, :ny] = A_eq[:, src] * sign
-        b_std = np.concatenate([b_ub - A_ub @ offset, hi[boxed] - lo[boxed],
-                                b_eq - A_eq @ offset])
+        cols = b_ub.shape[1:]           # (k,) for a path's k rhs columns
+
+        def fixed(v):                   # one rhs entry per row, every column
+            return np.broadcast_to(v.reshape(v.shape + (1,) * len(cols)),
+                                   v.shape + cols)
+        b_std = np.concatenate([b_ub - fixed(A_ub @ offset),
+                                fixed(hi[boxed] - lo[boxed]),
+                                fixed(b_eq - A_eq @ offset)])
         slack = np.concatenate([ny + np.arange(mu), np.full(n_eq, -1)])
 
         def cost(c):
@@ -779,6 +789,25 @@ class _Frozen:
                             res.phase1_pivots, res.dual_pivots,
                             res.basis if full else None)
         return A_std, b_std, slack, cost, unmap
+
+    def _dual_iterate(T, basis, m, ncols, max_iter, scale):
+        rhs = T[:m, -1]
+        reduced = T[m, :ncols]
+        for pivots in range(max_iter):
+            short = rhs / scale[basis]
+            leaving = int(np.argmin(short))
+            if short[leaving] >= -_PHASE1_TOL:
+                return OPTIMAL, pivots
+            row = T[leaving, :ncols]
+            cols = np.flatnonzero(row < -_PIVOT_TOL)
+            if cols.size == 0:
+                return INFEASIBLE, pivots
+            ratios = reduced[cols] / -row[cols]
+            entering = int(cols[np.argmax(ratios <= ratios.min()
+                                          + _RATIO_TIE)])
+            basis[leaving] = entering
+            _pivot(T, leaving, entering)
+        return None, max_iter
 
     def _phase2(T, basis, c, phase1, max_iter):
         m = basis.size
@@ -864,22 +893,18 @@ class _Frozen:
         return results
 
 
-_DRIVER = ("_solve", "_phase2", "_price", "_face_min")
-
-
-def _frozen_kernel(monkeypatch, names=None):
-    """A fresh copy of the simplex module running _Frozen's functions, or
-    only those in ``names``.  Each is rebuilt over the copy's namespace, so
-    the frozen functions call one another and the copy's unchanged ones
-    (_dual_iterate, _budget, ...)."""
-    spec = importlib.util.spec_from_file_location(
-        "frozen_simplex" if names is None else "frozen_driver",
-        simplex.__file__)
+def _frozen_kernel(monkeypatch):
+    """A fresh copy of the simplex module running _Frozen's functions.
+    Each is rebuilt over the copy's namespace, so the frozen functions call
+    one another and the copy's unchanged ones (_budget and the entry
+    points, which only wrap _solve)."""
+    spec = importlib.util.spec_from_file_location("frozen_simplex",
+                                                  simplex.__file__)
     ref = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, ref)   # for @dataclass
     spec.loader.exec_module(ref)
     for name, fn in vars(_Frozen).items():
-        if callable(fn) and (names is None or name in names):
+        if callable(fn):
             setattr(ref, name, types.FunctionType(fn.__code__, vars(ref),
                                                   name, fn.__defaults__))
     return ref
@@ -904,13 +929,10 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
     # Every pivot path of the kernel is bit-identical to the frozen one:
     # status, pivot counts, the sign and bits of the value, basis and the
     # bytes of x, on cold solves, sequences with tie-break legs and the
-    # first column of a path, whose later columns match frozen cold solves.
-    # The frozen kernel predates rhs paths, so a whole path is compared
-    # with the live kernel under the frozen driver; a third of the paths
-    # give the dual simplex one pivot per column on both sides, so that
-    # columns restart cold.
+    # whole of every path, whose later columns also match frozen cold
+    # solves in value.  A third of the paths give the dual simplex one
+    # pivot per column on both sides, so that columns restart cold.
     ref = _frozen_kernel(monkeypatch)
-    driver = _frozen_kernel(monkeypatch, _DRIVER)
     seen = {"repick": 0, "tie": 0, "dual": 0, "dropped": 0, "restart": 0,
             "beale": 0}
     frozen_ratio_test = ref._ratio_test
@@ -934,7 +956,7 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
         return call
     monkeypatch.setattr(simplex, "_dual_iterate",
                         budgeted(simplex._dual_iterate, True))
-    driver._dual_iterate = budgeted(driver._dual_iterate, False)
+    ref._dual_iterate = budgeted(ref._dual_iterate, False)
 
     def same(got, want):
         assert got.status == want.status
@@ -945,9 +967,9 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
             assert (a is None) == (b is None)
             assert a is None or a.tobytes() == b.tobytes()
 
-    def both(name, *args, against=ref, **kwargs):
+    def both(name, *args, **kwargs):
         got = getattr(simplex, name)(*args, **kwargs)
-        want = getattr(against, name)(*args, **kwargs)
+        want = getattr(ref, name)(*args, **kwargs)
         for g, w in zip(*(r if isinstance(r, list) else [r]
                           for r in (got, want))):
             same(g, w)
@@ -984,7 +1006,7 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
             path = both(
                 "solve_lp_path", c, columns[0]["A_ub"],
                 np.column_stack([col["b_ub"] for col in columns]),
-                against=driver, **{key: columns[0][key] for key in (
+                **{key: columns[0][key] for key in (
                     "A_eq", "b_eq", "lower", "upper")})
             dual_budget[0] = None
             same(path[0], ref.solve_lp(c, **columns[0]))
