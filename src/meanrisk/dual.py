@@ -447,14 +447,15 @@ def _lp_max(err: str, c, **lp) -> float:
 def support_value(ds: DualSetSpec | None, X: RandVar) -> float:
     """max E[-ZX] over the closed form of the dual set (an LP).
 
-    A box [lo, hi] (a sup-norm ball is [0, hi]) is solved over Y = X - max X
-    with E[z] <= 1 in place of E[z] = 1 and the box as variable bounds;
-    max X is subtracted after.  Every rhs is then nonnegative, so the slack
-    basis is feasible and phase 1 makes no pivot.  The relaxation is exact:
-    E[-zY] does not decrease in z, and a box that holds a density has
-    lo <= 1 <= hi, which leaves room to top E[z] up to 1.  A box that holds
-    none is infeasible.  A scaled box is solved over ``set_polytope``, in
-    w = z - a s, with its cost and value mapped by ``lp_row``.
+    A box [lo, hi] (z >= max(lo, 0); a sup-norm ball is [0, hi]) is solved
+    over Y = X - max X with E[z] <= 1 in place of E[z] = 1 and the box as
+    variable bounds; max X is subtracted after.  Every rhs is then
+    nonnegative, so the slack basis is feasible and phase 1 makes no pivot.
+    The relaxation is exact: E[-zY] does not decrease in z, and a box that
+    holds a density has lo <= 1 <= hi, which leaves room to top E[z] up to
+    1.  A box that holds none is infeasible.  A scaled box is solved over
+    ``set_polytope``, in w = z - a s, with its cost and value mapped by
+    ``lp_row``.
     """
     ds = _polytope_kind(ALL_DENSITIES if ds is None else ds)
     err = "support-value LP ended with status"
@@ -464,7 +465,7 @@ def support_value(ds: DualSetSpec | None, X: RandVar) -> float:
         c, const = pt.lp_row(-p * X.values)
         return _lp_max(err, c, A_ub=pt.A_ub, b_ub=pt.b_ub, A_eq=pt.A_eq,
                        b_eq=pt.b_eq) + const
-    lo = ds.lo if ds.kind == "box" else 0.0
+    lo = _box_lower(ds)
     if not lo <= 1.0 <= ds.hi:
         raise LPError(f"{err} {INFEASIBLE}")
     top = float(X.values.max())

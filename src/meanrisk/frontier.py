@@ -13,7 +13,9 @@ every solve exact where possible:
                         -> cutting planes on the value/subgradient oracle
 * worst case            -> minimax LP
 * pwl loss families and c y^+
-                        -> hinge LPs, one row per atom and kink
+                        -> hinge LPs over the loss's hinge form
+                           (``LossFunction.hinges``), one row per atom and
+                           kink
 * exp loss families     -> damped Newton over pi with the return as a
                            KKT row, a sweep's nodes all in one batched solve
 * expected loss         -> the linear LP min E[-X]
@@ -265,24 +267,19 @@ def _wc_min(par: _Param, p: np.ndarray):
                          np.array([-np.inf]))
 
 
-def _pwl_family_min(par: _Param, p: np.ndarray, fam: str, slopes,
-                    breakpoints):
-    """Hinge LP for ew/sr/oce with a piecewise-linear loss, given by its
-    slopes s_0..s_K and kinks b_1 < ... < b_K.
+def _pwl_family_min(par: _Param, p: np.ndarray, fam: str, hinges):
+    """Hinge LP for ew/sr/oce with a loss in the hinge form ``loss.hinges``
+    = (c0, s_0, kinks b_k, jumps d_k > 0): l(y) = c0 + s_0 y + sum_k d_k
+    (y - b_k)^+.
 
-    l(0) = 0 gives l(y) = c0 + s_0 y + sum_k d_k (y - b_k)^+ with jumps
-    d_k = s_k - s_{k-1} and c0 = -sum_k d_k (-b_k)^+.  Over v = (theta, m,
-    w_k >= 0) with the rows w_k >= y - b_k at y = -X - m, E[l(y)] is affine
-    in v: one row and one nonnegative column per atom and kink.  sr
-    minimises m subject to E[l(y)] <= 0, oce minimises m + E[l(y)], and ew,
-    which has no m, E[l(-X)].  m is lifted by max(0, -min x0 - min(b_1, 0)),
-    so v = 0 meets every row and sr and oce need no phase 1.
+    Over v = (theta, m, w_k >= 0) with the rows w_k >= y - b_k at
+    y = -X - m, E[l(y)] is affine in v: one row and one nonnegative column
+    per atom and kink.  sr minimises m subject to E[l(y)] <= 0, oce
+    minimises m + E[l(y)], and ew, which has no m, E[l(-X)].  m is lifted
+    by max(0, -min x0 - min(b_1, 0)), so v = 0 meets every row and sr and
+    oce need no phase 1.
     """
-    s0 = slopes[0]
-    jumps = np.diff(slopes)
-    keep = jumps > 0.0                    # a flat kink needs no column
-    kinks, jumps = np.asarray(breakpoints, dtype=float)[keep], jumps[keep]
-    c0 = -float(jumps @ np.maximum(-kinks, 0.0))
+    c0, s0, kinks, jumps = hinges
     n, q = par.C.shape
     m = None if fam == "ew" else q        # sr: capital m, oce: eta = -m
     w0 = q + (m is not None)
@@ -452,15 +449,9 @@ def _lp_min(spec: RiskSpec):
             par, p, -(p @ par.C), -float(p @ par.x0), [], [], np.zeros(0))
     if fam == "wc" or (fam == "sr" and spec.loss.zero_on_negatives):
         return _wc_min
-    if fam in ("ew", "sr", "oce"):
-        loss = spec.loss
-        if loss.kind == "pwl":
-            return lambda par, p: _pwl_family_min(par, p, fam, loss.slopes,
-                                                  loss.breakpoints)
-        if loss.kind == "power" and loss.exponent == 1.0:
-            # c y^+ is the pwl loss with slopes (0, c) kinked at 0
-            return lambda par, p: _pwl_family_min(par, p, fam,
-                                                  (0.0, loss.coef), (0.0,))
+    if fam in ("ew", "sr", "oce") and spec.loss.hinges is not None:
+        hinges = spec.loss.hinges
+        return lambda par, p: _pwl_family_min(par, p, fam, hinges)
     return None
 
 

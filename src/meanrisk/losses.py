@@ -1,8 +1,10 @@
 """Loss functions and target risk profiles.
 
 ``LossFunction`` covers continuous convex nondecreasing losses with l(0)=0:
-piecewise-linear ones given by slopes and breakpoints, plus the analytic
-families exp (l(x)=e^x-1) and power (l(x)=c*x^gamma for x>0, 0 otherwise).
+piecewise-linear ones, stored as slopes and breakpoints and evaluated in the
+hinge form l(y) = c0 + s0 y + sum_k d_k (y - b_k)^+ (``hinges``, which the
+frontier's LPs read too), plus the analytic families exp (l(x)=e^x-1) and
+power (l(x)=c*x^gamma for x>0, 0 otherwise; c x^+ has the hinge form).
 The piecewise-linear and exp forms satisfy l(x) >= x and can be used with
 every loss-based risk functional.  A power loss satisfies it only as c x^+
 with c >= 1, the one power loss the optimized certainty equivalent takes;
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +56,8 @@ class LossFunction:
                 raise ValueError("l(x) >= x fails for very negative x (first slope > 1)")
             object.__setattr__(self, "slopes", s)
             object.__setattr__(self, "breakpoints", b)
-            for x in b:
-                if self._pwl_value(x) < x - 1e-9:
+            for x, v in zip(b, self.value(b)):
+                if v < x - 1e-9:
                     raise ValueError(f"l(x) >= x fails at breakpoint {x}")
         elif self.kind == "exp":
             pass
@@ -116,16 +119,11 @@ class LossFunction:
     @property
     def zero_on_negatives(self) -> bool:
         """True when l vanishes on (-inf, 0] (then the shortfall risk is WC)."""
-        if self.kind == "power":
-            return True
-        if self.kind == "exp":
-            return False
-        # l nondecreasing with l(0)=0 vanishes on the negatives iff it
-        # vanishes far to the left and its leftmost slope is zero
-        if self.slopes[0] > _LOSS_TOL:
-            return False
-        x_left = (self.breakpoints[0] if self.breakpoints else 0.0) - 1.0
-        return abs(self._pwl_value(min(x_left, -1.0))) <= _LOSS_TOL
+        if self.hinges is None:
+            return self.kind == "power"
+        # l(y) = c0 + s0 y left of every kink, and c0 <= 0
+        c0, s0, _, _ = self.hinges
+        return s0 <= _LOSS_TOL and c0 >= -_LOSS_TOL
 
     @property
     def positively_homogeneous(self) -> bool:
@@ -137,41 +135,36 @@ class LossFunction:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _pwl_kinks(self):
-        """(kink locations, loss values there), anchored so that l(0)=0."""
-        b = np.asarray(self.breakpoints, dtype=float)
-        s = np.asarray(self.slopes, dtype=float)
-        if b.size == 0:
-            return b, b
-        vals = np.empty_like(b)
-        vals[0] = 0.0
-        for i in range(1, b.size):
-            vals[i] = vals[i - 1] + s[i] * (b[i] - b[i - 1])
-        # shift so the function vanishes at 0
-        at0 = np.interp(0.0, b, vals)
-        if 0.0 <= b[0]:
-            at0 = vals[0] + s[0] * (0.0 - b[0])
-        elif 0.0 >= b[-1]:
-            at0 = vals[-1] + s[-1] * (0.0 - b[-1])
-        return b, vals - at0
-
-    def _pwl_value(self, x):
-        b, vals = self._pwl_kinks()
-        x = np.asarray(x, dtype=float)
-        if b.size == 0:
-            out = self.slopes[0] * x
+    @cached_property
+    def hinges(self):
+        """(c0, s0, kinks, jumps) with l(y) = c0 + s0 y + sum_k d_k (y - b_k)^+
+        for a pwl loss and for c y^+ (slopes (0, c) kinked at 0); None for
+        exp and c y^gamma with gamma > 1.  The kinks b_k are the breakpoints
+        where the slope rises, by d_k > 0; l(0) = 0 fixes c0 = -sum_k d_k
+        (-b_k)^+.  The arrays are shared by every caller, so read-only."""
+        if self.kind == "pwl":
+            slopes, breakpoints = self.slopes, self.breakpoints
+        elif self.kind == "power" and self.exponent == 1.0:
+            slopes, breakpoints = (0.0, self.coef), (0.0,)
         else:
-            out = np.interp(x, b, vals)
-            left = x < b[0]
-            right = x > b[-1]
-            out = np.where(left, vals[0] + self.slopes[0] * (x - b[0]), out)
-            out = np.where(right, vals[-1] + self.slopes[-1] * (x - b[-1]), out)
-        return out if out.ndim else float(out)
+            return None
+        jumps = np.diff(slopes)
+        keep = jumps > 0.0                # a flat breakpoint is no kink
+        kinks, jumps = np.asarray(breakpoints, dtype=float)[keep], jumps[keep]
+        kinks.flags.writeable = jumps.flags.writeable = False
+        return (-float(jumps @ np.maximum(-kinks, 0.0)), slopes[0], kinks,
+                jumps)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "pwl":
-            out = self._pwl_value(x)
+        if self.hinges is not None:
+            # c0 + sum_k d_k (y - b_k)^+ as the sum of the terms
+            # d_k ((y - b_k)^+ - (-b_k)^+) = d_k (max(y, b_k) - b_k^+), each
+            # exactly 0 at y = 0
+            _, s0, kinks, jumps = self.hinges
+            out = s0 * x
+            for b, d in zip(kinks, jumps):
+                out = out + d * (np.maximum(x, b) - max(b, 0.0))
         elif self.kind == "exp":
             with np.errstate(over="ignore"):
                 out = np.expm1(x)       # inf is the intended extended value
@@ -216,15 +209,14 @@ class LossFunction:
     def conjugate_cuts(self) -> list[tuple[float, float]]:
         """Supporting lines of l*: l*(z) = max_k (A_k z + B_k) on [a_l, b_l].
 
-        Exact for pwl losses (one cut per kink of l plus the anchor at 0).
+        Exact for pwl losses (one cut per breakpoint of l plus the anchor at
+        0).
         """
         if self.kind != "pwl":
             raise ValueError("exact conjugate cuts exist only for pwl losses")
-        kinks, vals = self._pwl_kinks()
-        cuts = [(0.0, 0.0)]
-        for x, v in zip(kinks, vals):
-            cuts.append((float(x), -float(v)))
-        return sorted(set(cuts))
+        b = self.breakpoints
+        cuts = [(x, -float(v)) for x, v in zip(b, self.value(b))]
+        return sorted(set([(0.0, 0.0)] + cuts))
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,15 @@ class TestSupportValue:
         assert support_value(DualSetSpec("box", 0.0, 2.5), X) == \
             pytest.approx(es(X, 0.4), abs=1e-9)
 
+    def test_negative_box_lower_bound_is_zero(self):
+        # densities are nonnegative, so the box [-0.5, 2] is the box [0, 2]:
+        # z = 2 on the atoms -2 and 0.5 gives E[-ZX] = (4 - 1) / 4
+        X = RandVar(FiniteSpace(np.full(4, 0.25)),
+                    np.array([1.0, -2.0, 0.5, 3.0]))
+        got = support_value(DualSetSpec("box", -0.5, 2.0), X)
+        assert got == pytest.approx(0.75, abs=1e-12)
+        assert got == support_value(DualSetSpec("box", 0.0, 2.0), X)
+
     def test_polytope_shapes(self):
         # over w = z - a s the lower bounds are w >= 0: one row per atom
         pt = set_polytope(DualSetSpec("scaled_box", a_l=0.5, b_l=2.0), HALF)

@@ -405,7 +405,8 @@ def perspective_cut_ref(X, loss):
 
 def pwl_lines(loss):
     """l(y) = max_k (A_k y + B_k): one supporting line per pwl piece."""
-    kinks, vals = loss._pwl_kinks()
+    kinks = np.asarray(loss.breakpoints)
+    vals = loss.value(kinks)
     if kinks.size == 0:
         return [(loss.slopes[0], 0.0)]
     lines = []
@@ -595,8 +596,7 @@ class TestRowBuilders:
                 for fam in ("ew", "sr", "oce"):
                     loss = random_pwl(rng)
                     seen.clear()
-                    frontier._pwl_family_min(par, p, fam, loss.slopes,
-                                             loss.breakpoints)
+                    frontier._pwl_family_min(par, p, fam, loss.hinges)
                     want = pwl_hinge_loop(par, p, fam, loss.slopes,
                                           loss.breakpoints)
                     (got,) = seen
@@ -718,7 +718,7 @@ class TestLiftedLps:
                 for fam in ("ew", "sr", "oce"):
                     spec = RiskSpec(fam, loss=random_pwl(rng))
                     same_value(frontier._pwl_family_min(
-                        par, p, fam, spec.loss.slopes, spec.loss.breakpoints),
+                        par, p, fam, spec.loss.hinges),
                         pwl_epigraph_min(par, p, spec), (k, fam))
                 for spec in shortfall_specs(rng):
                     pieces = frontier._shortfall_pieces(spec)
@@ -752,8 +752,8 @@ class TestLiftedLps:
                         for s in shortfall_specs(rng)]
                 for fam in ("sr", "oce"):
                     loss = random_pwl(rng)
-                    lps.append(frontier._pwl_family_min(
-                        par, p, fam, loss.slopes, loss.breakpoints))
+                    lps.append(frontier._pwl_family_min(par, p, fam,
+                                                        loss.hinges))
                     # the recession LP: the hinge LP of l_inf
                     rec = frontier._recession_spec(
                         RiskSpec(fam, loss=LossFunction.pwl(

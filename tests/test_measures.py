@@ -334,6 +334,8 @@ class TestPwlKinkSearch:
                 kink_scan_sr(X, loss), rel=1e-12)
 
     def test_loss_calls_grow_with_log_of_kinks(self, rng, monkeypatch):
+        # built before the spies: its l(x) >= x check calls value too
+        loss = LossFunction.pwl((0.2, 1.0, 3.0), (-0.5, 0.5))
         calls = {"value": 0, "derivative": 0}
         for name in calls:
             inner = getattr(LossFunction, name)
@@ -343,7 +345,6 @@ class TestPwlKinkSearch:
                 return inner(self, x)
 
             monkeypatch.setattr(LossFunction, name, counted)
-        loss = LossFunction.pwl((0.2, 1.0, 3.0), (-0.5, 0.5))
         X = random_randvar(rng, 2000)
         log_nk = math.ceil(math.log2(2000 * 2))
         oce(X, loss)
