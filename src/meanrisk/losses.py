@@ -127,11 +127,15 @@ class LossFunction:
 
     @property
     def positively_homogeneous(self) -> bool:
-        """True when l(lam x) = lam l(x) for lam > 0: pwl with kinks at 0
-        only, and c x^+ (power with exponent 1)."""
+        """True when l(lam x) = lam l(x) for lam > 0: pwl whose slope
+        changes, up or down, at 0 only (a flat breakpoint elsewhere is no
+        change), and c x^+ (power with exponent 1)."""
         if self.kind == "power":
             return self.exponent == 1.0
-        return self.kind == "pwl" and all(bk == 0.0 for bk in self.breakpoints)
+        s = self.slopes
+        return self.kind == "pwl" and all(
+            bk == 0.0 for bk, left, right in zip(self.breakpoints, s, s[1:])
+            if left != right)
 
     # -- evaluation ----------------------------------------------------------
 

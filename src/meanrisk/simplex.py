@@ -25,8 +25,16 @@ c.x for each objective leg and each rhs column of one polytope
     A_ub x <= b_ub,  A_eq x = b_eq,  lower <= x <= upper.
 
 It builds the standard form (nonnegative variables, equality rows) and the
-iteration budget once.  An inequality row with a nonnegative rhs starts
-with its slack in the basis; only equality rows and rows with a negative
+iteration budget once per call.  The standard form is built as phase 1's
+tableau itself: [A_std | b_std], one column per rhs, above two zero rows for
+the cost rows.  Phase 1 pivots on it in place; only a path, whose later
+columns may restart cold, keeps it pristine and copies it per cold start.
+When every variable is x >= 0 by value (lower all 0 and upper all +inf,
+or both None), the column map is the identity: A_std is [A_ub I; A_eq 0],
+x is the leading entries of the standard-form point (plus 0.0, so a basic
+-0.0 reads +0.0, as the general map gives it), and no column is gathered,
+split or shifted.  An inequality row with a nonnegative rhs starts with its
+slack in the basis; only equality rows and rows with a negative
 rhs get a phase-1 artificial, so with none phase 1 makes no pivot and adds
 no cost row, and each equality row is scaled to a largest entry of one, so
 phase 1's absolute tolerances hold for rows of any scale.  A path's tableau
@@ -50,7 +58,7 @@ columns) are one-call wrappers of the driver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,77 +177,79 @@ def _iterate(T: np.ndarray, basis: np.ndarray, m: int, cost: int,
     raise LPError("simplex iteration budget exhausted")
 
 
-def _phase1(c: np.ndarray, A: np.ndarray, b: np.ndarray, slack: np.ndarray,
+def _phase1(c: np.ndarray, T: np.ndarray, mu: int,
             max_iter: int) -> tuple[np.ndarray, np.ndarray, int] | LPResult:
-    """Phase 1 of  min c.x  s.t.  A x = b, x >= 0.
+    """Phase 1 of  min c.x  s.t.  A x = b, x >= 0, in place on T.
 
-    b may have several columns: the last is solved, the others ride along.
-    ``slack[i]`` is the column of row i's slack (+1 in that row only), or -1
-    for an equality row.  Artificial variables are not stored as columns:
-    once one leaves the basis it never re-enters, so basis index n + i just
-    marks row i as still held by its artificial.  Returns the tableau, its
-    feasible basis and the pivots made, or an INFEASIBLE LPResult.
+    Rows 0..m-1 of T are [A | b], and its last two rows are zeros, kept for
+    the cost rows; n = c.size.  b may have several columns: the last is
+    solved, the others ride along.  The first ``mu`` rows are inequality
+    rows, row i with its slack (+1 in that row only) in column n - mu + i;
+    the rest are equality rows.  Artificial variables are not stored as
+    columns: once one leaves the basis it never re-enters, so basis index
+    n + i just marks row i as still held by its artificial.  Returns the
+    tableau (a view of T), its feasible basis and the pivots made, or an
+    INFEASIBLE LPResult.
     """
-    m, n = A.shape
-    if b.ndim == 1:
-        b = b[:, None]
-    neg = b[:, -1] < 0
-    basis = np.where((slack >= 0) & ~neg, slack, n + np.arange(m))
-    artificial = basis >= n
+    m, n = T.shape[0] - 2, c.size
+    basis = np.arange(n - mu, n - mu + m)   # every row on its slack, ...
+    if mu < m:
+        basis[mu:] += mu                    # ... or on its artificial
+        # Phase 1 judges the equality rows with absolute tolerances, so each
+        # is scaled to a largest entry of one.
+        size = np.abs(T[mu:m, :n - mu]).max(axis=1, initial=0.0)
+        T[mu:m] /= np.where(size > 0.0, size, 1.0)[:, None]
+    neg = (T[:m, -1] < 0).nonzero()[0]
+    if neg.size:
+        T[neg] *= -1.0
+        basis[neg] = n + neg
     # Rows 0..m-1: constraints; row m: phase-2 costs; row m + 1, only when
     # some row holds an artificial: phase-1 costs.  The rhs entry of a cost
     # row is minus the objective value.
-    T = np.zeros((m + 1 + artificial.any(), n + b.shape[1]))
-    T[:m, :n] = A
-    T[:m, n:] = b
-    # Phase 1 judges the equality rows with absolute tolerances, so each is
-    # scaled to a largest entry of one.
-    eq = (slack < 0).nonzero()[0]
-    size = np.abs(A[eq]).max(axis=1, initial=0.0)
-    T[eq] /= np.where(size > 0.0, size, 1.0)[:, None]
     T[m, :n] = c
-    T[:m][neg] *= -1.0
-    pivots = 0
+    if mu == m and not neg.size:
+        return T[:m + 1], basis, 0
 
-    if artificial.any():
-        T[m + 1] = -T[:m][artificial].sum(axis=0)
-        _, pivots = _iterate(T, basis, m, m + 1, n, max_iter, True)
-        held = basis >= n
-        if T[:m, -1][held].sum() > _PHASE1_TOL:
-            return LPResult(INFEASIBLE, pivots=pivots, phase1_pivots=pivots)
+    T[m + 1] = -T[:m][basis >= n].sum(axis=0)
+    _, pivots = _iterate(T, basis, m, m + 1, n, max_iter, True)
+    held = (basis >= n).nonzero()[0]
+    if T[held, -1].sum() > _PHASE1_TOL:
+        return LPResult(INFEASIBLE, pivots=pivots, phase1_pivots=pivots)
 
-        # Drive leftover artificials out of the basis on their rows' largest
-        # entries; drop redundant rows.
+    # Drive leftover artificials out of the basis on their rows' largest
+    # entries; drop redundant rows.
+    redundant = []
+    for i in held:
+        size = np.abs(T[i, :n])
+        if not (size > _PIVOT_TOL).any():
+            redundant.append(i)
+        else:
+            j = int(size.argmax())
+            basis[i] = j
+            _pivot(T, i, j)
+            pivots += 1
+    if redundant:
         keep = np.ones(m + 1, dtype=bool)
-        for i in held.nonzero()[0]:
-            size = np.abs(T[i, :n])
-            if not (size > _PIVOT_TOL).any():
-                keep[i] = False
-            else:
-                j = int(size.argmax())
-                basis[i] = j
-                _pivot(T, i, j)
-                pivots += 1
-        T = T[:m + 1]
-        if not keep.all():
-            T, basis = T[keep], basis[keep[:m]]
-    return T, basis, pivots
+        keep[redundant] = False
+        return T[:m + 1][keep], basis[keep[:m]], pivots
+    return T[:m + 1], basis, pivots
 
 
 def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, phase1: int,
-            max_iter: int) -> LPResult:
+            dual: int, max_iter: int) -> LPResult:
     """Phase 2 from the feasible ``basis`` of T, whose row basis.size holds
-    the reduced costs of c.  ``phase1`` pivots were made before; T and basis
-    end at the final basis."""
+    the reduced costs of c.  ``phase1`` and ``dual`` pivots were made
+    before; T and basis end at the final basis.  An optimal result holds
+    the standard-form point and no value."""
     m = basis.size
     status, phase2 = _iterate(T, basis, m, m, c.size, max_iter, False)
-    pivots = phase1 + phase2
+    pivots = phase1 + dual + phase2
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, pivots=pivots, phase1_pivots=phase1)
+        return LPResult(UNBOUNDED, pivots=pivots, phase1_pivots=phase1,
+                        dual_pivots=dual)
     x = np.zeros(c.size)
     x[basis] = T[:m, -1]
-    return LPResult(OPTIMAL, x, float(c @ x), pivots, phase1,
-                    basis=basis.copy())
+    return LPResult(OPTIMAL, x, None, pivots, phase1, dual, basis.copy())
 
 
 def _dual_iterate(T: np.ndarray, basis: np.ndarray, m: int, ncols: int,
@@ -268,79 +278,82 @@ def _dual_iterate(T: np.ndarray, basis: np.ndarray, m: int, ncols: int,
     return None, max_iter
 
 
+def _rows(A, b, nvar: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A x <= b (or = b) as float arrays, none when A is None."""
+    if A is None:
+        return np.zeros((0, nvar)), np.zeros(0)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return A if A.ndim == 2 else A.reshape(1, -1), b if b.ndim else b[None]
+
+
 def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     """The standard form of a general-form polytope over ``nvar`` variables
     and the maps to and from it.
 
-    Returns (A_std, b_std, slack, cost, unmap), where ``cost(c)`` is the
-    standard-form cost vector of c.x and ``unmap(res, c)`` turns a
-    standard-form LPResult into one in the original variables, valued at
-    c.x; or None when some lower bound exceeds its upper bound.
+    Returns (T, mu, cost, to_x): T is the phase-1 block of ``_phase1``, [A |
+    b] over the m standard-form rows (the first mu of them from inequality
+    and bound rows, each with its slack) and one column per rhs, above two
+    zero rows; ``cost(c)`` is the standard-form cost vector of c.x, and
+    ``to_x(y)`` the point in the original variables of a standard-form
+    point y.  Returns None when some lower bound exceeds its upper bound.
     """
-    lo, hi = np.empty(nvar), np.empty(nvar)
-    lo[:] = 0.0 if lower is None else lower
-    hi[:] = np.inf if upper is None else upper
-    if (lo > hi).any():
-        return None
+    identity = lower is None and upper is None
+    if not identity:
+        lo, hi = np.empty(nvar), np.empty(nvar)
+        lo[:] = 0.0 if lower is None else lower
+        hi[:] = np.inf if upper is None else upper
+        if (lo > hi).any():
+            return None
+        identity = not lo.any() and (hi == np.inf).all()
 
-    A_ub = np.zeros((0, nvar)) if A_ub is None else np.atleast_2d(
-        np.asarray(A_ub, dtype=float))
-    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(
-        np.asarray(b_ub, dtype=float))   # (n_ub,) or one column per rhs
-    A_eq = np.zeros((0, nvar)) if A_eq is None else np.atleast_2d(
-        np.asarray(A_eq, dtype=float))
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(
-        np.asarray(b_eq, dtype=float))
+    A_ub, b_ub = _rows(A_ub, b_ub, nvar)  # b_ub: (n_ub,) or a column per rhs
+    A_eq, b_eq = _rows(A_eq, b_eq, nvar)
+    n_ub, n_eq = A_ub.shape[0], A_eq.shape[0]
+    if identity:        # every variable x >= 0: x = y
+        ny, mu, plain = nvar, n_ub, True
+    else:
+        # x = offset + S y with y >= 0: column k of S is sign[k] * e_src[k].
+        # A free variable gets two columns (+ then -), a variable bounded
+        # above only is mirrored, and a two-sided bound adds the row
+        # y_k <= hi - lo.
+        lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
+        free = ~(lo_f | hi_f)
+        width = 1 + free
+        src = np.arange(nvar).repeat(width)
+        first = width.cumsum() - width
+        sign = np.ones(src.size)
+        sign[first[~lo_f & hi_f]] = -1.0
+        sign[first[free] + 1] = -1.0
+        offset = np.where(lo_f, lo, np.where(hi_f, hi, 0.0))
+        boxed = (lo_f & hi_f).nonzero()[0]
+        ny, mu = src.size, n_ub + boxed.size
+        plain = lo_f.all()          # no column split or mirrored: S = I
 
-    # x = offset + S y with y >= 0: column k of S is sign[k] * e_src[k].  A
-    # free variable gets two columns (+ then -), a variable bounded above
-    # only is mirrored, and a two-sided bound adds the row y_k <= hi - lo.
-    lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
-    free = ~(lo_f | hi_f)
-    width = 1 + free
-    src = np.arange(nvar).repeat(width)
-    first = width.cumsum() - width
-    sign = np.ones(src.size)
-    sign[first[~lo_f & hi_f]] = -1.0
-    sign[first[free] + 1] = -1.0
-    offset = np.where(lo_f, lo, np.where(hi_f, hi, 0.0))
-    boxed = (lo_f & hi_f).nonzero()[0]
-
-    ny = src.size
-    n_ub, n_eq, n_box = A_ub.shape[0], A_eq.shape[0], boxed.size
-    mu = n_ub + n_box
-    plain = lo_f.all()          # no column split or mirrored: S = I
-    # Slacks turn inequality rows into equalities.
-    A_std = np.zeros((mu + n_eq, ny + mu))
-    A_std[:n_ub, :ny] = A_ub if plain else A_ub[:, src] * sign
-    A_std.ravel()[ny:mu * (ny + mu):ny + mu + 1] = 1.0   # slack identity
-    # b_std.T puts the rhs columns first, so that fixed rows broadcast
-    b_std = np.empty((mu + n_eq,) + b_ub.shape[1:])
-    b_std.T[..., :n_ub] = b_ub.T - A_ub @ offset
-    if n_box:
-        A_std[n_ub + np.arange(n_box), first[boxed]] = 1.0
-        b_std.T[..., n_ub:mu] = hi[boxed] - lo[boxed]
-    if n_eq:
-        A_std[mu:, :ny] = A_eq if plain else A_eq[:, src] * sign
-        b_std.T[..., mu:] = b_eq - A_eq @ offset
-    slack = np.arange(ny, ny + mu + n_eq)
-    slack[mu:] = -1
+    T = np.zeros((mu + n_eq + 2, ny + mu + (b_ub.shape[1] if b_ub.ndim == 2
+                                            else 1)))
+    for top, A, b in ((0, A_ub, b_ub), (mu, A_eq, b_eq)):
+        if A.shape[0]:
+            rows = slice(top, top + A.shape[0])
+            T[rows, :ny] = A if plain else A[:, src] * sign
+            T[rows, ny + mu:] = (b if identity else (b.T - A @ offset).T
+                                 ).reshape(A.shape[0], -1)
+    if not identity and boxed.size:
+        T[n_ub + np.arange(boxed.size), first[boxed]] = 1.0
+        T[n_ub:mu, ny + mu:] = (hi[boxed] - lo[boxed])[:, None]
+    # slacks turn inequality rows into equalities: row i's is column ny + i
+    T.ravel()[ny:mu * T.shape[1]:T.shape[1] + 1] = 1.0
 
     def cost(c) -> np.ndarray:
         c_std = np.zeros(ny + mu)
-        c_std[:ny] = np.asarray(c, dtype=float)[src] * sign
+        c_std[:ny] = c if plain else np.asarray(c, dtype=float)[src] * sign
         return c_std
 
-    def unmap(res: LPResult, c: np.ndarray) -> LPResult:
-        if res.status != OPTIMAL:
-            return res
-        x = offset + np.bincount(src, weights=sign * res.x[:ny],
-                                 minlength=nvar)
-        full = res.basis.size == A_std.shape[0]   # no row dropped
-        return LPResult(OPTIMAL, x, float(c @ x), res.pivots,
-                        res.phase1_pivots, res.dual_pivots,
-                        res.basis if full else None)
-    return A_std, b_std, slack, cost, unmap
+    def to_x(y: np.ndarray) -> np.ndarray:
+        if identity:
+            return y[:ny] + 0.0     # as the general map, x is never -0.0
+        return offset + np.bincount(src, weights=sign * y[:ny],
+                                    minlength=nvar)
+    return T, mu, cost, to_x
 
 
 def _budget(A_std: np.ndarray) -> int:
@@ -351,7 +364,8 @@ def _price(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> None:
     """Write the reduced costs of c at ``basis`` into T's cost row (row
     basis.size; its rhs entry is minus the objective value)."""
     m = basis.size
-    T[m] = np.append(c, 0.0)
+    T[m, :-1] = c
+    T[m, -1] = 0.0
     T[m] -= c[basis] @ T[:m]
 
 
@@ -363,7 +377,7 @@ def _face_min(T: np.ndarray, basis: np.ndarray, tie: np.ndarray,
     face = T[:m + 1].copy()
     _price(face, basis, tie)
     face[m, :-1][T[m, :-1] > _RCOST_TOL] = np.inf
-    return _phase2(face, basis.copy(), tie, 0, max_iter)
+    return _phase2(face, basis.copy(), tie, 0, 0, max_iter)
 
 
 def _solve(legs, A_ub, b_ub, A_eq, b_eq, lower, upper,
@@ -382,8 +396,9 @@ def _solve(legs, A_ub, b_ub, A_eq, b_eq, lower, upper,
                           upper)
     if form is None:
         return [LPResult(INFEASIBLE) for _ in range(ncol * len(legs))]
-    A_std, b_std, slack, cost, unmap = form
-    max_iter = _budget(A_std)
+    block, mu, cost, to_x = form
+    m, n = block.shape[0] - 2, block.shape[1] - ncol
+    max_iter = _budget(block[:m, :n])
     costs = [cost(-c if maximize else c) for c, _ in legs]
 
     def column(T, basis, pivots, dual):
@@ -392,14 +407,18 @@ def _solve(legs, A_ub, b_ub, A_eq, b_eq, lower, upper,
         for (c, tie), c_std in zip(legs, costs):
             if out:
                 _price(T, basis, c_std)
-            res = unmap(_phase2(T, basis, c_std, pivots, max_iter), c)
-            res.pivots += dual
-            res.dual_pivots = dual
+            res = _phase2(T, basis, c_std, pivots, dual, max_iter)
             pivots = dual = 0       # they count toward the first leg only
-            if tie is not None and res.status == OPTIMAL:
-                face = unmap(_face_min(T, basis, cost(tie), max_iter), c)
-                res = replace(res, status=face.status, x=face.x,
-                              basis=face.basis, pivots=res.pivots + face.pivots)
+            if res.status == OPTIMAL:
+                res.x = to_x(res.x)
+                res.value = float(c @ res.x)
+                if tie is not None:
+                    face = _face_min(T, basis, cost(tie), max_iter)
+                    res.status, res.basis = face.status, face.basis
+                    res.x = None if face.x is None else to_x(face.x)
+                    res.pivots += face.pivots
+                if res.basis is not None and res.basis.size < m:
+                    res.basis = None        # a redundant row was dropped
             out.append(res)
         return out
 
@@ -409,18 +428,17 @@ def _solve(legs, A_ub, b_ub, A_eq, b_eq, lower, upper,
         if T is not None and basis.size:        # the last rhs was optimal
             T = T[:, :-1]
             if scale is None:    # a slack is its row's surplus, held to the
-                rows = (slack >= 0).nonzero()[0]        # row's own scale
-                scale = np.ones(A_std.shape[1])
-                scale[slack[rows]] = np.abs(
-                    A_std[rows, :scale.size - rows.size]).max(
+                scale = np.ones(n)                      # row's own scale
+                scale[n - mu:] = np.abs(block[:mu, :n - mu]).max(
                     axis=1, initial=0.0).clip(_PIVOT_TOL, 1.0)
-            status, dual = _dual_iterate(T, basis, basis.size, scale.size,
-                                         max_iter, scale)
+            status, dual = _dual_iterate(T, basis, basis.size, n, max_iter,
+                                         scale)
             if status == OPTIMAL:
                 out = column(T, basis, 0, dual)
         if out is None or out[0].status != OPTIMAL:
-            start = _phase1(costs[0], A_std, b_std[:, :j] if path else b_std,
-                            slack, max_iter)
+            # a path keeps its block pristine for the columns after this one
+            start = _phase1(costs[0], block[:, :n + j].copy() if path
+                            else block, mu, max_iter)
             if isinstance(start, LPResult):
                 out = [start] + [LPResult(INFEASIBLE) for _ in legs[1:]]
             else:

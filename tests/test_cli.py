@@ -1,4 +1,11 @@
 """Command-line surface: round trips, exit codes, fixture outputs."""
+import contextlib
+import io
+import math
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -371,3 +378,49 @@ class TestParserReuse:
         assert stdout == "" and stderr.startswith("usage: meanrisk frontier")
         assert stderr.endswith("meanrisk frontier: error: the following "
                                "arguments are required: --measure\n")
+
+
+# Golden outputs of the arbitrage and price-bounds verbs on the README
+# market and m3.txt (its last atom -0.15), one file per case under
+# tests/golden.  Regenerate them, only from a trusted commit, with
+#     PYTHONPATH=src python tests/test_cli.py --record-golden
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MEASURES = {"es": "es:0.5", "lses": "lses:0.5",
+                   "adjes_step": "adjes:g=step(0.4)", "wc": "wc",
+                   "oce_pwl": "oce:l=pwl(0.5,0,2)", "eloss": "eloss"}
+GOLDEN_VERBS = ("arbitrage", "NO_ARB", "NO_RHO_ARB", "NO_STRONG_RHO_ARB")
+GOLDEN_CASES = [(market, slug, verb) for market in ("readme", "m3")
+                for slug in GOLDEN_MEASURES for verb in GOLDEN_VERBS]
+_NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _golden_run(market, slug, verb):
+    """The case's exit code, stdout and stderr, as one text."""
+    argv = ["--market", str(GOLDEN / f"{market}.txt"), "--measure",
+            GOLDEN_MEASURES[slug]]
+    if verb == "arbitrage":
+        argv = ["arbitrage"] + argv
+    else:
+        argv = ["price-bounds"] + argv + ["--payoff", "2 0.5 1 0.8",
+                                          "--kind", verb]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+@pytest.mark.parametrize("market,slug,verb", GOLDEN_CASES)
+def test_golden_output(market, slug, verb):
+    # every number within 1e-12 relative, the text between them exact
+    got = _NUMBER.split(_golden_run(market, slug, verb))
+    want = _NUMBER.split(
+        (GOLDEN / f"{market}_{slug}_{verb}.txt").read_text(encoding="utf-8"))
+    assert got[::2] == want[::2]
+    for a, b in zip(got[1::2], want[1::2]):
+        assert math.isclose(float(a), float(b), rel_tol=1e-12), (a, b)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record-golden"]:
+    for case in GOLDEN_CASES:
+        (GOLDEN / "{}_{}_{}.txt".format(*case)).write_text(
+            _golden_run(*case), encoding="utf-8")

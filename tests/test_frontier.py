@@ -603,6 +603,31 @@ class TestHomogeneousBoundary:
                         value, rel=1e-9, abs=1e-9), tag
         assert {"POSITIVE", "NEGATIVE"} <= regimes and kinds == {True, False}
 
+    def test_flat_breakpoint_takes_the_unit_slice(self, monkeypatch):
+        # pwl(0.5,-1,0.5,0,2) is flat at -1: it is the loss 0.5 y on the
+        # negatives and 2 y on the positives, PWL itself, so its sweep runs
+        # one unit slice LP as PWL's does, with the rho values of the sweep
+        # that treats it as not homogeneous (an LP and a path, before)
+        flat = RiskSpec.sr_with(LossFunction.pwl((0.5, 0.5, 2.0),
+                                                 (-1.0, 0.0)))
+        assert flat.positively_homogeneous
+        def sweep(spec, m):
+            lps, paths = solved_lps(monkeypatch), solved_paths(monkeypatch)
+            fr = optimal_boundary(spec, m, 0.2, 11)
+            monkeypatch.undo()
+            return len(lps), len(paths), fr.rho_values
+
+        for seed in range(6):
+            m = random_market(np.random.default_rng(seed), n=6, d=2,
+                              arbitrage_free=True)
+            lps, paths, rho = sweep(flat, m)
+            assert (lps, paths) == (1, 0) == sweep(RiskSpec.sr_with(PWL),
+                                                   m)[:2], seed
+            ref = per_point(monkeypatch, optimal_boundary, flat, m, 0.2, 11)
+            assert np.all(np.isfinite(rho)), seed
+            assert np.allclose(rho, ref.rho_values, rtol=1e-12, atol=0.0), (
+                seed, np.max(np.abs(rho / ref.rho_values - 1.0)))
+
     def test_zero_and_table_profiles_take_the_unit_slice(self):
         # adjusted-ES profiles that vanish on [beta, 1] but are not one piece
         # at beta are positively homogeneous too: their own shortfall LP over

@@ -1,4 +1,6 @@
 """LP kernel checks against closed forms and an independent solver."""
+import copy
+import dataclasses
 import importlib.util
 import sys
 import types
@@ -160,8 +162,10 @@ def test_phase1_skips_a_column_without_pivot_row():
     assert status == UNBOUNDED
 
 
-def _random_bounds(rng, nvar):
-    """Per variable one of: x >= 0, free, lo <= x <= hi, x <= hi, x >= lo."""
+def _random_bounds(rng, nvar, nonneg=0.0):
+    """Per variable one of: x >= 0, free, lo <= x <= hi, x <= hi, x >= lo.
+    With probability ``nonneg`` every variable is x >= 0 instead, as
+    explicit zeros and infs (``_nonneg_as_none`` may then drop them)."""
     kind = rng.integers(0, 5, nvar)
     a = rng.uniform(-2.0, 0.5, nvar)
     lower = np.where(kind == 0, 0.0, np.where((kind == 2) | (kind == 4), a,
@@ -169,15 +173,28 @@ def _random_bounds(rng, nvar):
     upper = np.where(kind == 2, a + rng.uniform(0.0, 3.0, nvar),
                      np.where(kind == 3, rng.uniform(-0.5, 2.0, nvar),
                               np.inf))
+    if nonneg and rng.random() < nonneg:
+        return np.zeros(nvar), np.full(nvar, np.inf)
     return lower, upper
 
 
-def _random_instance(rng):
+def _nonneg_as_none(rng, lower, upper):
+    """Half the time, bounds that make every variable x >= 0 as None, the
+    default; other bounds as they are."""
+    if (not lower.any() and np.all(upper == np.inf)
+            and rng.random() < 0.5):
+        return None, None
+    return lower, upper
+
+
+def _random_instance(rng, nonneg=0.0):
+    """A random general-form LP; ``nonneg`` as in _random_bounds, and then
+    half the time with lower = upper = None."""
     nvar = int(rng.integers(2, 8))
     nub = int(rng.integers(0, 6))
     neq = int(rng.integers(0, 3))
     c = rng.normal(0, 1, nvar)
-    lower, upper = _random_bounds(rng, nvar)
+    lower, upper = _random_bounds(rng, nvar, nonneg)
     A_ub = rng.normal(0, 1, (nub, nvar))
     A_eq = rng.normal(0, 1, (neq, nvar))
     if rng.random() < 0.7:
@@ -190,6 +207,8 @@ def _random_instance(rng):
         b_ub = rng.normal(0.3, 1, nub)   # negative entries included
         b_ub[rng.random(nub) < 0.3] = 0.0
         b_eq = rng.normal(0, 1, neq)
+    if nonneg:
+        lower, upper = _nonneg_as_none(rng, lower, upper)
     return (c, A_ub if nub else None, b_ub if nub else None,
             A_eq if neq else None, b_eq if neq else None, lower, upper,
             bool(rng.random() < 0.5))
@@ -228,6 +247,8 @@ def test_matches_reference_solver_on_random_instances(rng):
 def _loop_standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
     """Column-by-column reference for the standard form solve_lp builds."""
     nvar = c.size
+    lower = np.zeros(nvar) if lower is None else lower
+    upper = np.full(nvar, np.inf) if upper is None else upper
     A_ub = np.zeros((0, nvar)) if A_ub is None else A_ub
     b_ub = np.zeros(0) if b_ub is None else b_ub
     A_eq = np.zeros((0, nvar)) if A_eq is None else A_eq
@@ -272,27 +293,49 @@ def _loop_standard_form(c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize):
     return c_std, A, b, slack, to_x
 
 
+def _block_slack(T, mu, n):
+    """The slack column of each row of T's block (-1 on equality rows), in
+    the form _loop_standard_form gives it."""
+    rows = np.arange(T.shape[0] - 2)
+    return np.where(rows < mu, n - mu + rows, -1)
+
+
 def test_standard_form_matches_column_loop(rng, monkeypatch):
-    # same arithmetic as the per-column loop, so results are bit-identical
+    # same arithmetic as the per-column loop, so results are bit-identical;
+    # about a third of the instances are all x >= 0 (the identity column
+    # map), half of those with lower = upper = None
     seen = []
     for name in ("_phase1", "_phase2"):
         def spy(*args, inner=getattr(simplex, name)):
-            seen.append((args, inner(*args)))
-            return seen[-1][1]
+            # phase 1 works on its block in place, and the driver maps
+            # phase 2's result in place: keep both as they were
+            kept = [a.copy() if isinstance(a, np.ndarray) else a
+                    for a in args]
+            out = inner(*args)
+            seen.append((kept, copy.copy(out)))
+            return out
         monkeypatch.setattr(simplex, name, spy)
-    for _ in range(200):
-        inst = _random_instance(rng)
+    plain = 0
+    for _ in range(300):
+        inst = _random_instance(rng, nonneg=0.3)
         c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize = inst
+        plain += lower is None or (not lower.any()
+                                   and np.all(upper == np.inf))
         res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                        lower=lower, upper=upper, maximize=maximize)
-        args, std = seen[0][0], seen[-1][1]
+        (c_got, T, mu, _), std = seen[0][0], seen[-1][1]
         assert len(seen) == 1 + isinstance(seen[0][1], tuple)
         seen.clear()
         c_std, A, b, slack, to_x = _loop_standard_form(*inst)
-        for got, want in zip(args[:4], (c_std, A, b, slack)):
-            assert np.array_equal(got, want)
+        m, n = A.shape
+        assert T.shape == (m + 2, n + 1)
+        assert np.array_equal(c_got, c_std)
+        assert np.array_equal(T[:m], np.column_stack([A, b]))
+        assert not T[m:].any()      # the two cost rows start empty
+        assert np.array_equal(_block_slack(T, mu, n), slack)
         if res.status == OPTIMAL:
             assert np.array_equal(res.x, to_x(std.x))
+    assert plain >= 60, plain
 
 
 class TestTinyPivots:
@@ -381,12 +424,13 @@ class TestSmallScale:
                    RiskSpec.lses_at(0.5e-7))
 
 
-def _random_polytope(rng):
+def _random_polytope(rng, nonneg=0.0):
     """Bounded by construction: box bounds, or +-5 rows on free columns.
     Equality rows include a redundant combination of the others; 30% of
-    the instances draw their rhs at random and are mostly infeasible."""
+    the instances draw their rhs at random and are mostly infeasible.
+    ``nonneg`` as in _random_instance."""
     nvar = int(rng.integers(2, 8))
-    lower, upper = _random_bounds(rng, nvar)
+    lower, upper = _random_bounds(rng, nvar, nonneg)
     unbox = ~(np.isfinite(lower) & np.isfinite(upper))
     A_ub = np.vstack([rng.normal(0, 1, (int(rng.integers(0, 5)), nvar)),
                       np.eye(nvar)[unbox], -np.eye(nvar)[unbox]])
@@ -400,6 +444,8 @@ def _random_polytope(rng):
     b_eq = A_eq @ x0
     if rng.random() < 0.3:
         b_eq = b_eq + rng.normal(0, 1, b_eq.size)
+    if nonneg:
+        lower, upper = _nonneg_as_none(rng, lower, upper)
     return dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, lower=lower,
                 upper=upper), rng.normal(0, 1, nvar)
 
@@ -529,11 +575,11 @@ def test_tie_break_on_the_optimal_face(rng):
     assert seen["degenerate"] >= 200 and min(seen.values()) >= 30, seen
 
 
-def _full_rank_polytope(rng):
+def _full_rank_polytope(rng, nonneg=0.0):
     """_random_polytope with fewer equality rows than variables and none
     redundant, so phase 1 drops no row and an optimal result keeps its
     basis."""
-    rows, c = _random_polytope(rng)
+    rows, c = _random_polytope(rng, nonneg)
     keep = min(rows["A_eq"].shape[0] - 1, c.size - 1)
     rows["A_eq"], rows["b_eq"] = rows["A_eq"][:keep], rows["b_eq"][:keep]
     return rows, c
@@ -897,12 +943,14 @@ def _frozen_kernel(monkeypatch):
     """A fresh copy of the simplex module running _Frozen's functions.
     Each is rebuilt over the copy's namespace, so the frozen functions call
     one another and the copy's unchanged ones (_budget and the entry
-    points, which only wrap _solve)."""
+    points, which only wrap _solve), plus the dataclasses.replace that
+    the frozen _solve calls."""
     spec = importlib.util.spec_from_file_location("frozen_simplex",
                                                   simplex.__file__)
     ref = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, ref)   # for @dataclass
     spec.loader.exec_module(ref)
+    ref.replace = dataclasses.replace
     for name, fn in vars(_Frozen).items():
         if callable(fn):
             setattr(ref, name, types.FunctionType(fn.__code__, vars(ref),
@@ -931,10 +979,12 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
     # bytes of x, on cold solves, sequences with tie-break legs and the
     # whole of every path, whose later columns also match frozen cold
     # solves in value.  A third of the paths give the dual simplex one
-    # pivot per column on both sides, so that columns restart cold.
+    # pivot per column on both sides, so that columns restart cold.  A
+    # fifth of the instances of each kind are all x >= 0, half of those
+    # with lower = upper = None: the driver's identity column map.
     ref = _frozen_kernel(monkeypatch)
     seen = {"repick": 0, "tie": 0, "dual": 0, "dropped": 0, "restart": 0,
-            "beale": 0}
+            "beale": 0, "none": 0, "nonneg": 0}
     frozen_ratio_test = ref._ratio_test
 
     def counted(col, rhs, basis, rows):
@@ -981,15 +1031,15 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
     seen["beale"] += res.pivots > simplex._DEGENERATE_RUN
     both("solve_lp", [1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[0.0],
          maximize=True)                           # a max of 0.0 is +0.0
-    for i in range(900):
+    for i in range(1260):
         if i % 3 == 0:
             c, A_ub, b_ub, A_eq, b_eq, lower, upper, maximize = \
-                _random_instance(rng)
+                _random_instance(rng, nonneg=0.2)
             rows = _tiny_rows(rng, dict(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
                                         b_eq=b_eq, lower=lower, upper=upper))
             both("solve_lp", c, maximize=maximize, **rows)
         elif i % 3 == 1:
-            rows, c = _random_polytope(rng)
+            rows, c = _random_polytope(rng, nonneg=0.2)
             rows = _tiny_rows(rng, rows)
             tie, after = rng.normal(0, 1, (2, c.size))
             legs = both("solve_lp_sequence",
@@ -998,7 +1048,7 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
             seen["dropped"] += (legs[1].status == OPTIMAL
                                 and legs[1].basis is None)
         else:
-            rows, c = _full_rank_polytope(rng)
+            rows, c = _full_rank_polytope(rng, nonneg=0.2)
             columns = [dict(rows, b_ub=b) for b in
                        _moved_columns(rng, rows["b_ub"], 3, 0.5).T]
             _tiny_rows(rng, *columns)
@@ -1017,22 +1067,30 @@ def test_kernel_matches_frozen_reference(rng, monkeypatch):
                     assert res.value == pytest.approx(cold.value, rel=1e-9,
                                                       abs=1e-12)
                 seen["dual"] += res.dual_pivots > 0
+        lower, upper = rows["lower"], rows["upper"]
+        if lower is None:
+            seen["none"] += 1
+        elif not lower.any() and np.all(upper == np.inf):
+            seen["nonneg"] += 1
     assert seen.pop("beale") == 1 and min(seen.values()) >= 30, seen
 
 
 def test_phase1_without_artificials_has_no_phase1_row():
     # x <= 1 on three variables: every row starts on its slack, so the
     # tableau holds the constraints and the phase-2 cost row only
-    A_std, b_std, slack, cost, _ = simplex._standard_form(
-        3, None, None, None, None, None, [1.0, 1.0, 1.0])
-    T, basis, pivots = simplex._phase1(cost([-1.0, 0.5, -2.0]), A_std,
-                                       b_std, slack, 100)
-    m = A_std.shape[0]
-    assert (m, T.shape) == (3, (m + 1, A_std.shape[1] + 1))
-    assert np.array_equal(basis, slack) and pivots == 0
-    # with an equality row phase 1 runs and its cost row is dropped after
-    A_std, b_std, slack, cost, _ = simplex._standard_form(
-        3, None, None, [[1.0, 1.0, 1.0]], [2.0], None, [1.0, 1.0, 1.0])
-    T, basis, pivots = simplex._phase1(cost([-1.0, 0.5, -2.0]), A_std,
-                                       b_std, slack, 100)
-    assert T.shape[0] == A_std.shape[0] + 1 and pivots > 0
+    c = np.array([-1.0, 0.5, -2.0])
+    for A_eq, b_eq in ((None, None), (np.ones((1, 3)), np.array([2.0]))):
+        inst = (c, None, None, A_eq, b_eq, np.zeros(3), np.ones(3), False)
+        block, mu, cost, _ = simplex._standard_form(3, *inst[1:7])
+        c_std, A, b, slack, _ = _loop_standard_form(*inst)
+        m, n = A.shape
+        assert np.array_equal(block[:m], np.column_stack([A, b]))
+        assert not block[m:].any()
+        assert np.array_equal(_block_slack(block, mu, n), slack)
+        assert np.array_equal(cost(c), c_std)
+        T, basis, pivots = simplex._phase1(cost(c), block, mu, 100)
+        assert T.shape == (m + 1, n + 1)
+        if A_eq is None:
+            assert m == 3 and np.array_equal(basis, slack) and pivots == 0
+        else:   # phase 1 runs and its cost row is dropped after
+            assert pivots > 0
