@@ -28,12 +28,13 @@ every solve exact where possible:
                            their answer off the same unit slice, and a
                            failed unit slice LP raises
 
-Every solver runs over pi = at g/|g|^2 + theta (g the mean excess return,
-theta free) with lo <= g.pi <= hi held by the rows -g.theta <= at - lo and
-g.theta <= hi - at (``_pi_param``).  With the start point's return at in
-the band, v = 0 meets these rows and the lifted family rows, so no slice
-or band LP needs phase 1; a slice is lo = hi = at = nu.  nu -> rho_nu is
-convex, so the boundary minimiser (band [0, nu_max]) and the minimal risk
+Every solver runs over pi = at g/|g|^2 + theta/u (g the mean excess return,
+u the market's unit ``Market.unit``, theta free) with lo <= g.pi <= hi held
+by the rows -g.theta/u <= at - lo and g.theta/u <= hi - at
+(``_pi_param``).  With the start point's return at in the band, v = 0
+meets these rows and the lifted family rows, so no slice or band LP needs
+phase 1; a slice is lo = hi = at = nu.  nu -> rho_nu is convex, so the
+boundary minimiser (band [0, nu_max]) and the minimal risk
 at return >= nu* (band [nu*, inf)) are one solve each: the family's LP,
 Kelley for a general adjusted-ES profile, or for an exp loss the
 unconstrained Newton minimiser, replaced by the slice at the band's nearer
@@ -103,24 +104,25 @@ def _pi_param(m: Market, lo, hi=math.inf, budget: float | None = None,
               at: float = 0.0) -> _Param:
     """X = excess pi over the portfolios with lo <= E[X_pi] <= hi, from the
     start point of return at (module docstring); arrays lo and hi are a
-    sweep, one rhs column per node."""
-    g = m.mean_excess
+    sweep, one rhs column per node.  The variable is theta = unit (pi -
+    start), so X = x0 + (excess / unit) theta reads the returns over the
+    market's unit."""
+    g, unit = m.mean_excess, m.unit
     start = at * g / float(g @ g)
-    rows, rhs = [-g], [at - lo]
+    rows, rhs = [-g / unit], [at - lo]
     if np.all(hi < math.inf):
-        rows, rhs = rows + [g], rhs + [hi - at]
-    return _Param(m.excess @ start, m.excess, np.full(m.d, -np.inf),
+        rows, rhs = rows + [g / unit], rhs + [hi - at]
+    return _Param(m.excess @ start, m.excess / unit, np.full(m.d, -np.inf),
                   np.full(m.d, np.inf), np.array(rows), np.array(rhs),
-                  lambda t: start + t, budget)
+                  lambda t: start + t / unit, budget)
 
 
 def _ball_param(m: Market) -> _Param:
-    d = m.d
-    C = np.hstack([m.excess, -m.excess])
-    row = np.ones((1, 2 * d))
-    return _Param(np.zeros(m.space.n), C,
+    """X / unit = (excess / unit) pi over the l1 ball of portfolios pi."""
+    d, E = m.d, m.excess / m.unit
+    return _Param(np.zeros(m.space.n), np.hstack([E, -E]),
                   np.zeros(2 * d), np.full(2 * d, np.inf),
-                  row, np.array([1.0]),
+                  np.ones((1, 2 * d)), np.array([1.0]),
                   lambda t: t[:d] - t[d:])
 
 
@@ -592,20 +594,14 @@ def recession_ball_min(spec: RiskSpec, m: Market):
     """(min, argmin) of the recession risk over the l1 ball of portfolios.
 
     The recession risk is positively homogeneous, so the LP runs on the
-    excess returns over their largest entry and its minimum is scaled back:
-    the simplex's tolerances then meet the same data whatever its units.
+    excess returns over the market's one unit (``Market.unit``: the power of
+    two at or above max|excess|, 1 within 2^+-8 of 1) and its minimum is
+    scaled back; the ball descends when that minimum is below -SIGN_TOL
+    times the unit.  The simplex's tolerances then meet the same data
+    whatever its units, and returns in ordinary units are read as they are.
     """
-    scale = float(np.abs(m.excess).max(initial=0.0)) or 1.0
-    par = _ball_param(m)
-    value, pi = _recession_min(spec, m, replace(par, C=par.C / scale))
-    return scale * value, pi
-
-
-def _ball_descends(value: float, m: Market) -> bool:
-    """Whether a recession minimum over the l1 ball is negative.  On the
-    ball |X| <= max|excess|, so SIGN_TOL shrinks with that scale below 1."""
-    scale = min(1.0, float(np.abs(m.excess).max(initial=0.0)))
-    return value < -SIGN_TOL * scale
+    value, pi = _recession_min(spec, m, _ball_param(m))
+    return m.unit * value, pi
 
 
 def _unit_slice(spec: RiskSpec, m: Market):
@@ -830,7 +826,7 @@ def detect_arbitrage(spec: RiskSpec, m: Market) -> ArbitrageReport:
     closure_w = martingale_feasibility(m, closure_dual_set(spec))
     strong = closure_w is None
     ball_min, ball_pi = recession_ball_min(spec, m)
-    strong_inf = _ball_descends(ball_min, m)
+    strong_inf = ball_min < -SIGN_TOL * m.unit
     ray = ball_pi if strong_inf else None
     if strong_inf and not strong:
         errors.append("descent ray found but the closure dual set meets M")

@@ -87,21 +87,15 @@ def continuous_identity_check(X: RandVar, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Standard normal helpers (self-contained: stdlib erfc and AS241 quantile)
+# Standard normal helpers (self-contained: stdlib pdf and AS241 quantile)
 # ---------------------------------------------------------------------------
 
-_SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = NormalDist()
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def normal_cdf(x: float) -> float:
-    """Double-precision cdf via the complementary error function."""
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def normal_quantile(u: float) -> float:

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import OPTIMAL, solve_lp
+from .simplex import OPTIMAL, solve_lp, unit_scale
 
 RANK_TOL = 1e-10        # nonredundancy: relative SVD cutoff
-DEGENERACY_TOL = 1e-12  # nondegeneracy: |mu_i - r| must exceed this
+DEGENERACY_TOL = 1e-12  # nondegeneracy: |mu_i - r| / unit must exceed this
 PROB_TOL = 1e-12        # probabilities must sum to 1 within this
-ARB_TOL = 1e-9          # LP gain below this is treated as no arbitrage
+ARB_TOL = 1e-9          # LP gain / unit below this is treated as no arbitrage
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,13 @@ class Market:
     ``excess[i, k]`` is the excess return of asset k+1 on atom i.  Prices and
     payoffs are retained when the market was built from them so witnesses can
     be reported in numbers of shares.
+
+    ``unit`` is ``simplex.unit_scale(excess)``: the power of two at or above
+    max|excess|, or 1 when that power lies within 2^+-8 of 1, so that
+    returns in ordinary units (fractions or percents) are read as they are
+    and their answers stay byte-identical.  The validity tests, ``ARB_TOL``
+    and every portfolio LP read the returns over it, ``excess / unit``
+    (exact, a power of two), so no verdict depends on the returns' units.
     """
 
     space: FiniteSpace
@@ -111,6 +118,7 @@ class Market:
     excess: np.ndarray
     prices: np.ndarray | None = field(default=None)
     payoffs: np.ndarray | None = field(default=None)
+    unit: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         E = np.atleast_2d(np.asarray(self.excess, dtype=float))
@@ -121,11 +129,12 @@ class Market:
         if self.r <= -1.0:
             raise ValueError("riskless rate must exceed -1")
         object.__setattr__(self, "excess", E)
-        stacked = np.hstack([np.ones((self.space.n, 1)), E])
+        object.__setattr__(self, "unit", unit_scale(E))
+        stacked = np.hstack([np.ones((self.space.n, 1)), E / self.unit])
         sv = np.linalg.svd(stacked, compute_uv=False)
         if sv.size < E.shape[1] + 1 or sv[-1] <= RANK_TOL * sv[0]:
             raise ValueError("market is redundant: {1, R^1..R^d} are dependent")
-        if np.max(np.abs(self.mean_excess)) <= DEGENERACY_TOL:
+        if np.max(np.abs(self.mean_excess)) <= DEGENERACY_TOL * self.unit:
             raise ValueError("market is degenerate: every mu_i equals r")
 
     @classmethod
@@ -194,7 +203,7 @@ def portfolio_slice(m: Market, nu: float) -> PortfolioSlice:
     g = m.mean_excess
     j = -1
     for k in range(m.d):
-        if abs(g[k]) > DEGENERACY_TOL:
+        if abs(g[k]) > DEGENERACY_TOL * m.unit:
             j = k
             break
     if j < 0:  # pragma: no cover - excluded by market validation
@@ -227,14 +236,15 @@ def check_classical_arbitrage(m: Market) -> ArbitrageWitness | None:
 
     Maximizes E[X_pi] subject to X_pi >= 0 atomwise and ||pi||_1 <= 1 (via a
     positive/negative split of pi); a positive optimum is equivalent to the
-    existence of an arbitrage.
+    existence of an arbitrage.  The LP runs over the returns over
+    ``m.unit`` and its gain is scaled back.
     """
     n, d = m.space.n, m.d
-    p = m.space.probs
+    E, g = m.excess / m.unit, m.mean_excess / m.unit
     # variables: pi+ (d), pi- (d)
-    c = np.concatenate([p @ m.excess, -(p @ m.excess)])
+    c = np.concatenate([g, -g])
     A_ub = np.vstack([
-        np.hstack([-m.excess, m.excess]),      # X_pi >= 0 atomwise
+        np.hstack([-E, E]),                    # X_pi >= 0 atomwise
         np.ones((1, 2 * d)),                   # l1 budget
     ])
     b_ub = np.concatenate([np.zeros(n), [1.0]])
@@ -250,4 +260,4 @@ def check_classical_arbitrage(m: Market) -> ArbitrageWitness | None:
         theta = pi / m.prices          # initial wealth 1
         theta0 = 1.0 - float(pi.sum())
         shares = (theta0, theta)
-    return ArbitrageWitness(pi, X, float(res.value), shares)
+    return ArbitrageWitness(pi, X, m.unit * res.value, shares)

@@ -22,8 +22,11 @@ constant back.  One ``simplex.solve_lp_sequence`` call maximises
 delta (the set is empty unless delta > ``SLACK_TOL``), then minimises and
 maximises the price, each with max delta over its optimal face as
 tie-break: an endpoint is attained in the strict set when that delta
-exceeds ``SLACK_TOL`` (always, without strict rows).  Prices are scaled to
-sup-norm 1 for the solve, so the bounds do not depend on the payoff's units.
+exceeds ``SLACK_TOL`` (always, without strict rows).  The payoff enters
+only the price costs, which the simplex reads over their own unit
+(``simplex.unit_scale``: the power of two at or above the largest cost, or
+1 when that lies within 2^+-8 of 1, so that payoffs in ordinary units are
+priced as they are); so the bounds do not depend on the payoff's units.
 """
 from __future__ import annotations
 
@@ -88,7 +91,6 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
         raise ValueError("payoff is replicable; its price is determined by "
                          "the market")
     price_vec = m.space.probs * payoff.values * (1.0 / (1.0 + m.r))
-    scale = float(np.abs(price_vec).max())
     if kind != "NO_ARB" and spec is None:
         raise ValueError(f"{kind} needs a risk measure")
     if kind == "NO_ARB":
@@ -107,7 +109,7 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
     # delta is the last column; the closed polytope may have none
     strict = kind != "NO_STRONG_RHO_ARB" or bool(pt.strict_rows)
 
-    c, offset = pt.lp_row(price_vec / scale)     # price = c.x + offset
+    c, offset = pt.lp_row(price_vec)     # price = c.x + offset
     delta = np.zeros(pt.nvars)
     delta[-1] = -1.0
     *first, low, high = solve_lp_sequence(
@@ -121,5 +123,5 @@ def price_bounds(m: Market, payoff: RandVar, spec: RiskSpec | None,
             raise LPError(f"price-bound LP ended with status {res.status}")
     attained = [not strict or bool(res.x[-1] > SLACK_TOL)
                 for res in (low, high)]
-    return PriceInterval((low.value + offset) * scale,
-                         (offset - high.value) * scale, kind, *attained, label)
+    return PriceInterval(low.value + offset, offset - high.value, kind,
+                         *attained, label)

@@ -55,9 +55,21 @@ columns enter minimises it there; the copy leaves the cost row dual
 feasible for a next column.  ``solve_lp`` (one leg, one rhs),
 ``solve_lp_sequence`` (several legs) and ``solve_lp_path`` (several rhs
 columns) are one-call wrappers of the driver.
+
+The kernel's tolerances are absolute, so the package reads data over one
+unit rule, ``unit_scale``: the power of two at or above the data's largest
+magnitude, or 1 when that power lies within 2^+-8 of 1.  The driver divides
+each leg's standard-form cost, tie-breaks included, by its own unit: a
+power of two is exact and leaves Dantzig's choice as it was, it puts the
+reduced costs that ``_RCOST_TOL`` judges at unit scale, and ``value`` stays
+c.x in the caller's units.  ``Market`` applies the same rule to the excess
+returns that every portfolio LP runs over.  The band keeps data in
+ordinary units (fractions or percents) at unit 1, so its answers stay
+byte-identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +101,14 @@ class LPResult:
     phase1_pivots: int = 0
     dual_pivots: int = 0
     basis: np.ndarray | None = None  # standard-form basis, when optimal
+
+
+def unit_scale(a) -> float:
+    """The power of two at or above max|a|, or 1 when that power lies within
+    2^+-8 of 1 (and for empty or all-zero a); see the module docstring."""
+    frac, exp = math.frexp(float(np.abs(a).max(initial=0.0)))
+    exp -= frac == 0.5                  # max|a| is itself a power of two
+    return 1.0 if abs(exp) <= 8 else math.ldexp(1.0, exp)
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -293,9 +313,10 @@ def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     Returns (T, mu, cost, to_x): T is the phase-1 block of ``_phase1``, [A |
     b] over the m standard-form rows (the first mu of them from inequality
     and bound rows, each with its slack) and one column per rhs, above two
-    zero rows; ``cost(c)`` is the standard-form cost vector of c.x, and
-    ``to_x(y)`` the point in the original variables of a standard-form
-    point y.  Returns None when some lower bound exceeds its upper bound.
+    zero rows; ``cost(c)`` is the standard-form cost vector of c.x over its
+    unit (``unit_scale``), and ``to_x(y)`` the point in the original
+    variables of a standard-form point y.  Returns None when some lower
+    bound exceeds its upper bound.
     """
     identity = lower is None and upper is None
     if not identity:
@@ -346,7 +367,8 @@ def _standard_form(nvar, A_ub, b_ub, A_eq, b_eq, lower, upper):
     def cost(c) -> np.ndarray:
         c_std = np.zeros(ny + mu)
         c_std[:ny] = c if plain else np.asarray(c, dtype=float)[src] * sign
-        return c_std
+        unit = unit_scale(c_std)
+        return c_std if unit == 1.0 else c_std / unit
 
     def to_x(y: np.ndarray) -> np.ndarray:
         if identity:

@@ -4,7 +4,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_market, random_randvar
 from meanrisk import (DualSetSpec, FiniteSpace, LossFunction, Market,
@@ -307,6 +308,25 @@ class TestDualEvaluate:
                 du = dual_evaluate(spec, X)
                 assert du == pytest.approx(prim, abs=1e-7), spec.label()
                 checked += 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(-9, 6))
+    # these failed while the simplex read each LP's costs in X's units
+    @example(0, -5)
+    @example(1, -9)
+    def test_unit_free(self, seed, k):
+        # the homogeneous families (lses with b scaled along) meet the
+        # primal to 1e-12 max|X| at every scale of X
+        s = 10.0 ** k
+        local = np.random.default_rng(seed)
+        X = random_randvar(local, int(local.integers(2, 61)))
+        X = RandVar(X.space, s * X.values)
+        for spec in (RiskSpec.es_at(0.1), RiskSpec.wc(),
+                     RiskSpec.adjusted(step_profile(0.4)),
+                     RiskSpec.oce_with(PWL), RiskSpec.sr_with(PWL),
+                     RiskSpec.lses_at(0.5 * s)):
+            assert abs(dual_evaluate(spec, X) - evaluate(spec, X)) <= \
+                1e-12 * np.abs(X.values).max(), (spec.label(), k)
 
     def test_expected_loss_needs_no_lp(self, rng, monkeypatch):
         # the only density is Z = 1, so the value is E[-X]

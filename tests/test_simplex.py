@@ -12,7 +12,8 @@ from conftest import random_market
 from meanrisk import (LossFunction, Market, RiskSpec, detect_arbitrage, dual,
                       frontier, market, optimal_boundary, rho_nu, simplex,
                       table_profile)
-from meanrisk.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, solve_lp
+from meanrisk.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, solve_lp,
+                              unit_scale)
 
 
 def assert_feasible(res, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
@@ -212,6 +213,33 @@ def _random_instance(rng, nonneg=0.0):
     return (c, A_ub if nub else None, b_ub if nub else None,
             A_eq if neq else None, b_eq if neq else None, lower, upper,
             bool(rng.random() < 0.5))
+
+
+def test_unit_scale():
+    # 1 within 2^+-8 of unit scale, else the power of two at or above max|a|
+    assert unit_scale([]) == unit_scale([0.0]) == 1.0
+    for a in ([0.19, -0.4], [-256.0], [2.0 ** -8]):
+        assert unit_scale(a) == 1.0
+    assert unit_scale([257.0]) == unit_scale([-512.0]) == 512.0
+    assert unit_scale([2.0 ** -9]) == 2.0 ** -9
+    assert unit_scale([1e-9, -3e-9]) == 2.0 ** -28
+
+
+def test_cost_scale_leaves_the_answer(rng):
+    # each cost is read over its unit: at any scale of c the same status
+    # and point, and the value c.x in c's own units
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(300):
+        c, *rest = _random_instance(rng, nonneg=0.3)
+        want = solve_lp(c, *rest)
+        seen[want.status] += 1
+        for k in (-40, -20, 20):
+            got = solve_lp(c * 2.0 ** k, *rest)
+            assert got.status == want.status, k
+            if want.status == OPTIMAL:
+                assert np.array_equal(got.x, want.x), k
+                assert got.value == want.value * 2.0 ** k, k
+    assert min(seen.values()) >= 10, seen
 
 
 def test_matches_reference_solver_on_random_instances(rng):
